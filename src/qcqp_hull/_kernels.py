@@ -1,180 +1,22 @@
-"""Hot numeric kernels: cyclic-Jacobi eigensolver and batched quadratic evaluation.
+"""Batched quadratic evaluation over point grids.
 
-Each kernel has a numba @njit implementation and a pure-numpy fallback.
-The active path is chosen at import time: numpy is used when numba is not
-importable or when the environment variable QCQP_HULL_NUMBA is set to
-"0", "off" or "false". ``backend()`` reports which path is live; the
-benchmark in benchmarks/bench_kernels.py times both.
+``eval_quadratics`` is the one kernel the brute-force oracle and the CLI
+plot share; it is plain numpy.  ``backend()`` names the kernel path for
+environment records.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("QCQP_HULL_NUMBA", "auto").strip().lower()
-_want_numba = _env not in ("0", "off", "false", "no")
 
-try:
-    if not _want_numba:
-        raise ImportError("numba disabled via QCQP_HULL_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-def _jacobi_eigh_numpy(M, tol, max_sweeps):
-    """Cyclic Jacobi with vectorized row/column rotations.
-
-    Returns (diag, V, sweeps); sweeps is -1 when the off-diagonal norm did
-    not drop below tol * ||M||_F within the sweep budget.
-    """
-    A = M.copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    norm = np.linalg.norm(A)
-    if n <= 1 or norm == 0.0:
-        return np.diag(A).copy(), V, 0
-    thresh = tol * norm
-    for sweep in range(max_sweeps):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= thresh:
-            return np.diag(A).copy(), V, sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-3 * thresh / n:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[:, p].copy()
-                rq = A[:, q].copy()
-                A[:, p] = c * rp - s * rq
-                A[:, q] = s * rp + c * rq
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    off = np.linalg.norm(A - np.diag(np.diag(A)))
-    if off <= thresh:
-        return np.diag(A).copy(), V, max_sweeps
-    return np.diag(A).copy(), V, -1
-
-
-def _eval_quadratics_numpy(A_stack, b_stack, c_stack, X):
+def eval_quadratics(A_stack, b_stack, c_stack, X):
     """Evaluate K quadratics x'Ax + 2b'x + c at P points; returns (K, P)."""
     quad = np.einsum("pi,kij,pj->kp", X, A_stack, X, optimize=True)
     lin = 2.0 * (b_stack @ X.T)
     return quad + lin + c_stack[:, None]
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_eigh_numba(M, tol, max_sweeps):  # pragma: no cover - parity-tested
-        A = M.copy()
-        n = A.shape[0]
-        V = np.eye(n)
-        norm = 0.0
-        for i in range(n):
-            for j in range(n):
-                norm += A[i, j] * A[i, j]
-        norm = np.sqrt(norm)
-        if n <= 1 or norm == 0.0:
-            return np.diag(A).copy(), V, 0
-        thresh = tol * norm
-        for sweep in range(max_sweeps):
-            off = 0.0
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    off += 2.0 * A[i, j] * A[i, j]
-            off = np.sqrt(off)
-            if off <= thresh:
-                return np.diag(A).copy(), V, sweep
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if abs(apq) <= 1e-3 * thresh / n:
-                        continue
-                    tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    for i in range(n):
-                        aip = A[i, p]
-                        aiq = A[i, q]
-                        A[i, p] = c * aip - s * aiq
-                        A[i, q] = s * aip + c * aiq
-                    for i in range(n):
-                        api = A[p, i]
-                        aqi = A[q, i]
-                        A[p, i] = c * api - s * aqi
-                        A[q, i] = s * api + c * aqi
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    for i in range(n):
-                        vip = V[i, p]
-                        viq = V[i, q]
-                        V[i, p] = c * vip - s * viq
-                        V[i, q] = s * vip + c * viq
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * A[i, j] * A[i, j]
-        off = np.sqrt(off)
-        if off <= thresh:
-            return np.diag(A).copy(), V, max_sweeps
-        return np.diag(A).copy(), V, -1
-
-    @njit(cache=True)
-    def _eval_quadratics_numba(A_stack, b_stack, c_stack, X):  # pragma: no cover
-        K = A_stack.shape[0]
-        P = X.shape[0]
-        n = X.shape[1]
-        out = np.empty((K, P))
-        for k in range(K):
-            for p in range(P):
-                acc = c_stack[k]
-                for i in range(n):
-                    xi = X[p, i]
-                    row = 0.0
-                    for j in range(n):
-                        row += A_stack[k, i, j] * X[p, j]
-                    acc += xi * row + 2.0 * b_stack[k, i] * xi
-                out[k, p] = acc
-        return out
-
-    jacobi_eigh = _jacobi_eigh_numba
-    eval_quadratics = _eval_quadratics_numba
-else:
-    jacobi_eigh = _jacobi_eigh_numpy
-    eval_quadratics = _eval_quadratics_numpy
-
-
 def backend() -> str:
-    """Name of the active kernel path: "numba" or "numpy"."""
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so later calls run at full speed."""
-    M = np.array([[2.0, 1.0], [1.0, 3.0]])
-    jacobi_eigh(M, 1e-12, 30)
-    eval_quadratics(M[None, :, :], np.zeros((1, 2)), np.zeros(1), np.zeros((3, 2)))
+    """Name of the kernel path: always "numpy"."""
+    return "numpy"

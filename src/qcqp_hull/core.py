@@ -33,15 +33,18 @@ class QuadraticFn:
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
         b = np.array(self.b, dtype=float).reshape(-1)
+        c = float(self.c)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if b.shape[0] != A.shape[0]:
             raise ValueError(f"b has length {b.shape[0]}, A is {A.shape[0]}x{A.shape[0]}")
+        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c)):
+            raise ValueError("A, b and c must be finite")
         # The quadratic form only sees the symmetric part.
         A = 0.5 * (A + A.T)
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "b", _readonly(b))
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:

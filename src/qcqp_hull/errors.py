@@ -9,10 +9,6 @@ class ParseError(QcqpHullError):
     """A problem or certificate file could not be parsed."""
 
 
-class ConvergenceError(QcqpHullError):
-    """An iterative routine exhausted its budget without converging."""
-
-
 class NotSimultaneouslyDiagonalizable(QcqpHullError):
     """The whitened quadratic forms fail the pairwise commutation test.
 

@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra used by the hull machinery.
 
-The eigensolver is a cyclic Jacobi iteration (deterministic, accurate at
-the N <= 200 scale this package targets) living in ``_kernels`` with both
-numba and numpy paths.
+Every eigenproblem goes through ``sym_eig``, a thin wrapper over LAPACK's
+symmetric eigensolver (``np.linalg.eigh``) that fixes the order and sign
+of the eigenvectors so results are deterministic.
 """
 
 from __future__ import annotations
@@ -12,12 +12,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from .core import Qcqp, lagrangian
-from .errors import ConvergenceError, NotSimultaneouslyDiagonalizable
+from .errors import NotSimultaneouslyDiagonalizable
 
-EIG_TOL = 1e-13
-MAX_SWEEPS = 100
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-9
 COMMUTE_TOL = 1e-8
@@ -70,21 +67,22 @@ def _check_symmetric(M) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def sym_eig(M, tol: float = EIG_TOL, max_sweeps: int = MAX_SWEEPS) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi."""
-    M = _check_symmetric(M)
-    w, V, sweeps = _kernels.jacobi_eigh(M, tol, max_sweeps)
-    if sweeps < 0:
-        raise ConvergenceError(f"Jacobi did not converge within {max_sweeps} sweeps")
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    # Deterministic sign: the largest-magnitude entry of each vector is >= 0.
-    for j in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return Spectrum(eigenvalues=w, eigenvectors=V)
+def _fix_signs(V: np.ndarray) -> np.ndarray:
+    """Flip columns so the largest-magnitude entry of each (the first, on ties) is >= 0."""
+    if V.size == 0:
+        return V
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return V * np.where(lead < 0, -1.0, 1.0)
+
+
+def sym_eig(M) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
+
+    Eigenvalues come back ascending.  In each eigenvector the entry of
+    largest magnitude is >= 0, and the zero matrix yields the identity.
+    """
+    w, V = np.linalg.eigh(_check_symmetric(M))
+    return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(V))
 
 
 def psd_status(M, tol: float = PSD_TOL) -> DefinitenessStatus:
@@ -196,20 +194,10 @@ def _common_eigenbasis(mats) -> np.ndarray:
             Q[:, blk] = Qb @ spec.eigenvectors
             w = spec.eigenvalues
             split_tol = 1e-7 * max(1.0, float(np.max(np.abs(w))))
-            start = 0
-            for i in range(1, len(w) + 1):
-                if i == len(w) or w[i] - w[i - 1] > split_tol:
-                    new_blocks.append(blk[start:i])
-                    start = i
+            new_blocks.extend(np.split(blk, np.flatnonzero(np.diff(w) > split_tol) + 1))
         blocks = new_blocks
-    dominant = [int(np.argmax(np.abs(Q[:, j]))) for j in range(n)]
-    order = np.argsort(np.array(dominant), kind="stable")
-    Q = Q[:, order]
-    for j in range(n):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0:
-            Q[:, j] = -Q[:, j]
-    return Q
+    order = np.argsort(np.argmax(np.abs(Q), axis=0), kind="stable")
+    return _fix_signs(Q[:, order])
 
 
 def _divisors_desc(n: int) -> list:

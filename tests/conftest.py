@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from qcqp_hull import _kernels
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import example1
 from qcqp_hull.hull import soc_description
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once here, not inside timed assertions.
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

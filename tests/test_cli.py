@@ -120,6 +120,16 @@ class TestCliFlows:
         io.write_problem(bigf, big)
         assert run(["hull", bigf]) == 4
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_data_is_a_parse_error(self, tmp_path, ex1_file, token):
+        # Python's json reads these tokens as floats; they must not reach the solvers.
+        doc = json.loads(open(ex1_file).read())
+        text = json.dumps(doc).replace('"c": -5.0', f'"c": {token}', 1)
+        assert token in text
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(text)
+        assert run(["analyze", str(bad)]) == 2
+
     def test_assumption_failure_exit_code(self, tmp_path):
         from qcqp_hull.core import Qcqp, QuadraticFn
 

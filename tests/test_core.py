@@ -25,6 +25,16 @@ def test_dimension_mismatch_rejected():
         eval_quadratic(QuadraticFn(np.eye(2), np.zeros(2), 0.0), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_rejected(bad):
+    with pytest.raises(ValueError):
+        QuadraticFn(np.array([[1.0, bad], [bad, 1.0]]), np.zeros(2), 0.0)
+    with pytest.raises(ValueError):
+        QuadraticFn(np.eye(2), np.array([0.0, bad]), 0.0)
+    with pytest.raises(ValueError):
+        QuadraticFn(np.eye(2), np.zeros(2), bad)
+
+
 def test_eval_quadratic_examples(ex1):
     assert eval_quadratic(ex1.objective, [0.0, 0.0]) == 0.0
     assert eval_quadratic(ex1.constraints[0], [4.0, 2.0]) == pytest.approx(7.0, abs=1e-12)

@@ -2,24 +2,61 @@ import numpy as np
 import pytest
 
 from qcqp_hull import _kernels
+from qcqp_hull.core import Qcqp, QuadraticFn
+from qcqp_hull.linalg import sym_eig, whiten_simdiag
 
 
 def test_backend_reports_a_valid_name():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"
 
 
-@pytest.mark.parametrize("n", [2, 5, 17])
-def test_jacobi_paths_agree(n):
+@pytest.mark.parametrize("n", [2, 5, 17, 64, 100])
+def test_sym_eig_diagonalizes(n):
     rng = np.random.default_rng(n)
     S = rng.normal(size=(n, n))
     S = 0.5 * (S + S.T)
-    w1, V1, s1 = _kernels.jacobi_eigh(S, 1e-13, 100)
-    w2, V2, s2 = _kernels._jacobi_eigh_numpy(S, 1e-13, 100)
-    assert s1 >= 0 and s2 >= 0
-    assert np.allclose(np.sort(w1), np.sort(w2), atol=1e-10)
-    # Both paths must actually diagonalize.
-    for w, V in ((w1, V1), (w2, V2)):
-        assert np.max(np.abs(S @ V - V @ np.diag(w))) < 1e-8 * (1 + np.max(np.abs(S)))
+    spec = sym_eig(S)
+    w, V = spec.eigenvalues, spec.eigenvectors
+    assert np.max(np.abs(S @ V - V @ np.diag(w))) < 1e-8 * (1 + np.max(np.abs(S)))
+    assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-9
+    assert np.all(np.diff(w) >= 0)
+    # Sign convention: the largest-magnitude entry of every column is >= 0.
+    for j in range(n):
+        assert V[np.argmax(np.abs(V[:, j])), j] >= 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_sym_eig_zero_matrix_gives_identity(n):
+    # solve_homogeneous relies on e_1 coming first for the zero matrix.
+    spec = sym_eig(np.zeros((n, n)))
+    assert np.array_equal(spec.eigenvalues, np.zeros(n))
+    assert np.array_equal(spec.eigenvectors, np.eye(n))
+
+
+@pytest.mark.parametrize(
+    "objective, constraints",
+    [
+        (np.full(20, 2.0), [np.full(20, 1.0), np.full(20, -3.0), np.zeros(20)]),
+        (
+            [3.0, 1.0, 4.0, 1.0, 5.0, 9.0],
+            [[2.0, -7.0, 1.0, 8.0, -2.0, 8.0], [0.5, 0.5, -1.0, 0.0, 3.0, 0.5]],
+        ),
+    ],
+    ids=["scaled_identity", "diagonal"],
+)
+def test_whiten_simdiag_keeps_coordinate_order(objective, constraints):
+    n = len(objective)
+    p = Qcqp(
+        objective=QuadraticFn(np.diag(objective), np.zeros(n), 0.0),
+        constraints=tuple(QuadraticFn(np.diag(d), np.zeros(n), -1.0) for d in constraints),
+        num_inequalities=len(constraints),
+        num_equalities=0,
+    )
+    sd = whiten_simdiag(p, np.zeros(len(constraints)))
+    scale = 1.0 / np.sqrt(np.asarray(objective))
+    assert np.allclose(sd.basis, np.diag(scale), atol=1e-12)
+    for i, d in enumerate([objective, *constraints]):
+        assert np.allclose(sd.diagonals[i], np.asarray(d) * scale**2, atol=1e-12)
 
 
 def test_eval_quadratics_paths_agree():
@@ -31,9 +68,9 @@ def test_eval_quadratics_paths_agree():
     c = rng.normal(size=K)
     X = rng.normal(size=(P, n))
     got = _kernels.eval_quadratics(A, b, c, X)
-    ref = _kernels._eval_quadratics_numpy(A, b, c, X)
-    assert np.allclose(got, ref, atol=1e-10)
-    # Cross-check one entry against the scalar formula.
-    k, p = 2, 11
-    manual = X[p] @ A[k] @ X[p] + 2 * b[k] @ X[p] + c[k]
-    assert abs(got[k, p] - manual) < 1e-10
+    assert got.shape == (K, P)
+    # Cross-check every entry against the scalar formula.
+    for k in range(K):
+        for p in range(P):
+            manual = X[p] @ A[k] @ X[p] + 2 * b[k] @ X[p] + c[k]
+            assert abs(got[k, p] - manual) < 1e-10
