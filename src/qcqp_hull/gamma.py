@@ -96,7 +96,6 @@ class FaceClass:
     witness: np.ndarray | None = None
     basis: np.ndarray | None = None
     b_aff_dim: int | None = None
-    dead_coords: tuple = ()
 
     @property
     def dim_v(self) -> int:
@@ -135,31 +134,24 @@ def _aff_dim(vertices: np.ndarray, rays: np.ndarray) -> int:
 
 
 def _normalized_rows(h: PolyhedronH):
-    """Rows scaled to ||a|| = 1 where a != 0 (constant rows untouched)."""
+    """Rows scaled to ||a|| = 1 where a != 0, plus that mask.
+
+    Constant rows (a = 0) are left unscaled and are never active.
+    """
     A = np.array([r.a for r in h.rows], dtype=float).reshape(len(h.rows), h.dim)
     beta = np.array([r.beta for r in h.rows], dtype=float)
     norms = np.linalg.norm(A, axis=1)
-    scale = np.where(norms > 1e-300, norms, 1.0)
-    return A / scale[:, None], beta / scale, norms > 1e-12
+    nontrivial = norms > 1e-12
+    scale = np.where(nontrivial, norms, 1.0)
+    return A / scale[:, None], beta / scale, nontrivial
 
 
-def _active_matrix(h: PolyhedronH, v: PolyhedronV, tol: float):
-    """Boolean activity of every generator on every (normalized) row.
-
-    Constant rows (a = 0) are never active.
-    """
-    A, beta, nontrivial = _normalized_rows(h)
-    if v.vertices.shape[0]:
-        vact = np.abs(v.vertices @ A.T + beta) <= tol
-        vact &= nontrivial
-    else:
-        vact = np.zeros((0, len(h.rows)), dtype=bool)
-    if v.rays.shape[0]:
-        ract = np.abs(v.rays @ A.T) <= tol
-        ract &= nontrivial
-    else:
-        ract = np.zeros((0, len(h.rows)), dtype=bool)
-    return vact, ract
+def _incidence(rows, vertices: np.ndarray, rays: np.ndarray, tol: float) -> np.ndarray:
+    """Activity of each given generator (vertices, then rays) on each
+    row of ``rows = _normalized_rows(h)``."""
+    A, beta, nontrivial = rows
+    act = np.vstack([np.abs(vertices @ A.T + beta) <= tol, np.abs(rays @ A.T) <= tol])
+    return act & nontrivial
 
 
 def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
@@ -180,13 +172,14 @@ def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
 # Double description
 
 
-def _dedup_rows(A: np.ndarray, beta: np.ndarray):
-    seen = {}
+def _dedup_rows(A: np.ndarray, beta: np.ndarray, nontrivial: np.ndarray) -> np.ndarray:
+    """Indices of the first of each distinct nonconstant normalized row."""
+    seen = set()
     order = []
-    for i in range(A.shape[0]):
+    for i in np.flatnonzero(nontrivial):
         key = tuple(np.round(np.concatenate([A[i], [beta[i]]]), 10))
         if key not in seen:
-            seen[key] = i
+            seen.add(key)
             order.append(i)
     return np.array(order, dtype=int)
 
@@ -284,19 +277,11 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD, tol: float = DD_TOL) -> Polyh
         raise GuardExceeded(f"double description guard: dimension {m} > {guard}")
     empty = PolyhedronV(vertices=np.zeros((0, m)), rays=np.zeros((0, m)))
 
-    A = np.array([r.a for r in h.rows], dtype=float).reshape(len(h.rows), m)
-    beta = np.array([r.beta for r in h.rows], dtype=float)
-    norms = np.linalg.norm(A, axis=1)
-    trivial = norms <= 1e-12
-    if np.any(beta[trivial] < -tol):
+    A, beta, nontrivial = _normalized_rows(h)
+    if np.any(beta[~nontrivial] < -tol):
         return empty
-    A, beta = A[~trivial], beta[~trivial]
-    if A.shape[0]:
-        scale = np.linalg.norm(A, axis=1)
-        A /= scale[:, None]
-        beta /= scale
-        keep = _dedup_rows(A, beta)
-        A, beta = A[keep], beta[keep]
+    keep = _dedup_rows(A, beta, nontrivial)
+    A, beta = A[keep], beta[keep]
 
     # Lineality = kernel of the row directions.
     if A.shape[0] == 0:
@@ -347,16 +332,14 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD, tol: float = DD_TOL) -> Polyh
 # Optimization and faces
 
 
-def _face_from_generators(
-    h: PolyhedronH, v: PolyhedronV, vertex_ids, ray_ids, tol: float = FACE_TOL
-) -> Face:
+def _face(rows, v: PolyhedronV, vertex_ids, ray_ids, tol: float) -> Face:
+    """The face spanned by the given generators of ``v``; its active rows
+    are the rows of ``rows = _normalized_rows(h)`` active at all of them."""
     vertex_ids = tuple(sorted(int(i) for i in vertex_ids))
     ray_ids = tuple(sorted(int(i) for i in ray_ids))
-    verts = v.vertices[list(vertex_ids)] if vertex_ids else np.zeros((0, h.dim))
-    rays = v.rays[list(ray_ids)] if ray_ids else np.zeros((0, h.dim))
-    vact, ract = _active_matrix(h, PolyhedronV(vertices=verts, rays=rays), tol)
-    stacked = np.vstack([vact, ract]) if vact.size + ract.size else np.zeros((0, len(h.rows)), dtype=bool)
-    active = np.where(np.all(stacked, axis=0))[0] if stacked.shape[0] else np.array([], dtype=int)
+    verts = v.vertices[list(vertex_ids)]
+    rays = v.rays[list(ray_ids)]
+    active = np.flatnonzero(np.all(_incidence(rows, verts, rays, tol), axis=0))
     return Face(
         vertex_ids=vertex_ids,
         ray_ids=ray_ids,
@@ -367,9 +350,7 @@ def _face_from_generators(
     )
 
 
-def optimal_face(
-    v: PolyhedronV, p: Qcqp, x, h: PolyhedronH | None = None, tol: float = FACE_TOL
-):
+def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH, tol: float = FACE_TOL):
     """Maximize gamma -> q_0(x) + sum gamma_i q_i(x) over the polyhedron.
 
     Returns (sup_value, face of maximizers) or None when a ray makes the
@@ -391,10 +372,7 @@ def optimal_face(
     else:
         ray_ids = np.array([], dtype=int)
     vertex_ids = np.where(vertex_vals >= sup - tol_abs)[0]
-    if h is None:
-        h = PolyhedronH(rows=(), dim=v.vertices.shape[1])
-    face = _face_from_generators(h, v, vertex_ids, ray_ids, tol)
-    return sup, face
+    return sup, _face(_normalized_rows(h), v, vertex_ids, ray_ids, tol)
 
 
 def classify_face(
@@ -428,53 +406,45 @@ def classify_face(
     if face.rays.shape[0]:
         dirs.append(face.rays)
     b_aff = _rank(np.vstack(dirs) @ Bmat.T) if dirs else 0
-    return FaceClass(
-        definite=False, basis=Q, b_aff_dim=b_aff, dead_coords=tuple(dead)
-    )
+    return FaceClass(definite=False, basis=Q, b_aff_dim=b_aff)
 
 
 def enumerate_faces(
     h: PolyhedronH, v: PolyhedronV, guard: int = FACE_GUARD, tol: float = FACE_TOL
 ):
-    """All nonempty faces, each once, closed under intersection of facets.
+    """All nonempty faces, each once, sorted by (aff_dim, vertex_ids, ray_ids).
 
-    Includes the polyhedron itself.  Faces are identified by the ambient
-    generators they contain; a candidate without a vertex is empty.
+    Every face is the polyhedron cut by some set of rows, so the faces are
+    the polyhedron itself closed under intersection with one distinct row
+    at a time.  Faces are identified by the ambient generators they
+    contain; a candidate without a vertex is empty.
     """
     if v.is_empty:
         return []
-    A, beta, nontrivial = _normalized_rows(h)
-    keep = np.where(nontrivial)[0]
-    dedup = keep[_dedup_rows(A[keep], beta[keep])] if keep.size else np.array([], dtype=int)
+    rows = _normalized_rows(h)
+    dedup = _dedup_rows(*rows)
     if dedup.size > guard:
         raise GuardExceeded(f"face enumeration guard: {dedup.size} rows > {guard}")
 
-    vact, ract = _active_matrix(h, v, tol)
-    nv, nr = v.vertices.shape[0], v.rays.shape[0]
-    full = (frozenset(range(nv)), frozenset(range(nr)))
+    nv = v.vertices.shape[0]
+    act = _incidence(rows, v.vertices, v.rays, tol)
+    cuts = [
+        (frozenset(np.flatnonzero(act[:nv, ri])), frozenset(np.flatnonzero(act[nv:, ri])))
+        for ri in dedup
+    ]
+    full = (frozenset(range(nv)), frozenset(range(v.rays.shape[0])))
     seen = {full}
-    queue = [full]
-    for ri in dedup:
-        vs = frozenset(np.where(vact[:, ri])[0])
-        rs = frozenset(np.where(ract[:, ri])[0])
-        key = (vs, rs)
-        if vs and key not in seen:
-            seen.add(key)
-            queue.append(key)
-    # Close under pairwise intersection.
-    frontier = list(seen)
+    frontier = [full]
     while frontier:
         fresh = []
-        for k1 in frontier:
-            for k2 in list(seen):
-                key = (k1[0] & k2[0], k1[1] & k2[1])
+        for vs, rs in frontier:
+            for cut_vs, cut_rs in cuts:
+                key = (vs & cut_vs, rs & cut_rs)
                 if key[0] and key not in seen:
                     seen.add(key)
                     fresh.append(key)
         frontier = fresh
-    faces = [
-        _face_from_generators(h, v, sorted(vs), sorted(rs), tol) for vs, rs in seen
-    ]
+    faces = [_face(rows, v, vs, rs, tol) for vs, rs in seen]
     faces.sort(key=lambda f: (f.aff_dim, f.vertex_ids, f.ray_ids))
     return faces
 

@@ -158,24 +158,24 @@ def decompose(
     if not inside:
         raise NotInDsdp(f"point violates the hull description by {worst:.3e}")
 
-    res = optimal_face(gd.v, p, pt.x, gd.h)
+    x = np.asarray(pt.x, dtype=float)
+    res = optimal_face(gd.v, p, x, gd.h)
     if res is None:
         raise NotInDsdp("supremum over the multiplier set is unbounded at this x")
-    sup, _ = res
-    surplus = max(0.0, pt.t - sup / 2.0)
+    surplus = max(0.0, pt.t - res[0] / 2.0)
 
     m = p.num_constraints
     Bmat = np.column_stack([q.b for q in p.constraints])
     b0 = p.objective.b
     trace: list = []
-    xs, ws = _split(p, gd, np.asarray(pt.x, dtype=float), 0, m, Bmat, b0, tol, trace)
+    xs, ws = _split(p, gd, x, res, 0, m, Bmat, b0, tol, trace)
     points = tuple(EpigraphPoint(x=x, t=t + surplus) for x, t in xs)
     return ConvexCombination(points=points, weights=np.array(ws), trace=tuple(trace))
 
 
-def _split(p, gd, x, depth, m, Bmat, b0, tol, trace):
-    """Returns ([(x_j, t_j)], [w_j]) decomposing (x, sup(x)/2)."""
-    res = optimal_face(gd.v, p, x, gd.h)
+def _split(p, gd, x, res, depth, m, Bmat, b0, tol, trace):
+    """Returns ([(x_j, t_j)], [w_j]) decomposing (x, sup(x)/2), where
+    ``res = optimal_face(gd.v, p, x, gd.h)``."""
     if res is None:
         raise NotInDsdp("supremum became unbounded during decomposition")
     sup, face = res
@@ -218,7 +218,7 @@ def _split(p, gd, x, depth, m, Bmat, b0, tol, trace):
         child_x = x + alpha * v
         child_res = optimal_face(gd.v, p, child_x, gd.h)
         rec["child_aff_dims"].append(int(child_res[1].aff_dim) if child_res else -1)
-        pts, ws = _split(p, gd, child_x, depth + 1, m, Bmat, b0, tol, trace)
+        pts, ws = _split(p, gd, child_x, child_res, depth + 1, m, Bmat, b0, tol, trace)
         out_pts.extend(pts)
         out_ws.extend(w * wi for wi in ws)
     return out_pts, out_ws

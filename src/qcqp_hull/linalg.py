@@ -56,7 +56,6 @@ class SimultaneousDiagonalization:
     """Congruence basis P with P' A_i P = diag(diagonals[i]) for i = 0..m."""
 
     basis: np.ndarray
-    basis_inv: np.ndarray
     diagonals: np.ndarray  # shape (m + 1, N), row 0 is the objective
 
 
@@ -169,7 +168,7 @@ def whiten_simdiag(
                 f"residual off-diagonal {off:.3e} for form {i} after joint diagonalization"
             )
         diags[i] = np.diag(D)
-    return SimultaneousDiagonalization(basis=P, basis_inv=np.linalg.inv(P), diagonals=diags)
+    return SimultaneousDiagonalization(basis=P, diagonals=diags)
 
 
 def _common_eigenbasis(mats) -> np.ndarray:

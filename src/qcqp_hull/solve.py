@@ -3,8 +3,10 @@ independent brute-force oracle on the original problem.
 
 The hull solver is a Kelley cutting-plane loop on f(x) = max_e g_e(x)
 subject to the homogeneous constraints and a user box, with an active-set
-Newton polish once the active set settles (pure cutting planes stall well
-before the 1e-4 minimizer accuracy this package promises).
+Newton polish from the latest iterate once the gap is small, and at every
+iteration until some iterate is feasible (pure cutting planes stall well
+before the 1e-4 minimizer accuracy this package promises, and iterates
+that approach a curved constraint from outside may never be feasible).
 """
 
 from __future__ import annotations
@@ -86,9 +88,18 @@ def minimize_soc(
 
     best_val = np.inf
     best_x = x0.copy()
+    x, fx = x0, max(eval_quadratic(g, x0) for g in gs)  # latest LP iterate
     lb = -np.inf
     status = "iteration_limit"
     it = 0
+
+    def polish():
+        # The best feasible iterate can be far from the optimum, or absent.
+        out = _polish(gs, hs, box, x, fx, scale)
+        if out is None and np.isfinite(best_val):
+            out = _polish(gs, hs, box, best_x, best_val, scale)
+        return out
+
     for it in range(1, max_iter + 1):
         res = linprog(c, A_ub=np.array(cuts_A), b_ub=np.array(cuts_b), bounds=bounds, method="highs")
         if res.status == 2:
@@ -103,21 +114,23 @@ def minimize_soc(
             best_val, best_x = fx, x.copy()
         add_obj_cut(x)
         add_feas_cuts(x)
-        if not np.isfinite(best_val):
-            continue
-        gap = best_val - lb
-        if gap <= tol:
-            status = "converged"
-            break
-        if gap <= max(1e-6 * max(1.0, abs(best_val)), 10 * tol) or it % 40 == 0:
-            polished = _polish(gs, hs, box, best_x, best_val, scale)
+        if np.isfinite(best_val):
+            gap = best_val - lb
+            if gap <= tol:
+                status = "converged"
+                break
+            due = gap <= max(1e-6 * max(1.0, abs(best_val)), 10 * tol) or it % 40 == 0
+        else:
+            due = True  # no feasible iterate yet; Kelley alone may never find one
+        if due:
+            polished = polish()
             if polished is not None:
                 best_x, best_val = polished
                 status = "converged"
                 break
 
-    if status != "converged" and np.isfinite(best_val):
-        polished = _polish(gs, hs, box, best_x, best_val, scale)
+    if status != "converged":
+        polished = polish()
         if polished is not None:
             best_x, best_val = polished
             status = "converged"

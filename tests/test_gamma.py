@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -5,6 +7,7 @@ from scipy.optimize import linprog
 from qcqp_hull.core import Qcqp, QuadraticFn, constraint_values, eval_quadratic
 from qcqp_hull.errors import GuardExceeded
 from qcqp_hull.gamma import (
+    FACE_TOL,
     HRow,
     PolyhedronH,
     build_gamma,
@@ -16,12 +19,22 @@ from qcqp_hull.gamma import (
     find_gamma_star,
     optimal_face,
 )
-from qcqp_hull.generators import gtrs, quadratic_matrix_program
+from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.linalg import Definiteness, psd_status, whiten_simdiag
 
 
 def hrow(a, beta):
     return HRow(a=np.asarray(a, dtype=float), beta=float(beta), kind="eigenvalue", index=0)
+
+
+def random_rows(rng, m):
+    """m + 4 unit rows with the origin strictly inside."""
+    rows = []
+    for _ in range(m + 4):
+        a = rng.normal(size=m)
+        a /= np.linalg.norm(a)
+        rows.append(hrow(a, abs(rng.normal()) + 0.1))
+    return rows
 
 
 def diag_problem(diag0, diags, num_ineq):
@@ -30,6 +43,61 @@ def diag_problem(diag0, diags, num_ineq):
     q0 = QuadraticFn(np.diag(diag0), np.zeros(n), 0.0)
     cons = tuple(QuadraticFn(np.diag(d), np.zeros(n), -1.0) for d in diags)
     return Qcqp(q0, cons, num_ineq, len(diags) - num_ineq)
+
+
+def _problem_hv(p):
+    gd = build_gamma_data(p)
+    return gd.h, gd.v
+
+
+def _random_hv(m, seed):
+    h = PolyhedronH(rows=tuple(random_rows(np.random.default_rng(seed), m)), dim=m)
+    return h, dd_vrep(h)
+
+
+ORACLE_CASES = {
+    "example1": lambda: _problem_hv(example1()),
+    "gtrs3": lambda: _problem_hv(gtrs(3, 2)),
+    "gtrs6": lambda: _problem_hv(gtrs(6, 1)),
+    "qmp": lambda: _problem_hv(quadratic_matrix_program(2, 3, 2, seed=0)),
+    "swiss6": lambda: _problem_hv(swiss_cheese(20, 2, 2, 2, 0)),
+    "swiss7": lambda: _problem_hv(swiss_cheese(20, 3, 2, 2, 1)),
+    "swiss8": lambda: _problem_hv(swiss_cheese(20, 3, 3, 2, 0)),
+    # the polyhedra of TestDdVrep.test_roundtrip_random
+    **{
+        f"random{m}-{seed}": (lambda m=m, seed=seed: _random_hv(m, seed))
+        for m, seed in [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)]
+    },
+}
+
+
+def row_subset_faces(h, v, tol=FACE_TOL):
+    """Slow oracle: for every set S of rows, the generators active on all
+    of S, when that set has a vertex.  Rows with equal generator sets are
+    merged first.  Returns sorted (aff_dim, vertex_ids, ray_ids, active_rows)."""
+    A = np.array([r.a for r in h.rows], dtype=float).reshape(len(h.rows), h.dim)
+    beta = np.array([r.beta for r in h.rows], dtype=float)
+    norms = np.linalg.norm(A, axis=1)
+    live = np.flatnonzero(norms > 1e-12)
+    A, beta = A[live] / norms[live, None], beta[live] / norms[live]
+    nv = v.vertices.shape[0]
+    inc = np.vstack([np.abs(v.vertices @ A.T + beta) <= tol, np.abs(v.rays @ A.T) <= tol])
+    cuts = np.unique(inc, axis=1)
+    assert cuts.shape[1] <= 12, "the oracle is exponential in the rows"
+    faces = set()
+    for k in range(cuts.shape[1] + 1):
+        for S in itertools.combinations(range(cuts.shape[1]), k):
+            gens = np.all(cuts[:, list(S)], axis=1)
+            if not gens[:nv].any():
+                continue
+            verts, rays = v.vertices[gens[:nv]], v.rays[gens[nv:]]
+            dirs = np.vstack([verts[1:] - verts[0], rays])
+            s = np.linalg.svd(dirs, compute_uv=False) if dirs.shape[0] else np.zeros(0)
+            aff_dim = int(np.sum(s > 1e-9 * max(1.0, s[0]))) if s.size else 0
+            active = tuple(int(i) for i in live[np.all(inc[gens], axis=0)])
+            ids = (tuple(np.flatnonzero(gens[:nv]).tolist()), tuple(np.flatnonzero(gens[nv:]).tolist()))
+            faces.add((aff_dim, *ids, active))
+    return sorted(faces)
 
 
 class TestBuildGamma:
@@ -95,11 +163,7 @@ class TestDdVrep:
     @pytest.mark.parametrize("m,seed", [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)])
     def test_roundtrip_random(self, m, seed):
         rng = np.random.default_rng(seed)
-        rows = []
-        for _ in range(m + 4):
-            a = rng.normal(size=m)
-            a /= np.linalg.norm(a)
-            rows.append(hrow(a, abs(rng.normal()) + 0.1))  # origin is interior
+        rows = random_rows(rng, m)
         h = PolyhedronH(rows=tuple(rows), dim=m)
         v = dd_vrep(h)
         assert not v.is_empty
@@ -283,6 +347,12 @@ class TestEnumerateFaces:
         faces = enumerate_faces(h, dd_vrep(h))
         assert len(faces) == 2
         assert sorted(f.aff_dim for f in faces) == [0, 1]
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_row_subset_oracle(self, case):
+        h, v = ORACLE_CASES[case]()
+        got = [(f.aff_dim, f.vertex_ids, f.ray_ids, f.active_rows) for f in enumerate_faces(h, v)]
+        assert got == row_subset_faces(h, v)
 
     def test_guard(self):
         rng = np.random.default_rng(0)

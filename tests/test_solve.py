@@ -65,6 +65,17 @@ class TestMinimizeSoc:
         large = minimize_soc(ex1_soc, (-10.0, 10.0))
         assert large.value <= small.value + 1e-8
 
+    @pytest.mark.parametrize("n,seed,value", [(3, 8, 0.0353539755), (5, 3, 0.0516924855)])
+    def test_feasible_set_reached_from_outside(self, n, seed, value):
+        # Kelley iterates approach the curved ball constraint from outside:
+        # none is feasible at N=3 seed 8, and at N=5 seed 3 the best
+        # feasible one (2.80) is no start for the polish.
+        p = swiss_cheese(n, 1, 1, 1, seed)
+        gd = build_gamma_data(p)
+        res = minimize_soc(soc_description(gd.v, p), (-10.0, 10.0), tol=1e-8, max_iter=200)
+        assert res.status == "converged"
+        assert res.value == pytest.approx(value, abs=1e-9)
+
     def test_infeasible_homogeneous(self):
         g = QuadraticFn(np.eye(1), np.zeros(1), 0.0)
         h = QuadraticFn(np.eye(1), np.zeros(1), 1.0)  # x^2 + 1 <= 0
