@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Qcqp
+from .core import EpigraphPoint, Qcqp, check_feasible, eval_quadratic
 from .errors import NoInteriorPoint, NotSimultaneouslyDiagonalizable
-from .gamma import GammaData, build_gamma_data, classify_face, enumerate_faces, find_definite_multiplier
+from .gamma import GammaData, build_gamma_data, classify_face, enumerate_faces
 from .linalg import KroneckerStructure, kron_multiplicity
 
 SCALED_IDENTITY_TOL = 1e-12
@@ -47,17 +47,13 @@ class ConditionReport:
 
 
 def _is_scaled_identity_family(p: Qcqp, tol: float = SCALED_IDENTITY_TOL) -> bool:
-    n = p.dim
-    eye = np.eye(n)
-    for q in p.quadratics():
-        alpha = float(np.trace(q.A)) / n
-        if np.max(np.abs(q.A - alpha * eye)) > tol * max(1.0, abs(alpha)):
-            return False
-    return True
+    alpha = np.trace(p.A, axis1=1, axis2=2) / p.dim
+    dev = np.max(np.abs(p.A - alpha[:, None, None] * np.eye(p.dim)), axis=(1, 2))
+    return bool(np.all(dev <= tol * np.maximum(1.0, np.abs(alpha))))
 
 
 def _zero_constraint_b(p: Qcqp, tol: float = ZERO_B_TOL) -> bool:
-    return all(np.max(np.abs(q.b)) <= tol for q in p.constraints)
+    return bool(np.all(np.abs(p.b[1:]) <= tol))
 
 
 def check_conditions(p: Qcqp, gd: GammaData, kron: KroneckerStructure) -> ConditionReport:
@@ -113,8 +109,6 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
     """
     primal_notes = []
     if feasible_point is not None:
-        from .core import EpigraphPoint, check_feasible, eval_quadratic
-
         x = np.asarray(feasible_point, dtype=float)
         rep = check_feasible(p, EpigraphPoint(x, eval_quadratic(p.objective, x) / 2.0), tol)
         if rep.feasible:
@@ -148,14 +142,15 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
         )
         return report, None
     except NotSimultaneouslyDiagonalizable as e:
-        a1 = find_definite_multiplier(p) is not None
+        # Only whiten_simdiag raises this, and build_gamma_data calls it
+        # after a definite multiplier was found: assumption 1 holds.
         notes = [
             "polyhedrality of the multiplier set not certified: " + str(e),
             "zero-linear-term condition needs a certified polyhedral multiplier set",
         ]
-        m1 = a1 and p.num_constraints == 1
+        m1 = p.num_constraints == 1
         report = ConditionReport(
-            assumption1=a1,
+            assumption1=True,
             gamma_star=None,
             margin=None,
             assumption2="unknown",

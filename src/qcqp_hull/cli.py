@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from . import _kernels
-from .core import EpigraphPoint, Qcqp, eval_quadratic
+from .core import EpigraphPoint, Qcqp
 from .errors import (
     GuardExceeded,
     NoInteriorPoint,
@@ -73,37 +73,14 @@ def plot2d(p: Qcqp, d, box, resolution: int = 201, tol: float = 1e-8):
     G1, G2 = np.meshgrid(ax1, ax2, indexing="ij")
     X = np.stack([G1.ravel(), G2.ravel()], axis=1)
 
-    quads = p.quadratics()
-    vals = _kernels.eval_quadratics(
-        np.array([q.A for q in quads]),
-        np.array([q.b for q in quads]),
-        np.array([q.c for q in quads]),
-        X,
-    )
+    vals = _kernels.eval_quadratics(p.A, p.b, p.c, X)
     mi = p.num_inequalities
-    feas = np.ones(X.shape[0], dtype=bool)
-    for i in range(1, len(quads)):
-        if i - 1 < mi:
-            feas &= vals[i] <= tol
-        else:
-            feas &= np.abs(vals[i]) <= tol
+    feas = np.all(vals[1 : mi + 1] <= tol, axis=0) & np.all(np.abs(vals[mi + 1 :]) <= tol, axis=0)
     tmin_d = np.where(feas, 0.5 * vals[0], np.inf)
 
-    gvals = _kernels.eval_quadratics(
-        np.array([g.A for g in d.epigraph]),
-        np.array([g.b for g in d.epigraph]),
-        np.array([g.c for g in d.epigraph]),
-        X,
-    )
-    tmin_hull = 0.5 * np.max(gvals, axis=0)
-    if d.homogeneous:
-        hvals = _kernels.eval_quadratics(
-            np.array([h.A for h in d.homogeneous]),
-            np.array([h.b for h in d.homogeneous]),
-            np.array([h.c for h in d.homogeneous]),
-            X,
-        )
-        tmin_hull = np.where(np.max(hvals, axis=0) <= tol, tmin_hull, np.inf)
+    ne = len(d.epigraph)
+    svals = _kernels.eval_quadratics(d.A, d.b, d.c, X)
+    tmin_hull = np.where(np.all(svals[ne:] <= tol, axis=0), 0.5 * np.max(svals[:ne], axis=0), np.inf)
     return X[:, 0], X[:, 1], tmin_d, tmin_hull
 
 

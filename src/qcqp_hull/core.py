@@ -4,7 +4,12 @@ Conventions fixed here and used everywhere else:
   * a quadratic is q(x) = x'Ax + 2b'x + c with A symmetric,
   * the objective enters the epigraph as q_0(x) <= 2t, so optimal values
     are reported in "2t" units,
-  * constraint order is inequalities first, then equalities.
+  * constraint order is inequalities first, then equalities,
+  * a family of quadratics is stacked once, when its object is built, as
+    read-only arrays A (K, N, N), b (K, N) and c (K,) with row k the k-th
+    quadratic; for a Qcqp row 0 is the objective and rows 1..m the
+    constraints.  ``aggregate`` is the one rule that combines a stack and
+    ``stack_values`` (over ``_kernels.eval_quadratics``) the one evaluator.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
+
 FEASIBILITY_TOL = 1e-8
 
 
@@ -20,6 +27,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def stack_quadratics(quads):
+    """Read-only (A, b, c) stacks of a nonempty sequence of quadratics."""
+    A, b, c = zip(*((q.A, q.b, q.c) for q in quads))
+    return _readonly(A), _readonly(b), _readonly(c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +72,17 @@ class Qcqp:
     """A QCQP: minimize q_0 subject to q_i <= 0 (inequalities) and q_i = 0.
 
     ``constraints`` lists q_1..q_m with the first ``num_inequalities`` of
-    them inequality constraints and the rest equalities.
+    them inequality constraints and the rest equalities.  ``A``, ``b``
+    and ``c`` stack (q_0, q_1, ..., q_m).
     """
 
     objective: QuadraticFn
     constraints: tuple
     num_inequalities: int
     num_equalities: int
+    A: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+    c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         constraints = tuple(self.constraints)
@@ -84,6 +101,8 @@ class Qcqp:
         for i, q in enumerate(constraints):
             if q.dim != n:
                 raise ValueError(f"constraint {i + 1} has dimension {q.dim}, expected {n}")
+        for name, arr in zip("Abc", stack_quadratics(self.quadratics())):
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -135,37 +154,41 @@ def eval_quadratic(q: QuadraticFn, x) -> float:
     return float(x @ q.A @ x + 2.0 * (q.b @ x) + q.c)
 
 
+def aggregate(s, w) -> QuadraticFn:
+    """The quadratic sum_k w_k q_k over the stack of ``s`` (anything with
+    ``A``/``b``/``c`` stacks: a Qcqp or a SocDescription)."""
+    w = np.asarray(w, dtype=float)
+    A = (w @ s.A.reshape(len(w), -1)).reshape(s.A.shape[1:])
+    return QuadraticFn(A, w @ s.b, float(w @ s.c))
+
+
+def stack_values(s, x) -> np.ndarray:
+    """(q_0(x), ..., q_{K-1}(x)) over the stack of ``s`` at one point x."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return _kernels.eval_quadratics(s.A, s.b, s.c, x)[:, 0]
+
+
 def lagrangian(p: Qcqp, gamma) -> QuadraticFn:
     """Aggregate q_0 + sum_i gamma_i q_i into a single quadratic."""
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
     if gamma.shape[0] != p.num_constraints:
         raise ValueError(f"gamma has length {gamma.shape[0]}, expected {p.num_constraints}")
-    A = p.objective.A.copy()
-    b = p.objective.b.copy()
-    c = p.objective.c
-    for gi, q in zip(gamma, p.constraints):
-        if gi != 0.0:
-            A += gi * q.A
-            b += gi * q.b
-            c += gi * q.c
-    return QuadraticFn(A, b, c)
+    return aggregate(p, np.concatenate([[1.0], gamma]))
 
 
 def constraint_values(p: Qcqp, x) -> np.ndarray:
     """Vector (q_1(x), ..., q_m(x))."""
-    return np.array([eval_quadratic(q, x) for q in p.constraints])
+    return stack_values(p, x)[1:]
 
 
 def check_feasible(p: Qcqp, pt: EpigraphPoint, tol: float = FEASIBILITY_TOL) -> FeasReport:
     """Report constraint violations of an epigraph point; never raises."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    vals = constraint_values(p, pt.x)
-    viol = np.empty_like(vals)
+    vals = stack_values(p, pt.x)
     mi = p.num_inequalities
-    viol[:mi] = np.maximum(vals[:mi], 0.0)
-    viol[mi:] = np.abs(vals[mi:])
-    gap = eval_quadratic(p.objective, pt.x) - 2.0 * pt.t
+    viol = np.concatenate([np.maximum(vals[1 : mi + 1], 0.0), np.abs(vals[mi + 1 :])])
+    gap = float(vals[0]) - 2.0 * pt.t
     feasible = bool(np.all(viol <= tol) and gap <= tol)
     return FeasReport(feasible=feasible, violations=viol, epigraph_gap=gap, tol=tol)
 

@@ -11,12 +11,12 @@ it by generator scan, and enumerates/classifies its faces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import Qcqp, constraint_values, eval_quadratic
+from .core import Qcqp, lagrangian, stack_values
 from .errors import GuardExceeded, NoInteriorPoint
 from .linalg import (
     Definiteness,
@@ -49,8 +49,25 @@ class HRow:
 
 @dataclass(frozen=True, eq=False)
 class PolyhedronH:
+    """The rows a . gamma + beta >= 0, plus the same rows as read-only
+    arrays scaled to ||a|| = 1 where a != 0 (``nontrivial``).  Constant
+    rows (a = 0) are left unscaled and are never active."""
+
     rows: tuple
     dim: int
+    A: np.ndarray = field(init=False, repr=False)
+    beta: np.ndarray = field(init=False, repr=False)
+    nontrivial: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        A = np.array([r.a for r in self.rows], dtype=float).reshape(len(self.rows), self.dim)
+        beta = np.array([r.beta for r in self.rows], dtype=float)
+        norms = np.linalg.norm(A, axis=1)
+        nontrivial = norms > 1e-12
+        scale = np.where(nontrivial, norms, 1.0)
+        for name, arr in (("A", A / scale[:, None]), ("beta", beta / scale), ("nontrivial", nontrivial)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,25 +150,11 @@ def _aff_dim(vertices: np.ndarray, rays: np.ndarray) -> int:
     return _rank(np.vstack(dirs))
 
 
-def _normalized_rows(h: PolyhedronH):
-    """Rows scaled to ||a|| = 1 where a != 0, plus that mask.
-
-    Constant rows (a = 0) are left unscaled and are never active.
-    """
-    A = np.array([r.a for r in h.rows], dtype=float).reshape(len(h.rows), h.dim)
-    beta = np.array([r.beta for r in h.rows], dtype=float)
-    norms = np.linalg.norm(A, axis=1)
-    nontrivial = norms > 1e-12
-    scale = np.where(nontrivial, norms, 1.0)
-    return A / scale[:, None], beta / scale, nontrivial
-
-
-def _incidence(rows, vertices: np.ndarray, rays: np.ndarray, tol: float) -> np.ndarray:
+def _incidence(h: PolyhedronH, vertices: np.ndarray, rays: np.ndarray, tol: float) -> np.ndarray:
     """Activity of each given generator (vertices, then rays) on each
-    row of ``rows = _normalized_rows(h)``."""
-    A, beta, nontrivial = rows
-    act = np.vstack([np.abs(vertices @ A.T + beta) <= tol, np.abs(rays @ A.T) <= tol])
-    return act & nontrivial
+    normalized row of ``h``."""
+    act = np.vstack([np.abs(vertices @ h.A.T + h.beta) <= tol, np.abs(rays @ h.A.T) <= tol])
+    return act & h.nontrivial
 
 
 def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
@@ -172,12 +175,12 @@ def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
 # Double description
 
 
-def _dedup_rows(A: np.ndarray, beta: np.ndarray, nontrivial: np.ndarray) -> np.ndarray:
+def _dedup_rows(h: PolyhedronH) -> np.ndarray:
     """Indices of the first of each distinct nonconstant normalized row."""
     seen = set()
     order = []
-    for i in np.flatnonzero(nontrivial):
-        key = tuple(np.round(np.concatenate([A[i], [beta[i]]]), 10))
+    for i in np.flatnonzero(h.nontrivial):
+        key = tuple(np.round(np.concatenate([h.A[i], [h.beta[i]]]), 10))
         if key not in seen:
             seen.add(key)
             order.append(i)
@@ -277,11 +280,10 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD, tol: float = DD_TOL) -> Polyh
         raise GuardExceeded(f"double description guard: dimension {m} > {guard}")
     empty = PolyhedronV(vertices=np.zeros((0, m)), rays=np.zeros((0, m)))
 
-    A, beta, nontrivial = _normalized_rows(h)
-    if np.any(beta[~nontrivial] < -tol):
+    if np.any(h.beta[~h.nontrivial] < -tol):
         return empty
-    keep = _dedup_rows(A, beta, nontrivial)
-    A, beta = A[keep], beta[keep]
+    keep = _dedup_rows(h)
+    A, beta = h.A[keep], h.beta[keep]
 
     # Lineality = kernel of the row directions.
     if A.shape[0] == 0:
@@ -332,14 +334,14 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD, tol: float = DD_TOL) -> Polyh
 # Optimization and faces
 
 
-def _face(rows, v: PolyhedronV, vertex_ids, ray_ids, tol: float) -> Face:
+def _face(h: PolyhedronH, v: PolyhedronV, vertex_ids, ray_ids, tol: float) -> Face:
     """The face spanned by the given generators of ``v``; its active rows
-    are the rows of ``rows = _normalized_rows(h)`` active at all of them."""
+    are the rows of ``h`` active at all of them."""
     vertex_ids = tuple(sorted(int(i) for i in vertex_ids))
     ray_ids = tuple(sorted(int(i) for i in ray_ids))
     verts = v.vertices[list(vertex_ids)]
     rays = v.rays[list(ray_ids)]
-    active = np.flatnonzero(np.all(_incidence(rows, verts, rays, tol), axis=0))
+    active = np.flatnonzero(np.all(_incidence(h, verts, rays, tol), axis=0))
     return Face(
         vertex_ids=vertex_ids,
         ray_ids=ray_ids,
@@ -358,10 +360,9 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH, tol: float = FACE_T
     """
     if v.is_empty:
         raise ValueError("polyhedron is empty")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    rvals = constraint_values(p, x)
-    q0 = eval_quadratic(p.objective, x)
-    vertex_vals = q0 + v.vertices @ rvals
+    vals = stack_values(p, x)
+    rvals = vals[1:]
+    vertex_vals = vals[0] + v.vertices @ rvals
     sup = float(np.max(vertex_vals))
     tol_abs = tol * max(1.0, abs(sup))
     if v.rays.shape[0]:
@@ -372,7 +373,7 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH, tol: float = FACE_T
     else:
         ray_ids = np.array([], dtype=int)
     vertex_ids = np.where(vertex_vals >= sup - tol_abs)[0]
-    return sup, _face(_normalized_rows(h), v, vertex_ids, ray_ids, tol)
+    return sup, _face(h, v, vertex_ids, ray_ids, tol)
 
 
 def classify_face(
@@ -395,17 +396,12 @@ def classify_face(
         return FaceClass(definite=True, witness=witness)
     cols = sd.basis[:, dead]
     Q, _ = np.linalg.qr(cols)
-    Bmat = (
-        np.column_stack([q.b for q in p.constraints])
-        if p.num_constraints
-        else np.zeros((p.dim, 0))
-    )
     dirs = []
     if face.vertices.shape[0] > 1:
         dirs.append(face.vertices[1:] - face.vertices[0])
     if face.rays.shape[0]:
         dirs.append(face.rays)
-    b_aff = _rank(np.vstack(dirs) @ Bmat.T) if dirs else 0
+    b_aff = _rank(np.vstack(dirs) @ p.b[1:]) if dirs else 0
     return FaceClass(definite=False, basis=Q, b_aff_dim=b_aff)
 
 
@@ -421,13 +417,12 @@ def enumerate_faces(
     """
     if v.is_empty:
         return []
-    rows = _normalized_rows(h)
-    dedup = _dedup_rows(*rows)
+    dedup = _dedup_rows(h)
     if dedup.size > guard:
         raise GuardExceeded(f"face enumeration guard: {dedup.size} rows > {guard}")
 
     nv = v.vertices.shape[0]
-    act = _incidence(rows, v.vertices, v.rays, tol)
+    act = _incidence(h, v.vertices, v.rays, tol)
     cuts = [
         (frozenset(np.flatnonzero(act[:nv, ri])), frozenset(np.flatnonzero(act[nv:, ri])))
         for ri in dedup
@@ -444,7 +439,7 @@ def enumerate_faces(
                     seen.add(key)
                     fresh.append(key)
         frontier = fresh
-    faces = [_face(rows, v, vs, rs, tol) for vs, rs in seen]
+    faces = [_face(h, v, vs, rs, tol) for vs, rs in seen]
     faces.sort(key=lambda f: (f.aff_dim, f.vertex_ids, f.ray_ids))
     return faces
 
@@ -497,13 +492,10 @@ def find_definite_multiplier(
     maximum is not positive (no definite aggregation exists in the box).
     """
     m = p.num_constraints
-    A0 = p.objective.A
-    As = [q.A for q in p.constraints]
-    scale = max(1.0, max(float(np.max(np.abs(M))) for M in [A0, *As]))
+    scale = max(1.0, float(np.max(np.abs(p.A))))
 
     def min_eig(gamma):
-        M = A0 + sum(g * Ai for g, Ai in zip(gamma, As))
-        spec = sym_eig(M)
+        spec = sym_eig(lagrangian(p, gamma).A)
         return spec.eigenvalues[0], spec.eigenvectors[:, 0]
 
     lam0, v0 = min_eig(np.zeros(m))
@@ -517,12 +509,9 @@ def find_definite_multiplier(
 
     def add_cut(v):
         # mu - sum_i gamma_i (v'A_i v) <= v'A_0 v
-        row = np.zeros(m + 1)
-        for i, Ai in enumerate(As):
-            row[i] = -float(v @ Ai @ v)
-        row[m] = 1.0
-        cuts_a.append(row)
-        cuts_b.append(float(v @ A0 @ v))
+        vAv = (p.A @ v) @ v
+        cuts_a.append(np.concatenate([-vAv[1:], [1.0]]))
+        cuts_b.append(float(vAv[0]))
 
     add_cut(v0)
     c = np.zeros(m + 1)
@@ -561,7 +550,7 @@ def build_gamma_data(p: Qcqp, dd_guard: int = DD_GUARD) -> GammaData:
     if found is None:
         raise NoInteriorPoint("multiplier set has no interior point in the diagonal basis")
     gamma_star, margin = found
-    status = psd_status(p.objective.A + sum(g * q.A for g, q in zip(gamma_star, p.constraints)))
+    status = psd_status(lagrangian(p, gamma_star).A)
     if status.tag is not Definiteness.POSITIVE_DEFINITE:
         raise NoInteriorPoint("interior witness failed the definiteness re-check")
     return GammaData(problem=p, sd=sd, h=h, v=v, gamma_star=gamma_star, margin=margin)

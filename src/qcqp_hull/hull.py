@@ -12,7 +12,7 @@ a finite list of convex quadratic (SOC-representable) constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +20,11 @@ from .core import (
     EpigraphPoint,
     Qcqp,
     QuadraticFn,
+    aggregate,
     check_feasible,
-    constraint_values,
-    eval_quadratic,
     lagrangian,
+    stack_quadratics,
+    stack_values,
 )
 from .errors import NoDescentDirection, NotInDsdp, QcqpHullError
 from .gamma import FACE_TOL, GammaData, classify_face, optimal_face
@@ -40,10 +41,19 @@ class SocDescription:
     ``epigraph[k](x) <= 2t`` for each multiplier-set vertex and
     ``homogeneous[k](x) <= 0`` for each extreme ray.  Ray constraints that
     reduce to a nonpositive constant are dropped as identically true.
+    ``A``, ``b`` and ``c`` stack the epigraph rows, then the homogeneous
+    rows.
     """
 
     epigraph: tuple
     homogeneous: tuple
+    A: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+    c: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name, arr in zip("Abc", stack_quadratics(self.epigraph + self.homogeneous)):
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -71,10 +81,7 @@ def soc_description(v, p: Qcqp, psd_tol: float = 1e-8, drop_tol: float = 1e-12) 
         epi.append(g)
     hom = []
     for gamma_r in v.rays:
-        A = sum(gi * q.A for gi, q in zip(gamma_r, p.constraints))
-        b = sum(gi * q.b for gi, q in zip(gamma_r, p.constraints))
-        c = sum(gi * q.c for gi, q in zip(gamma_r, p.constraints))
-        h = QuadraticFn(A, b, float(c))
+        h = aggregate(p, np.concatenate([[0.0], gamma_r]))
         if (
             np.max(np.abs(h.A)) <= drop_tol
             and np.max(np.abs(h.b)) <= drop_tol
@@ -98,10 +105,8 @@ def dsdp_membership(d: SocDescription, pt: EpigraphPoint, tol: float = MEMBERSHI
     The worst violation is the largest constraint residual; it is
     negative strictly inside and ~0 on the boundary.
     """
-    residuals = [eval_quadratic(g, pt.x) - 2.0 * pt.t for g in d.epigraph]
-    residuals += [eval_quadratic(h, pt.x) for h in d.homogeneous]
-    if not residuals:
-        return True, float("-inf")
+    residuals = stack_values(d, pt.x)
+    residuals[: len(d.epigraph)] -= 2.0 * pt.t
     worst = float(np.max(residuals))
     return worst <= tol, worst
 
@@ -164,16 +169,13 @@ def decompose(
         raise NotInDsdp("supremum over the multiplier set is unbounded at this x")
     surplus = max(0.0, pt.t - res[0] / 2.0)
 
-    m = p.num_constraints
-    Bmat = np.column_stack([q.b for q in p.constraints])
-    b0 = p.objective.b
     trace: list = []
-    xs, ws = _split(p, gd, x, res, 0, m, Bmat, b0, tol, trace)
+    xs, ws = _split(p, gd, x, res, 0, tol, trace)
     points = tuple(EpigraphPoint(x=x, t=t + surplus) for x, t in xs)
     return ConvexCombination(points=points, weights=np.array(ws), trace=tuple(trace))
 
 
-def _split(p, gd, x, res, depth, m, Bmat, b0, tol, trace):
+def _split(p, gd, x, res, depth, tol, trace):
     """Returns ([(x_j, t_j)], [w_j]) decomposing (x, sup(x)/2), where
     ``res = optimal_face(gd.v, p, x, gd.h)``."""
     if res is None:
@@ -183,12 +185,12 @@ def _split(p, gd, x, res, depth, m, Bmat, b0, tol, trace):
     cls = classify_face(face, p, gd.sd, gd.h)
     if cls.definite:
         return [(x, t0)], [1.0]
-    if depth > m:
+    if depth > p.num_constraints:
         raise NoDescentDirection(
-            f"recursion exceeded the face-dimension bound (depth {depth}, m {m})"
+            f"recursion exceeded the face-dimension bound (depth {depth}, m {p.num_constraints})"
         )
 
-    v, s = _flat_direction(face, cls, Bmat, b0)
+    v, s = _flat_direction(face, cls, p)
     if v is None:
         raise NoDescentDirection(
             "the direction system on the optimal face has only the zero solution "
@@ -218,25 +220,20 @@ def _split(p, gd, x, res, depth, m, Bmat, b0, tol, trace):
         child_x = x + alpha * v
         child_res = optimal_face(gd.v, p, child_x, gd.h)
         rec["child_aff_dims"].append(int(child_res[1].aff_dim) if child_res else -1)
-        pts, ws = _split(p, gd, child_x, child_res, depth + 1, m, Bmat, b0, tol, trace)
+        pts, ws = _split(p, gd, child_x, child_res, depth + 1, tol, trace)
         out_pts.extend(pts)
         out_ws.extend(w * wi for wi in ws)
     return out_pts, out_ws
 
 
-def _flat_direction(face, cls, Bmat, b0):
+def _flat_direction(face, cls, p):
     """Unit direction v in the shared zero eigenspace and scalar s with
     <b(gamma), v> = s across the face; None when only v = 0 works."""
     V = cls.basis
     d = V.shape[1]
-    samples = [g for g in face.vertices]
-    base = face.relint_point()
-    samples += [base + r for r in face.rays]
-    rows = []
-    for gamma in samples:
-        bg = b0 + Bmat @ gamma
-        rows.append(np.concatenate([V.T @ bg, [-1.0]]))
-    sol = solve_homogeneous(np.array(rows))
+    samples = np.vstack([face.vertices, face.relint_point() + face.rays])
+    bg = p.b[0] + samples @ p.b[1:]  # row k: b(gamma) at samples[k]
+    sol = solve_homogeneous(np.column_stack([bg @ V, -np.ones(len(samples))]))
     if sol is None:
         return None, None
     u, s = sol[:d], float(sol[d])
@@ -258,28 +255,18 @@ def _step_lengths(p, gd, x, t0, v, s, tol):
     """Nearest positive and negative roots over the non-flat convex
     quadratics alpha -> q(gamma_e, x + alpha v) - 2(t0 + alpha s) and
     alpha -> sum (gamma_r)_i q_i(x + alpha v)."""
-    rvals = constraint_values(p, x)
-    q0x = eval_quadratic(p.objective, x)
-    Av_list = [q.A @ v for q in p.quadratics()]
-    vAv = np.array([v @ av for av in Av_list])
-    xAv = np.array([x @ av for av in Av_list])
-    bv = np.array([q.b @ v for q in p.quadratics()])
+    epi = np.r_[np.ones(gd.v.vertices.shape[0]), np.zeros(gd.v.rays.shape[0])]
+    W = np.column_stack([epi, np.vstack([gd.v.vertices, gd.v.rays])])  # [1, gamma_e], [0, gamma_r]
+    Av = p.A @ v
+    coeffs = np.column_stack(
+        [
+            W @ (Av @ v),
+            2.0 * (W @ (Av @ x + p.b @ v)) - 2.0 * s * epi,
+            W @ stack_values(p, x) - 2.0 * t0 * epi,
+        ]
+    )
 
-    coeffs = []
-    for gamma in gd.v.vertices:
-        ge = np.concatenate([[1.0], gamma])
-        a = float(ge @ vAv)
-        b = 2.0 * float(ge @ (xAv + bv)) - 2.0 * s
-        c = q0x + float(gamma @ rvals) - 2.0 * t0
-        coeffs.append((a, b, c))
-    for gamma in gd.v.rays:
-        gr = np.concatenate([[0.0], gamma])
-        a = float(gr @ vAv)
-        b = 2.0 * float(gr @ (xAv + bv))
-        c = float(gamma @ rvals)
-        coeffs.append((a, b, c))
-
-    scale = max(1.0, max(abs(c) for co in coeffs for c in co))
+    scale = max(1.0, float(np.max(np.abs(coeffs))))
     zero_tol = tol * scale
     pos_roots, neg_roots = [], []
     for a, b, c in coeffs:

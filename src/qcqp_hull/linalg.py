@@ -144,8 +144,8 @@ def whiten_simdiag(
         raise ValueError("aggregated Hessian at gamma_star is not positive definite")
     W = spec.eigenvectors @ np.diag(1.0 / np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.T
 
-    mats = [W @ q.A @ W for q in p.quadratics()]
-    scale = max(1.0, max(float(np.max(np.abs(B))) for B in mats)) ** 2
+    mats = W @ p.A @ W
+    scale = max(1.0, float(np.max(np.abs(mats)))) ** 2
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -157,17 +157,15 @@ def whiten_simdiag(
 
     Q = _common_eigenbasis(mats)
     P = W @ Q
-    n = p.dim
-    diags = np.empty((len(mats), n))
-    for i, q in enumerate(p.quadratics()):
-        D = P.T @ q.A @ P
-        off = np.max(np.abs(D - np.diag(np.diag(D))))
-        si = max(1.0, float(np.max(np.abs(D))))
-        if off > offdiag_tol * si:
-            raise NotSimultaneouslyDiagonalizable(
-                f"residual off-diagonal {off:.3e} for form {i} after joint diagonalization"
-            )
-        diags[i] = np.diag(D)
+    D = P.T @ p.A @ P
+    diags = np.diagonal(D, axis1=1, axis2=2).copy()
+    off = np.max(np.abs(D - diags[:, :, None] * np.eye(p.dim)), axis=(1, 2))
+    si = np.maximum(1.0, np.max(np.abs(D), axis=(1, 2)))
+    bad = np.flatnonzero(off > offdiag_tol * si)
+    if bad.size:
+        raise NotSimultaneouslyDiagonalizable(
+            f"residual off-diagonal {off[bad[0]]:.3e} for form {bad[0]} after joint diagonalization"
+        )
     return SimultaneousDiagonalization(basis=P, diagonals=diags)
 
 
@@ -210,7 +208,7 @@ def kron_multiplicity(p: Qcqp, tol: float = KRON_TOL) -> KroneckerStructure:
     always holds.
     """
     N = p.dim
-    mats = [q.A for q in p.quadratics()]
+    mats = p.A
     for k in _divisors_desc(N):
         n = N // k
         ok = True

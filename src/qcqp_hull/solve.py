@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from . import _kernels
-from .core import Qcqp, constraint_values, eval_quadratic
+from .core import Qcqp, aggregate, stack_values
 from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
 
@@ -41,8 +41,9 @@ def _as_box(box, n: int) -> np.ndarray:
     return box
 
 
-def _grad(q, x):
-    return 2.0 * (q.A @ x + q.b)
+def _grads(d, idx, x) -> np.ndarray:
+    """Gradients 2(A_k x + b_k) at x of the stacked quadratics ``idx``, one per row."""
+    return 2.0 * (d.A[idx] @ x + d.b[idx])
 
 
 def minimize_soc(
@@ -53,34 +54,25 @@ def minimize_soc(
         raise ValueError("hull description has no epigraph constraints")
     n = d.dim
     box = _as_box(box, n)
-    gs, hs = d.epigraph, d.homogeneous
-    scale = max(1.0, max(float(np.max(np.abs(q.A))) + float(np.max(np.abs(q.b))) + abs(q.c) for q in gs))
+    ne = len(d.epigraph)  # stack rows: epigraph, then homogeneous
+    a_max = np.abs(d.A[:ne]).max(axis=(1, 2))
+    scale = max(1.0, float(np.max(a_max + np.abs(d.b[:ne]).max(axis=1) + np.abs(d.c[:ne]))))
     feas_tol = 1e-9 * scale
 
     cuts_A: list = []
     cuts_b: list = []
 
-    def add_obj_cut(x):
-        i = int(np.argmax([eval_quadratic(g, x) for g in gs]))
-        g = gs[i]
-        grad = _grad(g, x)
-        cuts_A.append(np.concatenate([grad, [-1.0]]))
-        cuts_b.append(float(grad @ x - eval_quadratic(g, x)))
-
-    def add_feas_cuts(x):
-        added = False
-        for h in hs:
-            val = eval_quadratic(h, x)
-            if val > feas_tol:
-                grad = _grad(h, x)
-                cuts_A.append(np.concatenate([grad, [0.0]]))
-                cuts_b.append(float(grad @ x - val))
-                added = True
-        return added
+    def add_cuts(x, vals):
+        # The largest epigraph constraint cuts tau; every violated
+        # homogeneous constraint cuts x.
+        idx = np.r_[np.argmax(vals[:ne]), ne + np.flatnonzero(vals[ne:] > feas_tol)]
+        grads = _grads(d, idx, x)
+        cuts_A.extend(np.column_stack([grads, np.r_[-1.0, np.zeros(len(idx) - 1)]]))
+        cuts_b.extend(grads @ x - vals[idx])
 
     x0 = box.mean(axis=1)
-    add_obj_cut(x0)
-    add_feas_cuts(x0)
+    vals0 = stack_values(d, x0)
+    add_cuts(x0, vals0)
 
     bounds = [(lo, hi) for lo, hi in box] + [(None, None)]
     c = np.zeros(n + 1)
@@ -88,16 +80,16 @@ def minimize_soc(
 
     best_val = np.inf
     best_x = x0.copy()
-    x, fx = x0, max(eval_quadratic(g, x0) for g in gs)  # latest LP iterate
+    x, fx = x0, float(np.max(vals0[:ne]))  # latest LP iterate
     lb = -np.inf
     status = "iteration_limit"
     it = 0
 
     def polish():
         # The best feasible iterate can be far from the optimum, or absent.
-        out = _polish(gs, hs, box, x, fx, scale)
+        out = _polish(d, box, x, fx, scale)
         if out is None and np.isfinite(best_val):
-            out = _polish(gs, hs, box, best_x, best_val, scale)
+            out = _polish(d, box, best_x, best_val, scale)
         return out
 
     for it in range(1, max_iter + 1):
@@ -108,12 +100,11 @@ def minimize_soc(
             break
         x = res.x[:n]
         lb = max(lb, float(res.x[n]))
-        fx = max(eval_quadratic(g, x) for g in gs)
-        hviol = max((eval_quadratic(h, x) for h in hs), default=0.0)
-        if hviol <= feas_tol and fx < best_val:
+        vals = stack_values(d, x)
+        fx = float(np.max(vals[:ne]))
+        if np.all(vals[ne:] <= feas_tol) and fx < best_val:
             best_val, best_x = fx, x.copy()
-        add_obj_cut(x)
-        add_feas_cuts(x)
+        add_cuts(x, vals)
         if np.isfinite(best_val):
             gap = best_val - lb
             if gap <= tol:
@@ -138,7 +129,7 @@ def minimize_soc(
     if not np.isfinite(best_val):
         raise InfeasibleRegion("no point satisfying the homogeneous constraints was found")
 
-    if status == "converged" and _box_active_improving(gs, hs, box, best_x):
+    if status == "converged" and _box_active_improving(d, box, best_x):
         status = "unbounded"
     return SolveResult(
         value=float(best_val),
@@ -150,46 +141,35 @@ def minimize_soc(
     )
 
 
-def _polish(gs, hs, box, x, fx, scale):
+def _polish(d, box, x, fx, scale):
     """Newton steps on the KKT system of min tau, g_e <= tau, h_r <= 0 for
     the active set at x.  Returns (x*, value) or None when the guess fails."""
     width = np.max(box[:, 1] - box[:, 0])
     if np.any(x - box[:, 0] < 1e-7 * width) or np.any(box[:, 1] - x < 1e-7 * width):
         return None  # box-active optimum: leave to the cutting planes
+    ne = len(d.epigraph)
     athr = 1e-5 * max(1.0, abs(fx))
-    E = [i for i, g in enumerate(gs) if eval_quadratic(g, x) >= fx - athr]
-    R = [i for i, h in enumerate(hs) if eval_quadratic(h, x) >= -athr]
+    vals = stack_values(d, x)
+    E = np.flatnonzero(vals[:ne] >= fx - athr)
+    R = ne + np.flatnonzero(vals[ne:] >= -athr)
+    active = np.r_[E, R]  # multiplier order: lam for E, then mu for R
     n = len(x)
-    nE, nR = len(E), len(R)
-    u = np.concatenate([x, [fx], np.full(nE, 1.0 / nE), np.zeros(nR)])
+    nE, nA = len(E), len(active)
+    u = np.concatenate([x, [fx], np.full(nE, 1.0 / nE), np.zeros(nA - nE)])
     for _ in range(50):
-        xc, tau = u[:n], u[n]
-        lam, mu = u[n + 1 : n + 1 + nE], u[n + 1 + nE :]
-        grads_g = [_grad(gs[i], xc) for i in E]
-        grads_h = [_grad(hs[i], xc) for i in R]
-        F = np.concatenate(
-            [
-                sum(l * g for l, g in zip(lam, grads_g))
-                + (sum(m * g for m, g in zip(mu, grads_h)) if nR else 0.0),
-                [np.sum(lam) - 1.0],
-                [eval_quadratic(gs[i], xc) - tau for i in E],
-                [eval_quadratic(hs[i], xc) for i in R],
-            ]
-        )
+        xc, tau, mult = u[:n], u[n], u[n + 1 :]
+        vals = stack_values(d, xc)
+        grads = _grads(d, active, xc)
+        F = np.concatenate([mult @ grads, [np.sum(mult[:nE]) - 1.0], vals[E] - tau, vals[R]])
         if np.max(np.abs(F)) <= 1e-11 * scale:
             break
-        H = sum(l * 2.0 * gs[i].A for l, i in zip(lam, E))
-        if nR:
-            H = H + sum(m * 2.0 * hs[i].A for m, i in zip(mu, R))
-        J = np.zeros((n + 1 + nE + nR, n + 1 + nE + nR))
-        J[:n, :n] = H
-        for k, g in enumerate(grads_g):
-            J[:n, n + 1 + k] = g
-            J[n + 1 + k, :n] = g
-            J[n + 1 + k, n] = -1.0
-        for k, g in enumerate(grads_h):
-            J[:n, n + 1 + nE + k] = g
-            J[n + 1 + nE + k, :n] = g
+        w = np.zeros(len(d.c))
+        w[active] = mult
+        J = np.zeros((n + 1 + nA, n + 1 + nA))
+        J[:n, :n] = 2.0 * aggregate(d, w).A
+        J[:n, n + 1 :] = grads.T
+        J[n + 1 :, :n] = grads
+        J[n + 1 : n + 1 + nE, n] = -1.0
         J[n, n + 1 : n + 1 + nE] = 1.0
         try:
             step = np.linalg.solve(J, -F)
@@ -199,34 +179,35 @@ def _polish(gs, hs, box, x, fx, scale):
     else:
         return None
     xc, tau = u[:n], float(u[n])
-    lam, mu = u[n + 1 : n + 1 + nE], u[n + 1 + nE :]
-    if np.max(np.abs(F)) > 1e-9 * scale or np.any(lam < -1e-8) or np.any(mu < -1e-8):
+    if np.max(np.abs(F)) > 1e-9 * scale or np.any(u[n + 1 :] < -1e-8):
         return None
     if np.any(xc < box[:, 0] - 1e-9) or np.any(xc > box[:, 1] + 1e-9):
         return None
-    fx_all = max(eval_quadratic(g, xc) for g in gs)
+    vals = stack_values(d, xc)
+    fx_all = float(np.max(vals[:ne]))
     if fx_all > tau + 1e-7 * scale:
         return None  # an inactive epigraph constraint took over
-    if any(eval_quadratic(h, xc) > 1e-7 * scale for h in hs):
+    if np.any(vals[ne:] > 1e-7 * scale):
         return None
     return xc, fx_all
 
 
-def _box_active_improving(gs, hs, box, x) -> bool:
+def _box_active_improving(d, box, x) -> bool:
     """True when a box bound binds at x and relaxing it improves the max."""
+    ne = len(d.epigraph)
     width = np.maximum(box[:, 1] - box[:, 0], 1.0)
-    fx = max(eval_quadratic(g, x) for g in gs)
+    vals = stack_values(d, x)
+    fx = float(np.max(vals[:ne]))
     athr = 1e-6 * max(1.0, abs(fx))
-    active_g = [g for g in gs if eval_quadratic(g, x) >= fx - athr]
-    active_h = [h for h in hs if eval_quadratic(h, x) >= -athr]
+    grads_g = _grads(d, np.flatnonzero(vals[:ne] >= fx - athr), x)
+    grads_h = _grads(d, ne + np.flatnonzero(vals[ne:] >= -athr), x)
     for i in range(len(x)):
         for sign, bound in ((-1.0, box[i, 0]), (1.0, box[i, 1])):
             if abs(x[i] - bound) > 1e-6 * width[i]:
                 continue
-            d = np.zeros(len(x))
-            d[i] = sign  # outward
-            df = max(float(_grad(g, x) @ d) for g in active_g)
-            blocked = any(float(_grad(h, x) @ d) > 1e-8 for h in active_h)
+            # Directional derivatives along the outward axis direction.
+            df = np.max(sign * grads_g[:, i])
+            blocked = np.any(sign * grads_h[:, i] > 1e-8)
             if df < -1e-8 and not blocked:
                 return True
     return False
@@ -259,27 +240,21 @@ def brute_force(
     if n > 3:
         return _multistart(p, box, starts, seed, feas_tol)
 
-    quads = p.quadratics()
-    A_stack = np.array([q.A for q in quads])
-    b_stack = np.array([q.b for q in quads])
-    c_stack = np.array([q.c for q in quads])
-    corner = np.max(np.abs(box), axis=1)
-    grad_bound = np.array(
-        [2.0 * np.linalg.norm(q.A, 2) * np.linalg.norm(corner) + 2.0 * np.linalg.norm(q.b) for q in quads]
-    )
+    corner = np.linalg.norm(np.max(np.abs(box), axis=1))
+    grad_bound = 2.0 * np.linalg.norm(p.A, 2, axis=(1, 2)) * corner + 2.0 * np.linalg.norm(p.b, axis=1)
 
     mi = p.num_inequalities
-    eq_ids = list(range(mi + 1, len(quads)))
+    eq_ids = list(range(mi + 1, p.num_constraints + 1))
 
     def sweep(lo, hi, pts):
         axes = [np.linspace(lo[i], hi[i], pts) for i in range(n)]
         h = max(float(ax[1] - ax[0]) if len(ax) > 1 else 0.0 for ax in axes)
         mesh = np.meshgrid(*axes, indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = _kernels.eval_quadratics(A_stack, b_stack, c_stack, X)
+        vals = _kernels.eval_quadratics(p.A, p.b, p.c, X)
         ok = np.ones(X.shape[0], dtype=bool)
         eq_tols = {}
-        for i in range(1, len(quads)):
+        for i in range(1, p.num_constraints + 1):
             if i - 1 < mi:
                 ok &= vals[i] <= feas_tol
             else:
@@ -300,7 +275,7 @@ def brute_force(
         # when its tolerance tightens at the next level.
         drift = 0.0
         for i in eq_ids:
-            g = 2.0 * float(np.linalg.norm(quads[i].A @ x + quads[i].b))
+            g = 2.0 * float(np.linalg.norm(p.A[i] @ x + p.b[i]))
             drift = max(drift, eq_tols[i] / max(g, 1e-6))
         half = 2.0 * h + drift
         lo = np.maximum(x - half, box[:, 0])
@@ -316,13 +291,13 @@ def _multistart(p: Qcqp, box, starts: int, seed: int, feas_tol: float):
     rng = np.random.default_rng(seed)
     n = p.dim
     mi = p.num_inequalities
-    scale = max(1.0, max(float(np.max(np.abs(q.A))) for q in p.quadratics()))
+    scale = max(1.0, float(np.max(np.abs(p.A))))
     tol = max(feas_tol, 1e-7 * scale)
 
     def penalized(x, rho):
-        vals = constraint_values(p, x)
-        pen = np.sum(np.maximum(vals[:mi], 0.0) ** 2) + np.sum(vals[mi:] ** 2)
-        return eval_quadratic(p.objective, x) + rho * pen
+        vals = stack_values(p, x)
+        pen = np.sum(np.maximum(vals[1 : mi + 1], 0.0) ** 2) + np.sum(vals[mi + 1 :] ** 2)
+        return vals[0] + rho * pen
 
     best_val, best_x = np.inf, None
     for _ in range(starts):
@@ -337,12 +312,10 @@ def _multistart(p: Qcqp, box, starts: int, seed: int, feas_tol: float):
                 options={"maxiter": 200},
             )
             x = res.x
-        vals = constraint_values(p, x)
-        feasible = np.all(vals[:mi] <= tol) and np.all(np.abs(vals[mi:]) <= tol)
-        if feasible:
-            obj = eval_quadratic(p.objective, x)
-            if obj < best_val:
-                best_val, best_x = obj, x.copy()
+        vals = stack_values(p, x)
+        feasible = np.all(vals[1 : mi + 1] <= tol) and np.all(np.abs(vals[mi + 1 :]) <= tol)
+        if feasible and vals[0] < best_val:
+            best_val, best_x = vals[0], x.copy()
     if best_x is None:
         raise NoFeasiblePoint("multistart found no feasible point in the box")
     return float(best_val), best_x

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from qcqp_hull import _kernels
-from qcqp_hull.core import EpigraphPoint, eval_quadratic
+from qcqp_hull.core import EpigraphPoint, stack_values
 from qcqp_hull.hull import dsdp_membership
 
 
@@ -29,10 +29,6 @@ def _quad_1d_roots(a, b, c):
 def sample_epigraph_cloud(p, box, resolution, feas_tol=1e-7):
     """(K, 3) array of points (x1, x2, q0(x)/2) of the true epigraph graph,
     grid samples plus constraint-boundary roots along every grid line."""
-    quads = p.quadratics()
-    A_stack = np.array([q.A for q in quads])
-    b_stack = np.array([q.b for q in quads])
-    c_stack = np.array([q.c for q in quads])
     ax1 = np.linspace(box[0][0], box[0][1], resolution)
     ax2 = np.linspace(box[1][0], box[1][1], resolution)
     G1, G2 = np.meshgrid(ax1, ax2, indexing="ij")
@@ -54,14 +50,10 @@ def sample_epigraph_cloud(p, box, resolution, feas_tol=1e-7):
     if extra:
         X = np.vstack([X, np.array(extra)])
 
-    vals = _kernels.eval_quadratics(A_stack, b_stack, c_stack, X)
+    vals = _kernels.eval_quadratics(p.A, p.b, p.c, X)
     mi = p.num_inequalities
-    feas = np.ones(X.shape[0], dtype=bool)
-    for i in range(1, len(quads)):
-        if i - 1 < mi:
-            feas &= vals[i] <= feas_tol
-        else:
-            feas &= np.abs(vals[i]) <= feas_tol
+    feas = np.all(vals[1 : mi + 1] <= feas_tol, axis=0)
+    feas &= np.all(np.abs(vals[mi + 1 :]) <= feas_tol, axis=0)
     return np.column_stack([X[feas], 0.5 * vals[0][feas]])
 
 
@@ -100,11 +92,12 @@ def sample_margin_probes(p, soc, probe_box, count, rng, spread, margin=1e-3, tol
     while len(probes) < count and attempts < 100 * count:
         attempts += 1
         x = rng.uniform([probe_box[0][0], probe_box[1][0]], [probe_box[0][1], probe_box[1][1]])
-        hviol = max((eval_quadratic(h, x) for h in soc.homogeneous), default=-np.inf)
-        if hviol <= tol:
-            tmin = 0.5 * max(eval_quadratic(g, x) for g in soc.epigraph)
+        svals = stack_values(soc, x)
+        ne = len(soc.epigraph)
+        if np.all(svals[ne:] <= tol):
+            tmin = 0.5 * np.max(svals[:ne])
         else:
-            tmin = 0.5 * eval_quadratic(p.objective, x)
+            tmin = 0.5 * stack_values(p, x)[0]
         t = tmin + rng.uniform(-spread, spread)
         pt = EpigraphPoint(x, t)
         inside, worst = dsdp_membership(soc, pt, tol)

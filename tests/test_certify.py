@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcqp_hull import certify, gamma
 from qcqp_hull.core import Qcqp, QuadraticFn
 from qcqp_hull.certify import analyze_problem, check_conditions, report_text
 from qcqp_hull.gamma import build_gamma_data
@@ -101,6 +102,25 @@ def test_barvinok_noncommuting_reports_unknown_polyhedrality():
     assert report.theorem1 is None and report.theorem2 is None
     assert not report.corollary_b0  # not certified without polyhedrality
     assert any("polyhedrality" in n for n in report.notes)
+
+
+def test_non_sd_branch_finds_the_multiplier_once(monkeypatch):
+    # build_gamma_data finds a definite multiplier before whitening can
+    # fail, so the report must not search for one again.
+    calls = []
+    original = gamma.find_definite_multiplier
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (gamma, certify):
+        if getattr(mod, "find_definite_multiplier", None) is original:
+            monkeypatch.setattr(mod, "find_definite_multiplier", counted)
+    report, gd = analyze_problem(barvinok_random(3, 2, seed=3))
+    assert gd is None and report.assumption2 == "unknown"
+    assert report.assumption1
+    assert len(calls) == 1
 
 
 def test_barvinok_commuting_forms_certify():

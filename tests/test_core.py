@@ -7,10 +7,25 @@ from qcqp_hull.core import (
     QuadraticFn,
     affine_transform,
     check_feasible,
+    constraint_values,
     eval_quadratic,
     lagrangian,
     shor_matrix,
+    stack_values,
 )
+from qcqp_hull.gamma import build_gamma_data
+from qcqp_hull.generators import barvinok, example1, gtrs, quadratic_matrix_program, swiss_cheese
+from qcqp_hull.hull import soc_description
+
+# One instance per family; qmp, swisscheese and barvinok have extreme rays
+# that survive as homogeneous hull constraints.
+STACKED = {
+    "example1": example1,
+    "gtrs": lambda: gtrs(4, seed=1),
+    "qmp": lambda: quadratic_matrix_program(2, 3, 2, seed=7),
+    "swisscheese": lambda: swiss_cheese(5, 1, 1, 1, seed=3),
+    "barvinok": lambda: barvinok([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])]),
+}
 
 
 def test_symmetrized_on_construction():
@@ -164,3 +179,68 @@ def test_qcqp_validation():
         Qcqp(objective=q, constraints=(), num_inequalities=0, num_equalities=0)
     with pytest.raises(ValueError):
         Qcqp(objective=q, constraints=(q,), num_inequalities=2, num_equalities=0)
+
+
+@pytest.mark.parametrize("family", sorted(STACKED))
+def test_stacks_match_quadratics(family):
+    p = STACKED[family]()
+    quads = p.quadratics()
+    assert p.A.shape == (len(quads), p.dim, p.dim)
+    for k, q in enumerate(quads):
+        assert np.array_equal(p.A[k], q.A)
+        assert np.array_equal(p.b[k], q.b)
+        assert p.c[k] == q.c
+    for arr in (p.A, p.b, p.c):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("family", sorted(STACKED))
+def test_stack_values_match_scalar_formula(family):
+    p = STACKED[family]()
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = rng.normal(size=p.dim) * 3
+        want = np.array([eval_quadratic(q, x) for q in p.quadratics()])
+        got = stack_values(p, x)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(constraint_values(p, x), got[1:])
+
+
+@pytest.mark.parametrize("family", sorted(STACKED))
+def test_lagrangian_matches_loop_formula(family):
+    p = STACKED[family]()
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        gamma = rng.normal(size=p.num_constraints)
+        A, b, c = p.objective.A.copy(), p.objective.b.copy(), p.objective.c
+        for g, q in zip(gamma, p.constraints):
+            A += g * q.A
+            b += g * q.b
+            c += g * q.c
+        agg = lagrangian(p, gamma)
+        assert np.allclose(agg.A, A, rtol=1e-12, atol=1e-12)
+        assert np.allclose(agg.b, b, rtol=1e-12, atol=1e-12)
+        assert agg.c == pytest.approx(c, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(STACKED))
+def test_ray_constraints_aggregate_the_constraints(family):
+    p = STACKED[family]()
+    gd = build_gamma_data(p)
+    soc = soc_description(gd.v, p)
+    kept = []
+    for gamma_r in gd.v.rays:
+        A = sum(g * q.A for g, q in zip(gamma_r, p.constraints))
+        b = sum(g * q.b for g, q in zip(gamma_r, p.constraints))
+        c = sum(g * q.c for g, q in zip(gamma_r, p.constraints))
+        if np.max(np.abs(A)) > 1e-12 or np.max(np.abs(b)) > 1e-12 or c > 1e-12:
+            kept.append((A, b, c))
+    assert len(soc.homogeneous) == len(kept)
+    for h, (A, b, c) in zip(soc.homogeneous, kept):
+        assert np.allclose(h.A, A, rtol=1e-12, atol=1e-12)
+        assert np.allclose(h.b, b, rtol=1e-12, atol=1e-12)
+        assert h.c == pytest.approx(c, rel=1e-12, abs=1e-12)
+    # The description's own stack: epigraph rows, then homogeneous rows.
+    for k, q in enumerate(soc.epigraph + soc.homogeneous):
+        assert np.array_equal(soc.A[k], q.A) and np.array_equal(soc.b[k], q.b) and soc.c[k] == q.c

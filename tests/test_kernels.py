@@ -59,14 +59,22 @@ def test_whiten_simdiag_keeps_coordinate_order(objective, constraints):
         assert np.allclose(sd.diagonals[i], np.asarray(d) * scale**2, atol=1e-12)
 
 
-def test_eval_quadratics_paths_agree():
+@pytest.mark.parametrize("points", ["one", "random", "grid"])
+def test_eval_quadratics_paths_agree(points):
+    # One point is how core.stack_values calls the kernel; grids are how
+    # brute_force and the plot call it.
     rng = np.random.default_rng(7)
-    K, n, P = 4, 3, 50
+    K, n = 4, 3
     A = rng.normal(size=(K, n, n))
     A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
     b = rng.normal(size=(K, n))
     c = rng.normal(size=K)
-    X = rng.normal(size=(P, n))
+    if points == "grid":
+        axes = np.meshgrid(*[np.linspace(-2.0, 2.0, 6)] * n, indexing="ij")
+        X = np.stack([ax.ravel() for ax in axes], axis=1)
+    else:
+        X = rng.normal(size=(1 if points == "one" else 50, n))
+    P = X.shape[0]
     got = _kernels.eval_quadratics(A, b, c, X)
     assert got.shape == (K, P)
     # Cross-check every entry against the scalar formula.
