@@ -1,0 +1,43 @@
+"""One growing LP for the cutting-plane loops: min c'z over a box, with
+rows G z <= h appended in batches and each re-solve warm-started from the
+previous basis.  It drives HiGHS through the binding bundled with
+scipy.optimize (the one its HiGHS LP method calls), so the model is built
+once per loop instead of once per iteration."""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize._highspy import _core as _highs
+
+_NONE = np.zeros(0, dtype=np.int32)
+
+
+class CuttingPlaneLP:
+    """min c'z subject to lower <= z <= upper (infinite entries allowed)
+    and every row appended with ``add_rows``."""
+
+    def __init__(self, cost, lower, upper):
+        self._model = _highs._Highs()
+        self._model.setOptionValue("output_flag", False)
+        self._model.setOptionValue("presolve", "off")
+        self._model.addCols(len(cost), cost, lower, upper, 0, _NONE, _NONE, np.zeros(0))
+
+    def add_rows(self, G, h) -> None:
+        """Append the rows G z <= h (one row of G per constraint)."""
+        G = np.atleast_2d(np.asarray(G, dtype=float))
+        nz = G != 0.0
+        counts = np.count_nonzero(nz, axis=1)
+        starts = (np.cumsum(counts) - counts).astype(np.int32)
+        cols = np.nonzero(nz)[1].astype(np.int32)
+        self._model.addRows(len(G), np.full(len(G), -np.inf), h, len(cols), starts, cols, G[nz])
+
+    def solve(self) -> tuple[str, np.ndarray | None]:
+        """("optimal", z), ("infeasible", None), or ("failed", None) for any
+        other HiGHS outcome."""
+        self._model.run()
+        status = self._model.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            return "optimal", np.array(self._model.getSolution().col_value)
+        if status == _highs.HighsModelStatus.kInfeasible:
+            return "infeasible", None
+        return "failed", None

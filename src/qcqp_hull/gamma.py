@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
+from ._lp import CuttingPlaneLP
 from .core import Qcqp, lagrangian, stack_values
 from .errors import GuardExceeded, NoInteriorPoint
 from .linalg import (
@@ -502,26 +502,26 @@ def find_definite_multiplier(
     if lam0 > 1e-8 * scale:
         return np.zeros(m)
 
-    bounds = [(0.0, bound) if i < p.num_inequalities else (-bound, bound) for i in range(m)]
-    bounds.append((-bound, bound))  # mu
-    cuts_a, cuts_b = [], []
+    # Columns (gamma, mu) in [-bound, bound], gamma >= 0 on inequalities; maximize mu.
+    lower = np.full(m + 1, -bound)
+    lower[: p.num_inequalities] = 0.0
+    c = np.zeros(m + 1)
+    c[m] = -1.0
+    lp = CuttingPlaneLP(c, lower, np.full(m + 1, bound))
     best_gamma, best_lam = np.zeros(m), lam0
 
     def add_cut(v):
         # mu - sum_i gamma_i (v'A_i v) <= v'A_0 v
         vAv = (p.A @ v) @ v
-        cuts_a.append(np.concatenate([-vAv[1:], [1.0]]))
-        cuts_b.append(float(vAv[0]))
+        lp.add_rows(np.r_[-vAv[1:], 1.0], vAv[:1])
 
     add_cut(v0)
-    c = np.zeros(m + 1)
-    c[m] = -1.0
     for _ in range(max_iter):
-        res = linprog(c, A_ub=np.array(cuts_a), b_ub=np.array(cuts_b), bounds=bounds, method="highs")
-        if not res.success:
+        lp_status, z = lp.solve()
+        if lp_status != "optimal":
             break
-        gamma_k = res.x[:m]
-        mu_k = res.x[m]
+        gamma_k = z[:m]
+        mu_k = z[m]
         lam, v = min_eig(gamma_k)
         if lam > best_lam:
             best_lam, best_gamma = lam, gamma_k.copy()

@@ -7,6 +7,9 @@ Newton polish from the latest iterate once the gap is small, and at every
 iteration until some iterate is feasible (pure cutting planes stall well
 before the 1e-4 minimizer accuracy this package promises, and iterates
 that approach a curved constraint from outside may never be feasible).
+Each solve keeps one HiGHS LP in (x, tau) for its whole loop: every
+iteration appends its cuts as rows and re-solves warm by dual simplex
+from the previous basis, through the binding bundled with scipy.optimize.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 from . import _kernels
+from ._lp import CuttingPlaneLP
 from .core import Qcqp, aggregate, stack_values
 from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
@@ -59,24 +63,22 @@ def minimize_soc(
     scale = max(1.0, float(np.max(a_max + np.abs(d.b[:ne]).max(axis=1) + np.abs(d.c[:ne]))))
     feas_tol = 1e-9 * scale
 
-    cuts_A: list = []
-    cuts_b: list = []
+    # Columns (x, tau): x in the box, tau free, minimize tau.
+    lp = CuttingPlaneLP(
+        np.r_[np.zeros(n), 1.0], np.r_[box[:, 0], -np.inf], np.r_[box[:, 1], np.inf]
+    )
 
     def add_cuts(x, vals):
         # The largest epigraph constraint cuts tau; every violated
         # homogeneous constraint cuts x.
         idx = np.r_[np.argmax(vals[:ne]), ne + np.flatnonzero(vals[ne:] > feas_tol)]
         grads = _grads(d, idx, x)
-        cuts_A.extend(np.column_stack([grads, np.r_[-1.0, np.zeros(len(idx) - 1)]]))
-        cuts_b.extend(grads @ x - vals[idx])
+        tau = np.r_[-1.0, np.zeros(len(idx) - 1)]
+        lp.add_rows(np.column_stack([grads, tau]), grads @ x - vals[idx])
 
     x0 = box.mean(axis=1)
     vals0 = stack_values(d, x0)
     add_cuts(x0, vals0)
-
-    bounds = [(lo, hi) for lo, hi in box] + [(None, None)]
-    c = np.zeros(n + 1)
-    c[n] = 1.0
 
     best_val = np.inf
     best_x = x0.copy()
@@ -93,13 +95,13 @@ def minimize_soc(
         return out
 
     for it in range(1, max_iter + 1):
-        res = linprog(c, A_ub=np.array(cuts_A), b_ub=np.array(cuts_b), bounds=bounds, method="highs")
-        if res.status == 2:
+        lp_status, z = lp.solve()
+        if lp_status == "infeasible":
             raise InfeasibleRegion("homogeneous hull constraints are infeasible inside the box")
-        if not res.success:
+        if lp_status != "optimal":
             break
-        x = res.x[:n]
-        lb = max(lb, float(res.x[n]))
+        x = z[:n]
+        lb = max(lb, float(z[n]))
         vals = stack_values(d, x)
         fx = float(np.max(vals[:ne]))
         if np.all(vals[ne:] <= feas_tol) and fx < best_val:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qcqp_hull.core import Qcqp, QuadraticFn
-from qcqp_hull.errors import NoFeasiblePoint
+from qcqp_hull.errors import InfeasibleRegion, NoFeasiblePoint
 from qcqp_hull.gamma import build_gamma_data
-from qcqp_hull.generators import gtrs, swiss_cheese
+from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import SocDescription, soc_description
 from qcqp_hull.solve import brute_force, minimize_soc
 
@@ -80,8 +80,50 @@ class TestMinimizeSoc:
         g = QuadraticFn(np.eye(1), np.zeros(1), 0.0)
         h = QuadraticFn(np.eye(1), np.zeros(1), 1.0)  # x^2 + 1 <= 0
         d = SocDescription(epigraph=(g,), homogeneous=(h,))
-        with pytest.raises(Exception):
+        with pytest.raises(InfeasibleRegion):
             minimize_soc(d, (-1.0, 1.0))
+
+
+def _soc(p):
+    return soc_description(build_gamma_data(p).v, p)
+
+
+class TestSolveIndependence:
+    # Each minimize_soc call owns its cutting-plane LP: no state may carry
+    # over from one solve to the next, and the LP bound stays below the value.
+    # Each problem is paired with another of the same dimension, so that a
+    # model reused across solves would see the other's cuts.
+    PROBLEMS = {
+        "example1": (example1, lambda: gtrs(2, 0)),
+        "gtrs": (lambda: gtrs(4, 1), lambda: swiss_cheese(4, 1, 1, 1, 6)),
+        "qmp": (lambda: quadratic_matrix_program(2, 3, 2, 5), lambda: gtrs(6, 0)),
+        "swisscheese": (lambda: swiss_cheese(4, 1, 1, 1, 6), lambda: gtrs(4, 1)),
+    }
+
+    @staticmethod
+    def _solve(soc):
+        return minimize_soc(soc, (-10.0, 10.0), tol=1e-8, max_iter=200)
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_same_result_before_and_after_another_solve(self, name):
+        make, make_other = self.PROBLEMS[name]
+        soc = _soc(make())
+        before = self._solve(soc)
+        self._solve(_soc(make_other()))
+        after = self._solve(soc)
+        assert after.status == before.status
+        assert after.value == before.value
+        assert after.iterations == before.iterations
+        assert np.array_equal(after.minimizer, before.minimizer)
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_lower_bound_below_value(self, name):
+        res = self._solve(_soc(self.PROBLEMS[name][0]()))
+        assert res.status == "converged"
+        # exact up to the solver's 1e-9 relative feasibility tolerance: a
+        # polished value of -1e-16 may sit under an LP bound of 0
+        assert res.lower_bound <= res.value + 1e-9 * max(1.0, abs(res.value))
+        assert res.gap == res.value - res.lower_bound
 
 
 class TestBruteForce:
