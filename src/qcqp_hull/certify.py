@@ -98,6 +98,28 @@ def check_conditions(p: Qcqp, gd: GammaData, kron: KroneckerStructure) -> Condit
     )
 
 
+def _unknown_report(kron: KroneckerStructure, assumption1: bool, m1: bool, notes):
+    """Report when the multiplier set could not be built: the faces, the
+    theorems and assumption 2 are unknown, and only the single-constraint
+    corollary ``m1`` can still guarantee the hull."""
+    return ConditionReport(
+        assumption1=assumption1,
+        gamma_star=None,
+        margin=None,
+        assumption2="unknown",
+        k=kron.k,
+        theorem1=None,
+        theorem2=None,
+        semidefinite_faces=(),
+        num_faces=None,
+        corollary_m1=m1,
+        corollary_b0=False,
+        corollary_scaled_identity=False,
+        hull_guaranteed=m1,
+        notes=tuple(notes),
+    )
+
+
 def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
     """Full pipeline: interior witness, polyhedrality certificate, condition
     checks.  Returns (report, gamma_data_or_None); never raises on
@@ -124,23 +146,8 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
     try:
         gd = build_gamma_data(p)
     except NoInteriorPoint as e:
-        report = ConditionReport(
-            assumption1=False,
-            gamma_star=None,
-            margin=None,
-            assumption2="unknown",
-            k=kron.k,
-            theorem1=None,
-            theorem2=None,
-            semidefinite_faces=(),
-            num_faces=None,
-            corollary_m1=False,
-            corollary_b0=False,
-            corollary_scaled_identity=False,
-            hull_guaranteed=False,
-            notes=tuple(primal_notes) + (f"no interior multiplier: {e}",),
-        )
-        return report, None
+        notes = primal_notes + [f"no interior multiplier: {e}"]
+        return _unknown_report(kron, False, False, notes), None
     except NotSimultaneouslyDiagonalizable as e:
         # Only whiten_simdiag raises this, and build_gamma_data calls it
         # after a definite multiplier was found: assumption 1 holds.
@@ -148,24 +155,7 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
             "polyhedrality of the multiplier set not certified: " + str(e),
             "zero-linear-term condition needs a certified polyhedral multiplier set",
         ]
-        m1 = p.num_constraints == 1
-        report = ConditionReport(
-            assumption1=True,
-            gamma_star=None,
-            margin=None,
-            assumption2="unknown",
-            k=kron.k,
-            theorem1=None,
-            theorem2=None,
-            semidefinite_faces=(),
-            num_faces=None,
-            corollary_m1=m1,
-            corollary_b0=False,
-            corollary_scaled_identity=False,
-            hull_guaranteed=m1,
-            notes=tuple(primal_notes) + tuple(notes),
-        )
-        return report, None
+        return _unknown_report(kron, True, p.num_constraints == 1, primal_notes + notes), None
     report = check_conditions(p, gd, kron)
     report = replace(report, notes=tuple(primal_notes) + report.notes)
     return report, gd

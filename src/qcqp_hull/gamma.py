@@ -3,9 +3,10 @@
 After whitening + joint diagonalization the multiplier set is the
 polyhedron { gamma : d_j(A_0) + sum_i gamma_i d_j(A_i) >= 0 for all
 coordinates j, gamma_i >= 0 for inequality indices }.  This module builds
-that H-representation, converts it to vertices + extreme rays with an
-incremental double description method, optimizes linear functionals over
-it by generator scan, and enumerates/classifies its faces.
+that H-representation as row arrays, converts it to vertices + extreme
+rays with an incremental double description method, finds the
+max-margin interior multiplier by one LP, optimizes linear functionals
+over it by generator scan, and enumerates/classifies its faces.
 """
 
 from __future__ import annotations
@@ -34,40 +35,35 @@ RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class HRow:
-    """One inequality a . gamma + beta >= 0 with its origin.
+class PolyhedronH:
+    """The rows a[k] . gamma + b[k] >= 0.  The first ``num_eigen`` are the
+    eigenvalue rows of coordinates 0 .. num_eigen - 1, the rest sign rows.
 
-    kind is "eigenvalue" (index = diagonal coordinate j) or "sign"
-    (index = inequality constraint i).
-    """
+    ``A``/``beta`` are the same rows as read-only arrays scaled to
+    ||a|| = 1 where a != 0 (``nontrivial``).  Constant rows (a = 0) are
+    left unscaled and are never active."""
 
     a: np.ndarray
-    beta: float
-    kind: str
-    index: int
-
-
-@dataclass(frozen=True, eq=False)
-class PolyhedronH:
-    """The rows a . gamma + beta >= 0, plus the same rows as read-only
-    arrays scaled to ||a|| = 1 where a != 0 (``nontrivial``).  Constant
-    rows (a = 0) are left unscaled and are never active."""
-
-    rows: tuple
-    dim: int
+    b: np.ndarray
+    num_eigen: int
     A: np.ndarray = field(init=False, repr=False)
     beta: np.ndarray = field(init=False, repr=False)
     nontrivial: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = np.array([r.a for r in self.rows], dtype=float).reshape(len(self.rows), self.dim)
-        beta = np.array([r.beta for r in self.rows], dtype=float)
-        norms = np.linalg.norm(A, axis=1)
+        a = np.array(self.a, dtype=float)
+        b = np.array(self.b, dtype=float)
+        norms = np.linalg.norm(a, axis=1)
         nontrivial = norms > 1e-12
         scale = np.where(nontrivial, norms, 1.0)
-        for name, arr in (("A", A / scale[:, None]), ("beta", beta / scale), ("nontrivial", nontrivial)):
+        normalized = (("A", a / scale[:, None]), ("beta", b / scale), ("nontrivial", nontrivial))
+        for name, arr in (("a", a), ("b", b), *normalized):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,17 +154,12 @@ def _incidence(h: PolyhedronH, vertices: np.ndarray, rays: np.ndarray, tol: floa
 
 
 def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
-    """H-representation of the multiplier set in the diagonalizing basis."""
+    """H-representation of the multiplier set in the diagonalizing basis:
+    one eigenvalue row per coordinate, then one sign row per inequality."""
     m = p.num_constraints
-    rows = []
-    for j in range(p.dim):
-        a = sd.diagonals[1:, j].copy()
-        rows.append(HRow(a=a, beta=float(sd.diagonals[0, j]), kind="eigenvalue", index=j))
-    for i in range(p.num_inequalities):
-        e = np.zeros(m)
-        e[i] = 1.0
-        rows.append(HRow(a=e, beta=0.0, kind="sign", index=i))
-    return PolyhedronH(rows=tuple(rows), dim=m)
+    a = np.vstack([sd.diagonals[1:].T, np.eye(m)[: p.num_inequalities]])
+    b = np.r_[sd.diagonals[0], np.zeros(p.num_inequalities)]
+    return PolyhedronH(a=a, b=b, num_eigen=p.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +368,7 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH, tol: float = FACE_T
 
 
 def classify_face(
-    face: Face, p: Qcqp, sd: SimultaneousDiagonalization, h: PolyhedronH, tol: float = FACE_TOL
+    face: Face, p: Qcqp, sd: SimultaneousDiagonalization, h: PolyhedronH
 ) -> FaceClass:
     """Definite/semidefinite dichotomy in the diagonalizing basis.
 
@@ -387,10 +378,7 @@ def classify_face(
     """
     if face.vertices.shape[0] == 0:
         raise ValueError("face has no generators")
-    active = set(face.active_rows)
-    dead = sorted(
-        {h.rows[i].index for i in active if h.rows[i].kind == "eigenvalue"}
-    )
+    dead = [i for i in face.active_rows if i < h.num_eigen]
     if not dead:
         witness = face.relint_point()
         return FaceClass(definite=True, witness=witness)
@@ -448,38 +436,28 @@ def enumerate_faces(
 # Interior multiplier search
 
 
-def find_gamma_star(
-    h: PolyhedronH, margin_cap: float = 1.0, tol: float = 1e-9, guard: int = DD_GUARD + 1
-):
+def find_gamma_star(h: PolyhedronH, margin_cap: float = 1.0, tol: float = 1e-9):
     """Maximize the minimum eigenvalue row over the polyhedron.
 
-    Lifts to (gamma, mu) with every eigenvalue row >= mu and mu <= cap,
-    enumerates the lifted polyhedron's generators, and picks the vertex
-    with the largest mu.  Returns (gamma_star, margin) or None when no
+    One LP over (gamma, mu): every eigenvalue row >= mu, every sign row
+    >= 0, mu <= cap; maximize mu.  gamma = 0 is returned without the LP
+    when it reaches the cap.  Returns (gamma_star, margin) or None when no
     strictly interior multiplier exists.
     """
-    m = h.dim
-    rows = []
-    for r in h.rows:
-        if r.kind == "eigenvalue":
-            rows.append(HRow(a=np.concatenate([r.a, [-1.0]]), beta=r.beta, kind=r.kind, index=r.index))
-        else:
-            rows.append(HRow(a=np.concatenate([r.a, [0.0]]), beta=r.beta, kind=r.kind, index=r.index))
-    cap = np.zeros(m + 1)
-    cap[m] = -1.0
-    rows.append(HRow(a=cap, beta=float(margin_cap), kind="cap", index=0))
-    lifted = PolyhedronH(rows=tuple(rows), dim=m + 1)
-    lv = dd_vrep(lifted, guard=guard)
-    if lv.is_empty:
+    m, k = h.dim, h.num_eigen
+    # When the objective alone is definite, whitening makes its diagonal all
+    # ones, so gamma = 0 already reaches the cap; that needs no LP.
+    at_zero = min(margin_cap, float(np.min(h.b[:k], initial=np.inf)))
+    if at_zero >= margin_cap - tol and np.all(h.b[k:] >= 0.0):
+        return np.zeros(m), at_zero
+    upper = np.r_[np.full(m, np.inf), margin_cap]
+    lp = CuttingPlaneLP(np.r_[np.zeros(m), -1.0], np.full(m + 1, -np.inf), upper)
+    # -a . gamma + mu <= b on eigenvalue rows, -a . gamma <= b on sign rows
+    lp.add_rows(np.column_stack([-h.a, np.arange(len(h.b)) < k]), h.b)
+    status, z = lp.solve()
+    if status != "optimal" or z[m] <= tol:
         return None
-    mus = lv.vertices[:, m]
-    best = float(np.max(mus))
-    if best <= tol:
-        return None
-    cands = lv.vertices[mus >= best - 1e-12]
-    cands = _canonical_order(cands)
-    gamma = cands[0, :m].copy()
-    return gamma, best
+    return z[:m], float(z[m])
 
 
 def find_definite_multiplier(
@@ -487,9 +465,12 @@ def find_definite_multiplier(
 ):
     """A multiplier gamma (signs respected) with A(gamma) positive definite.
 
-    Tries gamma = 0, then maximizes the smallest eigenvalue of A(gamma) by
-    a cutting-plane scheme on mu <= v' A(gamma) v.  Returns None when the
-    maximum is not positive (no definite aggregation exists in the box).
+    Tries gamma = 0, then maximizes the smallest eigenvalue of A(gamma),
+    capped at the largest Hessian entry (at least 1), by a cutting-plane
+    scheme on mu <= v' A(gamma) v; a multiplier past the cap is pulled
+    back toward 0 until the cap is just guaranteed.  Returns None when
+    the maximum is not positive (no definite aggregation exists in the
+    box).
     """
     m = p.num_constraints
     scale = max(1.0, float(np.max(np.abs(p.A))))
@@ -502,12 +483,15 @@ def find_definite_multiplier(
     if lam0 > 1e-8 * scale:
         return np.zeros(m)
 
-    # Columns (gamma, mu) in [-bound, bound], gamma >= 0 on inequalities; maximize mu.
+    # Columns (gamma, mu) in [-bound, bound], gamma >= 0 on inequalities,
+    # mu <= scale as find_gamma_star caps its margin; maximize mu.
     lower = np.full(m + 1, -bound)
     lower[: p.num_inequalities] = 0.0
+    upper = np.full(m + 1, bound)
+    upper[m] = scale
     c = np.zeros(m + 1)
     c[m] = -1.0
-    lp = CuttingPlaneLP(c, lower, np.full(m + 1, bound))
+    lp = CuttingPlaneLP(c, lower, upper)
     best_gamma, best_lam = np.zeros(m), lam0
 
     def add_cut(v):
@@ -528,9 +512,14 @@ def find_definite_multiplier(
         if mu_k - best_lam <= max(tol, 1e-9 * scale):
             break
         add_cut(v)
-    if best_lam > tol * scale:
-        return best_gamma
-    return None
+    if best_lam > scale:
+        # The capped LP optimum is a whole face, and its vertex can lie far
+        # out.  lambda_min(A(t gamma)) is concave in t, so it is still >=
+        # scale at this t, where the chord from (0, lam0) reaches scale.
+        best_gamma *= (scale - lam0) / (best_lam - lam0)
+    elif best_lam <= tol * scale:
+        return None
+    return best_gamma
 
 
 def build_gamma_data(p: Qcqp, dd_guard: int = DD_GUARD) -> GammaData:
@@ -546,7 +535,7 @@ def build_gamma_data(p: Qcqp, dd_guard: int = DD_GUARD) -> GammaData:
     sd = whiten_simdiag(p, gamma0)
     h = build_gamma(p, sd)
     v = dd_vrep(h, guard=dd_guard)
-    found = find_gamma_star(h, guard=dd_guard + 1)
+    found = find_gamma_star(h)
     if found is None:
         raise NoInteriorPoint("multiplier set has no interior point in the diagonal basis")
     gamma_star, margin = found

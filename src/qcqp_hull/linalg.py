@@ -102,9 +102,12 @@ def psd_status(M, tol: float = PSD_TOL) -> DefinitenessStatus:
 def solve_homogeneous(E, rtol: float = KERNEL_RTOL) -> np.ndarray | None:
     """A unit-norm kernel vector of E, or None when only x = 0 solves Ex = 0.
 
-    Computed from the eigendecomposition of E'E; a direction counts as
-    kernel when its singular value is below rtol * sigma_max.  The zero
-    matrix returns the first canonical basis vector.
+    Kernel directions come from the eigendecomposition of E'E; one counts
+    as kernel when ||E v|| is below rtol * sigma_max.  The vector returned
+    is the projection of the all-ones vector onto that kernel, so it
+    depends on the kernel subspace alone; when the projection vanishes it
+    is the first kernel eigenvector.  The zero matrix returns the first
+    canonical basis vector.
     """
     E = np.atleast_2d(np.asarray(E, dtype=float))
     q = E.shape[1]
@@ -117,12 +120,16 @@ def solve_homogeneous(E, rtol: float = KERNEL_RTOL) -> np.ndarray | None:
     smax = float(np.sqrt(max(spec.eigenvalues[-1], 0.0)))
     if smax == 0.0:
         return spec.eigenvectors[:, 0]  # zero matrix; sym_eig(0) keeps e_1 first
-    # The Gram eigendecomposition gives the direction; the kernel test uses
+    # The Gram eigendecomposition gives the directions; the kernel test uses
     # ||E v|| directly to dodge the squared-condition noise floor.
-    v = spec.eigenvectors[:, 0]
-    if float(np.linalg.norm(E @ v)) <= rtol * smax:
-        return v
-    return None
+    kernel = spec.eigenvectors[:, np.linalg.norm(E @ spec.eigenvectors, axis=0) <= rtol * smax]
+    if kernel.shape[1] == 0:
+        return None
+    u = kernel @ kernel.sum(axis=0)
+    nu = float(np.linalg.norm(u))
+    if nu <= rtol * np.sqrt(q):
+        return kernel[:, 0]
+    return u / nu
 
 
 def whiten_simdiag(

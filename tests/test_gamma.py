@@ -8,7 +8,6 @@ from qcqp_hull.core import Qcqp, QuadraticFn, constraint_values, eval_quadratic
 from qcqp_hull.errors import GuardExceeded
 from qcqp_hull.gamma import (
     FACE_TOL,
-    HRow,
     PolyhedronH,
     build_gamma,
     build_gamma_data,
@@ -19,22 +18,30 @@ from qcqp_hull.gamma import (
     find_gamma_star,
     optimal_face,
 )
-from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
+from qcqp_hull.generators import (
+    barvinok_random,
+    example1,
+    gtrs,
+    quadratic_matrix_program,
+    swiss_cheese,
+)
 from qcqp_hull.linalg import Definiteness, psd_status, whiten_simdiag
 
 
-def hrow(a, beta):
-    return HRow(a=np.asarray(a, dtype=float), beta=float(beta), kind="eigenvalue", index=0)
+def poly(*rows):
+    """The polyhedron of the given (a, beta) rows, all eigenvalue rows."""
+    a = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), -1)
+    return PolyhedronH(a=a, b=[r[1] for r in rows], num_eigen=len(rows))
 
 
-def random_rows(rng, m):
+def random_poly(rng, m):
     """m + 4 unit rows with the origin strictly inside."""
     rows = []
     for _ in range(m + 4):
         a = rng.normal(size=m)
         a /= np.linalg.norm(a)
-        rows.append(hrow(a, abs(rng.normal()) + 0.1))
-    return rows
+        rows.append((a, abs(rng.normal()) + 0.1))
+    return poly(*rows)
 
 
 def diag_problem(diag0, diags, num_ineq):
@@ -51,7 +58,7 @@ def _problem_hv(p):
 
 
 def _random_hv(m, seed):
-    h = PolyhedronH(rows=tuple(random_rows(np.random.default_rng(seed), m)), dim=m)
+    h = random_poly(np.random.default_rng(seed), m)
     return h, dd_vrep(h)
 
 
@@ -71,12 +78,24 @@ ORACLE_CASES = {
 }
 
 
+def lifted_dd_gamma_star(h, cap=1.0):
+    """Slow oracle: the lifted double description over (gamma, mu) with
+    every eigenvalue row >= mu and mu <= cap.  Returns the largest mu and
+    the gamma part of every lifted vertex that reaches it."""
+    m = h.dim
+    eigen = (np.arange(len(h.b)) < h.num_eigen).astype(float)
+    a = np.vstack([np.column_stack([h.a, -eigen]), np.r_[np.zeros(m), -1.0]])
+    lv = dd_vrep(PolyhedronH(a=a, b=np.r_[h.b, cap], num_eigen=0), guard=m + 1)
+    mus = lv.vertices[:, m]
+    best = float(np.max(mus))
+    return best, lv.vertices[mus >= best - 1e-12, :m]
+
+
 def row_subset_faces(h, v, tol=FACE_TOL):
     """Slow oracle: for every set S of rows, the generators active on all
     of S, when that set has a vertex.  Rows with equal generator sets are
     merged first.  Returns sorted (aff_dim, vertex_ids, ray_ids, active_rows)."""
-    A = np.array([r.a for r in h.rows], dtype=float).reshape(len(h.rows), h.dim)
-    beta = np.array([r.beta for r in h.rows], dtype=float)
+    A, beta = h.a, h.b
     norms = np.linalg.norm(A, axis=1)
     live = np.flatnonzero(norms > 1e-12)
     A, beta = A[live] / norms[live, None], beta[live] / norms[live]
@@ -103,13 +122,9 @@ def row_subset_faces(h, v, tol=FACE_TOL):
 class TestBuildGamma:
     def test_example1_rows(self, ex1, ex1_gd):
         h = build_gamma(ex1, ex1_gd.sd)
-        rows = [(r.a.tolist(), r.beta, r.kind) for r in h.rows]
-        assert rows == [
-            ([1.0, -1.0], 1.0, "eigenvalue"),
-            ([-1.0, 1.0], 1.0, "eigenvalue"),
-            ([1.0, 0.0], 0.0, "sign"),
-            ([0.0, 1.0], 0.0, "sign"),
-        ]
+        assert h.a.tolist() == [[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        assert h.b.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert h.num_eigen == 2  # two eigenvalue rows, then two sign rows
 
     def test_trivial_rows_for_zero_constraint_hessians(self):
         p = diag_problem([1.0, 2.0], [[0.0, 0.0]], num_ineq=0)
@@ -140,35 +155,33 @@ class TestDdVrep:
         assert np.max(np.abs(v.rays[0] - np.array([1.0, 1.0]) / np.sqrt(2))) <= 1e-9
 
     def test_halfline(self):
-        h = PolyhedronH(rows=(hrow([1.0], 0.0),), dim=1)
+        h = poly(([1.0], 0.0))
         v = dd_vrep(h)
         assert np.allclose(v.vertices, [[0.0]])
         assert np.allclose(v.rays, [[1.0]])
 
     def test_infeasible(self):
-        h = PolyhedronH(rows=(hrow([1.0], 0.0), hrow([-1.0], -1.0)), dim=1)
+        h = poly(([1.0], 0.0), ([-1.0], -1.0))
         assert dd_vrep(h).is_empty
 
     def test_single_point(self):
-        h = PolyhedronH(rows=(hrow([1.0], 0.0), hrow([-1.0], 0.0)), dim=1)
+        h = poly(([1.0], 0.0), ([-1.0], 0.0))
         v = dd_vrep(h)
         assert np.allclose(v.vertices, [[0.0]])
         assert v.rays.shape[0] == 0
 
     def test_guard(self):
-        h = PolyhedronH(rows=(hrow(np.ones(13), 1.0),), dim=13)
+        h = poly((np.ones(13), 1.0))
         with pytest.raises(GuardExceeded):
             dd_vrep(h)
 
     @pytest.mark.parametrize("m,seed", [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)])
     def test_roundtrip_random(self, m, seed):
         rng = np.random.default_rng(seed)
-        rows = random_rows(rng, m)
-        h = PolyhedronH(rows=tuple(rows), dim=m)
+        h = random_poly(rng, m)
         v = dd_vrep(h)
         assert not v.is_empty
-        A = np.array([r.a for r in rows])
-        beta = np.array([r.beta for r in rows])
+        A, beta = h.a, h.b
         # every vertex satisfies all rows, every ray the homogeneous parts
         assert np.min(v.vertices @ A.T + beta) >= -1e-9
         if v.rays.shape[0]:
@@ -218,9 +231,7 @@ class TestFindGammaStar:
 
     def test_no_interior_point(self):
         # constant row stuck at -1: no margin is achievable
-        h = PolyhedronH(
-            rows=(hrow([1.0], 1.0), hrow([0.0], -1.0)), dim=1
-        )
+        h = poly(([1.0], 1.0), ([0.0], -1.0))
         assert find_gamma_star(h) is None
 
     def test_interval(self):
@@ -230,6 +241,19 @@ class TestFindGammaStar:
         gamma, margin = found
         assert np.allclose(gamma, [0.0], atol=1e-9)
         assert margin == pytest.approx(1.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_lifted_dd_oracle(self, case):
+        h, _ = ORACLE_CASES[case]()
+        gamma, margin = find_gamma_star(h)
+        best, maximizers = lifted_dd_gamma_star(h)
+        assert margin == pytest.approx(best, abs=1e-9)
+        vals = h.a @ gamma + h.b
+        assert np.min(vals[: h.num_eigen]) >= margin - 1e-9
+        assert np.all(vals[h.num_eigen :] >= -1e-9)
+        if len(maximizers) == 1:
+            assert np.max(np.abs(gamma - maximizers[0])) <= 1e-9
 
 
 class TestOptimalFace:
@@ -338,12 +362,12 @@ class TestEnumerateFaces:
         assert (tuple(sorted((v10, v01))), ()) not in sigs
 
     def test_single_point(self):
-        h = PolyhedronH(rows=(hrow([1.0], 0.0), hrow([-1.0], 0.0)), dim=1)
+        h = poly(([1.0], 0.0), ([-1.0], 0.0))
         faces = enumerate_faces(h, dd_vrep(h))
         assert len(faces) == 1
 
     def test_halfline(self):
-        h = PolyhedronH(rows=(hrow([1.0], 0.0),), dim=1)
+        h = poly(([1.0], 0.0))
         faces = enumerate_faces(h, dd_vrep(h))
         assert len(faces) == 2
         assert sorted(f.aff_dim for f in faces) == [0, 1]
@@ -356,8 +380,7 @@ class TestEnumerateFaces:
 
     def test_guard(self):
         rng = np.random.default_rng(0)
-        rows = tuple(hrow(rng.normal(size=2), 1.0) for _ in range(21))
-        h = PolyhedronH(rows=rows, dim=2)
+        h = poly(*((rng.normal(size=2), 1.0) for _ in range(21)))
         with pytest.raises(GuardExceeded):
             enumerate_faces(h, dd_vrep(h))
 
@@ -387,3 +410,22 @@ class TestDefiniteMultiplier:
             0,
         )
         assert find_definite_multiplier(p) is None
+
+    def test_margin_capped_at_hessian_scale(self):
+        # A_0 negative definite and a ball constraint, so any large gamma_1
+        # is definite; and barvinok forms, where the capped LP optimum
+        # reaches out to the multiplier bound.  Either way lambda_min stays
+        # near the scale instead of growing with the multiplier bound.
+        problems = [barvinok_random(3, 1, seed) for seed in range(5)]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            S, T = (0.5 * (M + M.T) for M in rng.normal(size=(2, 4, 4)))
+            A0 = S - (np.linalg.eigvalsh(S)[-1] + 1.0) * np.eye(4)
+            q0 = QuadraticFn(A0, rng.normal(size=4), 0.0)
+            ball = QuadraticFn(np.eye(4), np.zeros(4), -1.0)
+            problems.append(Qcqp(q0, (ball, QuadraticFn(T, rng.normal(size=4), -1.0)), 1, 1))
+        for p in problems:
+            gamma = find_definite_multiplier(p)
+            scale = max(1.0, float(np.max(np.abs(p.A))))
+            lam = np.linalg.eigvalsh(p.A[0] + np.tensordot(gamma, p.A[1:], 1))[0]
+            assert 0.0 < lam <= 2.0 * scale

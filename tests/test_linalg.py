@@ -99,6 +99,18 @@ class TestSolveHomogeneous:
         assert np.max(np.abs(E @ v)) < 1e-9 * np.max(np.abs(E))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wide_kernel_invariant_under_row_permutation(self, seed):
+        # a rotated 2-dimensional kernel: the vector depends on ker E only
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        E = rng.normal(size=(4, 3)) @ Q[:, 2:].T
+        v = solve_homogeneous(E)
+        assert np.max(np.abs(E @ v)) < 1e-9 * np.max(np.abs(E))
+        for _ in range(4):
+            w = solve_homogeneous(E[rng.permutation(4)])
+            assert min(np.max(np.abs(w - v)), np.max(np.abs(w + v))) <= 1e-8
+
 
 class TestWhitenSimdiag:
     def test_already_diagonal_family(self):
