@@ -32,6 +32,20 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _write_json(path: str, doc: dict) -> None:
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path} is not valid JSON: {e}") from e
+
+
 def _quad_to_dict(q: QuadraticFn) -> dict:
     return {"A": q.A.tolist(), "b": q.b.tolist(), "c": q.c}
 
@@ -66,18 +80,11 @@ def problem_from_dict(d: dict) -> Qcqp:
 
 
 def write_problem(path: str, p: Qcqp) -> None:
-    atomic_write_text(path, json.dumps(problem_to_dict(p), indent=2) + "\n")
+    _write_json(path, problem_to_dict(p))
 
 
 def read_problem(path: str) -> Qcqp:
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
-    return problem_from_dict(doc)
+    return problem_from_dict(_read_json(path))
 
 
 def certificate_to_dict(target: EpigraphPoint, comb: ConvexCombination, tol: float) -> dict:
@@ -108,18 +115,11 @@ def certificate_from_dict(d: dict):
 
 
 def write_certificate(path: str, target: EpigraphPoint, comb: ConvexCombination, tol: float) -> None:
-    atomic_write_text(path, json.dumps(certificate_to_dict(target, comb, tol), indent=2) + "\n")
+    _write_json(path, certificate_to_dict(target, comb, tol))
 
 
 def read_certificate(path: str):
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
-    return certificate_from_dict(doc)
+    return certificate_from_dict(_read_json(path))
 
 
 def soc_to_dict(d: SocDescription) -> dict:
@@ -131,7 +131,7 @@ def soc_to_dict(d: SocDescription) -> dict:
 
 
 def write_soc(path: str, d: SocDescription) -> None:
-    atomic_write_text(path, json.dumps(soc_to_dict(d), indent=2) + "\n")
+    _write_json(path, soc_to_dict(d))
 
 
 def plot_csv_text(x1, x2, tmin_d, tmin_hull) -> str:

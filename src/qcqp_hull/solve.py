@@ -2,14 +2,19 @@
 independent brute-force oracle on the original problem.
 
 The hull solver is a Kelley cutting-plane loop on f(x) = max_e g_e(x)
-subject to the homogeneous constraints and a user box, with an active-set
-Newton polish from the latest iterate once the gap is small, and at every
-iteration until some iterate is feasible (pure cutting planes stall well
-before the 1e-4 minimizer accuracy this package promises, and iterates
-that approach a curved constraint from outside may never be feasible).
-Each solve keeps one HiGHS LP in (x, tau) for its whole loop: every
-iteration appends its cuts as rows and re-solves warm by dual simplex
-from the previous basis, through the binding bundled with scipy.optimize.
+subject to the homogeneous constraints and a user box, on one HiGHS LP in
+(x, tau) per solve: each iteration appends its cuts as rows and re-solves
+warm by dual simplex, through the binding bundled with scipy.optimize.
+Pure cutting planes stall well short of the 1e-4 minimizer accuracy this
+package promises, so every LP iterate seeds an active-set Newton polish on
+the KKT system, and the solve stops at the first polish that lands on an
+isolated KKT point (nonsingular Newton Jacobian).  An isolated minimizer
+is an extreme point of the optimal set, hence under the convex hull result
+a point of the QCQP epigraph; a KKT point inside a flat optimal face is
+declined and Kelley keeps cutting.  The polish's multipliers give the
+weak-duality bound that certifies the value.  Box-active optima, which the
+polish declines, end on the Kelley LP gap.  The rows are assumed convex,
+as the hull description's are.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from scipy.optimize import minimize
 
 from . import _kernels
 from ._lp import CuttingPlaneLP
-from .core import Qcqp, aggregate, stack_values
+from .core import Qcqp, stack_values
 from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
 
@@ -32,8 +37,10 @@ class SolveResult:
     minimizer: np.ndarray
     iterations: int
     status: str  # "converged" | "iteration_limit" | "unbounded"
+    # A lower bound on min 2t over the description in the box: the larger
+    # of the Kelley LP bound and the polish's weak-duality bound.
     lower_bound: float
-    gap: float
+    gap: float  # value - lower_bound
 
 
 def _as_box(box, n: int) -> np.ndarray:
@@ -77,23 +84,13 @@ def minimize_soc(
         lp.add_rows(np.column_stack([grads, tau]), grads @ x - vals[idx])
 
     x0 = box.mean(axis=1)
-    vals0 = stack_values(d, x0)
-    add_cuts(x0, vals0)
+    add_cuts(x0, stack_values(d, x0))
 
     best_val = np.inf
     best_x = x0.copy()
-    x, fx = x0, float(np.max(vals0[:ne]))  # latest LP iterate
     lb = -np.inf
     status = "iteration_limit"
     it = 0
-
-    def polish():
-        # The best feasible iterate can be far from the optimum, or absent.
-        out = _polish(d, box, x, fx, scale)
-        if out is None and np.isfinite(best_val):
-            out = _polish(d, box, best_x, best_val, scale)
-        return out
-
     for it in range(1, max_iter + 1):
         lp_status, z = lp.solve()
         if lp_status == "infeasible":
@@ -106,27 +103,16 @@ def minimize_soc(
         fx = float(np.max(vals[:ne]))
         if np.all(vals[ne:] <= feas_tol) and fx < best_val:
             best_val, best_x = fx, x.copy()
-        add_cuts(x, vals)
-        if np.isfinite(best_val):
-            gap = best_val - lb
-            if gap <= tol:
-                status = "converged"
-                break
-            due = gap <= max(1e-6 * max(1.0, abs(best_val)), 10 * tol) or it % 40 == 0
-        else:
-            due = True  # no feasible iterate yet; Kelley alone may never find one
-        if due:
-            polished = polish()
-            if polished is not None:
-                best_x, best_val = polished
-                status = "converged"
-                break
-
-    if status != "converged":
-        polished = polish()
-        if polished is not None:
-            best_x, best_val = polished
+        if best_val - lb <= tol:
             status = "converged"
+            break
+        polished = _polish(d, box, x, fx, scale)
+        if polished is not None:
+            best_x, best_val, dual_bound = polished
+            lb = max(lb, dual_bound)
+            status = "converged"
+            break
+        add_cuts(x, vals)
 
     if not np.isfinite(best_val):
         raise InfeasibleRegion("no point satisfying the homogeneous constraints was found")
@@ -145,7 +131,9 @@ def minimize_soc(
 
 def _polish(d, box, x, fx, scale):
     """Newton steps on the KKT system of min tau, g_e <= tau, h_r <= 0 for
-    the active set at x.  Returns (x*, value) or None when the guess fails."""
+    the active set at x.  Returns (x*, value, bound) at an isolated KKT
+    point, where bound is the weak-duality bound of its multipliers, or
+    None when the guess fails or lands on a singular (non-isolated) one."""
     width = np.max(box[:, 1] - box[:, 0])
     if np.any(x - box[:, 0] < 1e-7 * width) or np.any(box[:, 1] - x < 1e-7 * width):
         return None  # box-active optimum: leave to the cutting planes
@@ -158,40 +146,47 @@ def _polish(d, box, x, fx, scale):
     n = len(x)
     nE, nA = len(E), len(active)
     u = np.concatenate([x, [fx], np.full(nE, 1.0 / nE), np.zeros(nA - nE)])
+    J = np.zeros((n + 1 + nA, n + 1 + nA))
+    J[n + 1 : n + 1 + nE, n] = -1.0
+    J[n, n + 1 : n + 1 + nE] = 1.0
     for _ in range(50):
         xc, tau, mult = u[:n], u[n], u[n + 1 :]
         vals = stack_values(d, xc)
         grads = _grads(d, active, xc)
         F = np.concatenate([mult @ grads, [np.sum(mult[:nE]) - 1.0], vals[E] - tau, vals[R]])
-        if np.max(np.abs(F)) <= 1e-11 * scale:
-            break
-        w = np.zeros(len(d.c))
-        w[active] = mult
-        J = np.zeros((n + 1 + nA, n + 1 + nA))
-        J[:n, :n] = 2.0 * aggregate(d, w).A
+        J[:n, :n] = 2.0 * np.tensordot(mult, d.A[active], 1)
         J[:n, n + 1 :] = grads.T
         J[n + 1 :, :n] = grads
-        J[n + 1 : n + 1 + nE, n] = -1.0
-        J[n, n + 1 : n + 1 + nE] = 1.0
+        if np.max(np.abs(F)) <= 1e-11 * scale:
+            break
         try:
-            step = np.linalg.solve(J, -F)
+            u = u + np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return None
-        u = u + step
+        if not np.all(np.isfinite(u)):
+            return None
     else:
         return None
-    xc, tau = u[:n], float(u[n])
-    if np.max(np.abs(F)) > 1e-9 * scale or np.any(u[n + 1 :] < -1e-8):
+    # A singular Jacobian marks a KKT point that is not isolated, e.g. one
+    # inside a flat optimal face: not an extreme point, so keep cutting.
+    if np.any(mult < -1e-8) or np.linalg.cond(J) > 1e10:
         return None
     if np.any(xc < box[:, 0] - 1e-9) or np.any(xc > box[:, 1] + 1e-9):
         return None
-    vals = stack_values(d, xc)
     fx_all = float(np.max(vals[:ne]))
     if fx_all > tau + 1e-7 * scale:
         return None  # an inactive epigraph constraint took over
     if np.any(vals[ne:] > 1e-7 * scale):
         return None
-    return xc, fx_all
+    # Weak duality: for lam >= 0 summing to 1 and mu >= 0, every feasible
+    # (x, tau) has tau >= sum_k w_k q_k(x) >= min over x of that quadratic.
+    w = np.maximum(mult, 0.0)
+    w[:nE] /= np.sum(w[:nE])
+    Aw, bw = np.tensordot(w, d.A[active], 1), w @ d.b[active]
+    y = np.linalg.lstsq(Aw, -bw, rcond=None)[0]
+    solvable = np.max(np.abs(Aw @ y + bw)) <= 1e-9 * scale
+    bound = float(w @ d.c[active] + bw @ y) if solvable else -np.inf
+    return xc, fx_all, bound
 
 
 def _box_active_improving(d, box, x) -> bool:

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qcqp_hull.core import Qcqp, QuadraticFn
+from qcqp_hull.core import Qcqp, QuadraticFn, stack_values
 from qcqp_hull.errors import InfeasibleRegion, NoFeasiblePoint
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import SocDescription, soc_description
-from qcqp_hull.solve import brute_force, minimize_soc
+from qcqp_hull.solve import _as_box, _polish, brute_force, minimize_soc
 
 
 def single_epigraph(q):
@@ -76,6 +76,42 @@ class TestMinimizeSoc:
         assert res.status == "converged"
         assert res.value == pytest.approx(value, abs=1e-9)
 
+    @staticmethod
+    def _polish_from(soc, x):
+        x = np.asarray(x, dtype=float)
+        fx = float(np.max(stack_values(soc, x)[: len(soc.epigraph)]))
+        return _polish(soc, _as_box((-10.0, 10.0), soc.dim), x, fx, 1.0)
+
+    def test_polish_declines_flat_face_midpoint(self, ex1_soc):
+        # (-2.5, 0) is a KKT point in the middle of example1's optimal
+        # segment: one epigraph row is active, the Newton Jacobian is
+        # singular, and the point is not in the QCQP epigraph.
+        assert self._polish_from(ex1_soc, [-2.5, 0.0]) is None
+
+    def test_polish_accepts_end_point(self, ex1_soc):
+        end = np.array([-2.5, math.sqrt(1.25)])
+        out = self._polish_from(ex1_soc, end + np.array([3e-8, -5e-8]))
+        assert out is not None
+        x, value, bound = out
+        assert np.allclose(x, end, atol=1e-12)
+        assert value == pytest.approx(-17.5, abs=1e-12)
+        assert bound == pytest.approx(-17.5, abs=1e-12)
+
+    @pytest.mark.parametrize("seed,guaranteed", [(0, False), (14, True)])
+    def test_nonfinite_polish_iterate_left_to_cutting_planes(self, seed, guaranteed):
+        # The Newton iterate of some polishes runs off to inf/nan here; the
+        # polish must decline and leave the solve to the cutting planes.
+        from qcqp_hull.certify import analyze_problem
+
+        p = quadratic_matrix_program(1, 2, 3, seed)
+        res = minimize_soc(_soc(p), (-10.0, 10.0), tol=1e-8, max_iter=200)
+        val, _ = brute_force(p, (-10.0, 10.0))
+        assert res.status == "converged"
+        assert res.value <= val + 1e-6
+        if guaranteed:
+            assert analyze_problem(p)[0].hull_guaranteed
+            assert abs(res.value - val) <= 1e-3 * max(1.0, abs(val))
+
     def test_infeasible_homogeneous(self):
         g = QuadraticFn(np.eye(1), np.zeros(1), 0.0)
         h = QuadraticFn(np.eye(1), np.zeros(1), 1.0)  # x^2 + 1 <= 0
@@ -90,7 +126,7 @@ def _soc(p):
 
 class TestSolveIndependence:
     # Each minimize_soc call owns its cutting-plane LP: no state may carry
-    # over from one solve to the next, and the LP bound stays below the value.
+    # over from one solve to the next, and the bound stays below the value.
     # Each problem is paired with another of the same dimension, so that a
     # model reused across solves would see the other's cuts.
     PROBLEMS = {
@@ -124,6 +160,8 @@ class TestSolveIndependence:
         # polished value of -1e-16 may sit under an LP bound of 0
         assert res.lower_bound <= res.value + 1e-9 * max(1.0, abs(res.value))
         assert res.gap == res.value - res.lower_bound
+        # the bound certifies the value
+        assert abs(res.gap) <= 1e-9 * max(1.0, abs(res.value))
 
 
 class TestBruteForce:
