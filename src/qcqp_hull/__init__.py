@@ -22,16 +22,13 @@ from .core import (
 from .certify import ConditionReport, analyze_problem, check_conditions, report_text
 from .gamma import (
     Face,
-    FaceClass,
     GammaData,
     PolyhedronH,
     PolyhedronV,
     build_gamma,
     build_gamma_data,
-    classify_face,
     dd_vrep,
     enumerate_faces,
-    find_gamma_star,
     optimal_face,
 )
 from .generators import FamilySpec, generate

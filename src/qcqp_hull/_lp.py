@@ -2,9 +2,8 @@
 rows G z <= h appended in batches and each re-solve warm-started from the
 previous basis.  It drives HiGHS through the binding bundled with
 scipy.optimize (the one its HiGHS LP method calls), so the model is built
-once per loop instead of once per iteration.  A one-shot LP (the
-max-margin multiplier) is the same model with its rows added once and
-one solve."""
+once per loop instead of once per iteration.  It serves the two Kelley
+loops: the definite-multiplier search and the hull solve."""
 
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import EpigraphPoint, Qcqp, check_feasible, eval_quadratic
 from .errors import NoInteriorPoint, NotSimultaneouslyDiagonalizable
-from .gamma import GammaData, build_gamma_data, classify_face, enumerate_faces
+from .gamma import GammaData, b_aff_dim, build_gamma_data, enumerate_faces
 from .linalg import KroneckerStructure, kron_multiplicity
 
 SCALED_IDENTITY_TOL = 1e-12
@@ -59,18 +59,13 @@ def _zero_constraint_b(p: Qcqp, tol: float = ZERO_B_TOL) -> bool:
 def check_conditions(p: Qcqp, gd: GammaData, kron: KroneckerStructure) -> ConditionReport:
     """Evaluate all sufficient conditions given verified multiplier-set data."""
     faces = enumerate_faces(gd.h, gd.v)
-    semidef = []
-    for f in faces:
-        cls = classify_face(f, p, gd.sd, gd.h)
-        if not cls.definite:
-            semidef.append(
-                SemidefiniteFaceRecord(
-                    active_rows=f.active_rows,
-                    aff_dim=f.aff_dim,
-                    dim_v=cls.dim_v,
-                    b_aff_dim=cls.b_aff_dim,
-                )
-            )
+    semidef = [
+        SemidefiniteFaceRecord(
+            active_rows=f.active_rows, aff_dim=f.aff_dim, dim_v=f.dim_v, b_aff_dim=b_aff_dim(f, p)
+        )
+        for f in faces
+        if not f.definite
+    ]
     theorem1 = all(r.dim_v >= r.b_aff_dim + 1 for r in semidef)
     theorem2 = all(kron.k >= r.b_aff_dim + 1 for r in semidef)
     corollary_m1 = p.num_constraints == 1

@@ -1,12 +1,14 @@
-"""The dual multiplier polyhedron: H/V representations, faces, classification.
+"""The dual multiplier polyhedron: H/V representations and faces.
 
 After whitening + joint diagonalization the multiplier set is the
 polyhedron { gamma : d_j(A_0) + sum_i gamma_i d_j(A_i) >= 0 for all
 coordinates j, gamma_i >= 0 for inequality indices }.  This module builds
 that H-representation as row arrays, converts it to vertices + extreme
-rays with an incremental double description method, finds the
-max-margin interior multiplier by one LP, optimizes linear functionals
-over it by generator scan, and enumerates/classifies its faces.
+rays with an incremental double description method, optimizes linear
+functionals over it by generator scan, and enumerates its faces.  The
+whitening multiplier is the interior witness: every eigenvalue row is 1
+there, so no search for one is needed.  A face's dead coordinates (its
+active eigenvalue rows) settle whether it is definite and its dim V.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ FACE_GUARD = 20
 DD_TOL = 1e-9
 FACE_TOL = 1e-8
 RANK_TOL = 1e-9
+# find_definite_multiplier: stopping gap, iteration budget, multiplier box
+DEFINITE_TOL = 1e-9
+DEFINITE_MAX_ITER = 300
+MULTIPLIER_BOUND = 1e4
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +90,12 @@ class PolyhedronV:
 
 @dataclass(frozen=True, eq=False)
 class Face:
-    """A face described by the generators of the ambient polyhedron it contains."""
+    """A face described by the generators of the ambient polyhedron it contains.
+
+    ``dead`` lists its active eigenvalue rows.  Coordinate j is dead when
+    its eigenvalue is zero across the face, so the shared zero eigenspace
+    V is spanned by the dead columns of the congruence basis: the face is
+    definite when none is dead, and dim V is their count."""
 
     vertex_ids: tuple
     ray_ids: tuple
@@ -92,27 +103,21 @@ class Face:
     rays: np.ndarray
     active_rows: tuple
     aff_dim: int
+    dead: tuple
+
+    @property
+    def definite(self) -> bool:
+        return not self.dead
+
+    @property
+    def dim_v(self) -> int:
+        return len(self.dead)
 
     def relint_point(self) -> np.ndarray:
         pt = self.vertices.mean(axis=0)
         if self.rays.shape[0]:
             pt = pt + self.rays.sum(axis=0)
         return pt
-
-
-@dataclass(frozen=True, eq=False)
-class FaceClass:
-    """Definite (witness with positive definite aggregated Hessian) or
-    semidefinite (orthonormal basis of the shared zero eigenspace)."""
-
-    definite: bool
-    witness: np.ndarray | None = None
-    basis: np.ndarray | None = None
-    b_aff_dim: int | None = None
-
-    @property
-    def dim_v(self) -> int:
-        return 0 if self.basis is None else self.basis.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,21 +140,23 @@ def _rank(M, tol: float = RANK_TOL) -> int:
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def _aff_dim(vertices: np.ndarray, rays: np.ndarray) -> int:
-    if vertices.shape[0] == 0:
-        return -1
-    dirs = [vertices[1:] - vertices[0]] if vertices.shape[0] > 1 else []
-    if rays.shape[0]:
-        dirs.append(rays)
-    if not dirs:
-        return 0
-    return _rank(np.vstack(dirs))
+def _directions(vertices: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """Vertex differences, then rays: the directions whose span is the
+    linear part of the affine hull of conv(vertices) + cone(rays)."""
+    return np.vstack([vertices[1:] - vertices[:1], rays])
 
 
-def _incidence(h: PolyhedronH, vertices: np.ndarray, rays: np.ndarray, tol: float) -> np.ndarray:
+def b_aff_dim(face: Face, p: Qcqp) -> int:
+    """Affine dimension of gamma -> b(gamma) = b_0 + sum gamma_i b_i over the face."""
+    return _rank(_directions(face.vertices, face.rays) @ p.b[1:])
+
+
+def _incidence(h: PolyhedronH, vertices: np.ndarray, rays: np.ndarray) -> np.ndarray:
     """Activity of each given generator (vertices, then rays) on each
     normalized row of ``h``."""
-    act = np.vstack([np.abs(vertices @ h.A.T + h.beta) <= tol, np.abs(rays @ h.A.T) <= tol])
+    act = np.vstack(
+        [np.abs(vertices @ h.A.T + h.beta) <= FACE_TOL, np.abs(rays @ h.A.T) <= FACE_TOL]
+    )
     return act & h.nontrivial
 
 
@@ -325,25 +332,27 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD, tol: float = DD_TOL) -> Polyh
 # Optimization and faces
 
 
-def _face(h: PolyhedronH, v: PolyhedronV, vertex_ids, ray_ids, tol: float) -> Face:
-    """The face spanned by the given generators of ``v``; its active rows
-    are the rows of ``h`` active at all of them."""
+def _face(v: PolyhedronV, vertex_ids, ray_ids, act: np.ndarray, num_eigen: int) -> Face:
+    """The face spanned by the given generators of ``v``.  ``act`` holds
+    the incidences of exactly these generators, so the face's active rows
+    are the rows active at all of them."""
     vertex_ids = tuple(sorted(int(i) for i in vertex_ids))
     ray_ids = tuple(sorted(int(i) for i in ray_ids))
     verts = v.vertices[list(vertex_ids)]
     rays = v.rays[list(ray_ids)]
-    active = np.flatnonzero(np.all(_incidence(h, verts, rays, tol), axis=0))
+    active = np.flatnonzero(np.all(act, axis=0))
     return Face(
         vertex_ids=vertex_ids,
         ray_ids=ray_ids,
         vertices=verts,
         rays=rays,
         active_rows=tuple(int(i) for i in active),
-        aff_dim=_aff_dim(verts, rays),
+        aff_dim=_rank(_directions(verts, rays)),
+        dead=tuple(int(i) for i in active[active < num_eigen]),
     )
 
 
-def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH, tol: float = FACE_TOL):
+def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
     """Maximize gamma -> q_0(x) + sum gamma_i q_i(x) over the polyhedron.
 
     Returns (sup_value, face of maximizers) or None when a ray makes the
@@ -355,7 +364,7 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH, tol: float = FACE_T
     rvals = vals[1:]
     vertex_vals = vals[0] + v.vertices @ rvals
     sup = float(np.max(vertex_vals))
-    tol_abs = tol * max(1.0, abs(sup))
+    tol_abs = FACE_TOL * max(1.0, abs(sup))
     if v.rays.shape[0]:
         ray_vals = v.rays @ rvals
         if np.any(ray_vals > tol_abs):
@@ -364,57 +373,29 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH, tol: float = FACE_T
     else:
         ray_ids = np.array([], dtype=int)
     vertex_ids = np.where(vertex_vals >= sup - tol_abs)[0]
-    return sup, _face(h, v, vertex_ids, ray_ids, tol)
+    act = _incidence(h, v.vertices[vertex_ids], v.rays[ray_ids])
+    return sup, _face(v, vertex_ids, ray_ids, act, h.num_eigen)
 
 
-def classify_face(
-    face: Face, p: Qcqp, sd: SimultaneousDiagonalization, h: PolyhedronH
-) -> FaceClass:
-    """Definite/semidefinite dichotomy in the diagonalizing basis.
-
-    Coordinate j is dead on the face when its eigenvalue row is active at
-    every generator; the shared zero eigenspace is spanned by the dead
-    columns of the congruence basis, orthonormalized.
-    """
-    if face.vertices.shape[0] == 0:
-        raise ValueError("face has no generators")
-    dead = [i for i in face.active_rows if i < h.num_eigen]
-    if not dead:
-        witness = face.relint_point()
-        return FaceClass(definite=True, witness=witness)
-    cols = sd.basis[:, dead]
-    Q, _ = np.linalg.qr(cols)
-    dirs = []
-    if face.vertices.shape[0] > 1:
-        dirs.append(face.vertices[1:] - face.vertices[0])
-    if face.rays.shape[0]:
-        dirs.append(face.rays)
-    b_aff = _rank(np.vstack(dirs) @ p.b[1:]) if dirs else 0
-    return FaceClass(definite=False, basis=Q, b_aff_dim=b_aff)
-
-
-def enumerate_faces(
-    h: PolyhedronH, v: PolyhedronV, guard: int = FACE_GUARD, tol: float = FACE_TOL
-):
+def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
     """All nonempty faces, each once, sorted by (aff_dim, vertex_ids, ray_ids).
 
     Every face is the polyhedron cut by some set of rows, so the faces are
-    the polyhedron itself closed under intersection with one distinct row
-    at a time.  Faces are identified by the ambient generators they
-    contain; a candidate without a vertex is empty.
+    the polyhedron itself closed under intersection with one cut at a
+    time.  A cut is a distinct set of generators that some row is active
+    at; rows active at no vertex cut out nothing and are dropped, so the
+    guard counts the cuts the closure really runs over.  Faces are
+    identified by the ambient generators they contain; a candidate without
+    a vertex is empty.
     """
     if v.is_empty:
         return []
-    dedup = _dedup_rows(h)
-    if dedup.size > guard:
-        raise GuardExceeded(f"face enumeration guard: {dedup.size} rows > {guard}")
-
     nv = v.vertices.shape[0]
-    act = _incidence(h, v.vertices, v.rays, tol)
-    cuts = [
-        (frozenset(np.flatnonzero(act[:nv, ri])), frozenset(np.flatnonzero(act[nv:, ri])))
-        for ri in dedup
-    ]
+    act = _incidence(h, v.vertices, v.rays)
+    cols = np.unique(act[:, act[:nv].any(axis=0)], axis=1)
+    if cols.shape[1] > FACE_GUARD:
+        raise GuardExceeded(f"face enumeration guard: {cols.shape[1]} cuts > {FACE_GUARD}")
+    cuts = [(frozenset(np.flatnonzero(c[:nv])), frozenset(np.flatnonzero(c[nv:]))) for c in cols.T]
     full = (frozenset(range(nv)), frozenset(range(v.rays.shape[0])))
     seen = {full}
     frontier = [full]
@@ -427,7 +408,7 @@ def enumerate_faces(
                     seen.add(key)
                     fresh.append(key)
         frontier = fresh
-    faces = [_face(h, v, vs, rs, tol) for vs, rs in seen]
+    faces = [_face(v, vs, rs, act[[*vs, *(nv + r for r in rs)]], h.num_eigen) for vs, rs in seen]
     faces.sort(key=lambda f: (f.aff_dim, f.vertex_ids, f.ray_ids))
     return faces
 
@@ -436,33 +417,7 @@ def enumerate_faces(
 # Interior multiplier search
 
 
-def find_gamma_star(h: PolyhedronH, margin_cap: float = 1.0, tol: float = 1e-9):
-    """Maximize the minimum eigenvalue row over the polyhedron.
-
-    One LP over (gamma, mu): every eigenvalue row >= mu, every sign row
-    >= 0, mu <= cap; maximize mu.  gamma = 0 is returned without the LP
-    when it reaches the cap.  Returns (gamma_star, margin) or None when no
-    strictly interior multiplier exists.
-    """
-    m, k = h.dim, h.num_eigen
-    # When the objective alone is definite, whitening makes its diagonal all
-    # ones, so gamma = 0 already reaches the cap; that needs no LP.
-    at_zero = min(margin_cap, float(np.min(h.b[:k], initial=np.inf)))
-    if at_zero >= margin_cap - tol and np.all(h.b[k:] >= 0.0):
-        return np.zeros(m), at_zero
-    upper = np.r_[np.full(m, np.inf), margin_cap]
-    lp = CuttingPlaneLP(np.r_[np.zeros(m), -1.0], np.full(m + 1, -np.inf), upper)
-    # -a . gamma + mu <= b on eigenvalue rows, -a . gamma <= b on sign rows
-    lp.add_rows(np.column_stack([-h.a, np.arange(len(h.b)) < k]), h.b)
-    status, z = lp.solve()
-    if status != "optimal" or z[m] <= tol:
-        return None
-    return z[:m], float(z[m])
-
-
-def find_definite_multiplier(
-    p: Qcqp, tol: float = 1e-9, max_iter: int = 300, bound: float = 1e4
-):
+def find_definite_multiplier(p: Qcqp):
     """A multiplier gamma (signs respected) with A(gamma) positive definite.
 
     Tries gamma = 0, then maximizes the smallest eigenvalue of A(gamma),
@@ -483,11 +438,11 @@ def find_definite_multiplier(
     if lam0 > 1e-8 * scale:
         return np.zeros(m)
 
-    # Columns (gamma, mu) in [-bound, bound], gamma >= 0 on inequalities,
-    # mu <= scale as find_gamma_star caps its margin; maximize mu.
-    lower = np.full(m + 1, -bound)
+    # Columns (gamma, mu) in the multiplier box, gamma >= 0 on inequalities,
+    # mu <= scale; maximize mu.
+    lower = np.full(m + 1, -MULTIPLIER_BOUND)
     lower[: p.num_inequalities] = 0.0
-    upper = np.full(m + 1, bound)
+    upper = np.full(m + 1, MULTIPLIER_BOUND)
     upper[m] = scale
     c = np.zeros(m + 1)
     c[m] = -1.0
@@ -500,7 +455,7 @@ def find_definite_multiplier(
         lp.add_rows(np.r_[-vAv[1:], 1.0], vAv[:1])
 
     add_cut(v0)
-    for _ in range(max_iter):
+    for _ in range(DEFINITE_MAX_ITER):
         lp_status, z = lp.solve()
         if lp_status != "optimal":
             break
@@ -509,7 +464,7 @@ def find_definite_multiplier(
         lam, v = min_eig(gamma_k)
         if lam > best_lam:
             best_lam, best_gamma = lam, gamma_k.copy()
-        if mu_k - best_lam <= max(tol, 1e-9 * scale):
+        if mu_k - best_lam <= DEFINITE_TOL * scale:
             break
         add_cut(v)
     if best_lam > scale:
@@ -517,14 +472,18 @@ def find_definite_multiplier(
         # out.  lambda_min(A(t gamma)) is concave in t, so it is still >=
         # scale at this t, where the chord from (0, lam0) reaches scale.
         best_gamma *= (scale - lam0) / (best_lam - lam0)
-    elif best_lam <= tol * scale:
+    elif best_lam <= DEFINITE_TOL * scale:
         return None
     return best_gamma
 
 
-def build_gamma_data(p: Qcqp, dd_guard: int = DD_GUARD) -> GammaData:
+def build_gamma_data(p: Qcqp) -> GammaData:
     """Whiten, certify simultaneous diagonalizability, and build both
     multiplier-set representations plus an interior witness.
+
+    The witness gamma* is the whitening multiplier gamma0: whitening makes
+    P' A(gamma0) P = I, so every eigenvalue row is 1 at gamma0, which is
+    the margin cap.
 
     Raises NoInteriorPoint when no definite aggregation exists and
     NotSimultaneouslyDiagonalizable when polyhedrality is not certified.
@@ -534,12 +493,10 @@ def build_gamma_data(p: Qcqp, dd_guard: int = DD_GUARD) -> GammaData:
         raise NoInteriorPoint("no multiplier gives a positive definite aggregated Hessian")
     sd = whiten_simdiag(p, gamma0)
     h = build_gamma(p, sd)
-    v = dd_vrep(h, guard=dd_guard)
-    found = find_gamma_star(h)
-    if found is None:
-        raise NoInteriorPoint("multiplier set has no interior point in the diagonal basis")
-    gamma_star, margin = found
-    status = psd_status(lagrangian(p, gamma_star).A)
+    v = dd_vrep(h)
+    k = h.num_eigen
+    margin = float(np.min(h.a[:k] @ gamma0 + h.b[:k], initial=1.0))
+    status = psd_status(lagrangian(p, gamma0).A)
     if status.tag is not Definiteness.POSITIVE_DEFINITE:
         raise NoInteriorPoint("interior witness failed the definiteness re-check")
-    return GammaData(problem=p, sd=sd, h=h, v=v, gamma_star=gamma_star, margin=margin)
+    return GammaData(problem=p, sd=sd, h=h, v=v, gamma_star=gamma0, margin=margin)

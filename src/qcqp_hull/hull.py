@@ -27,11 +27,13 @@ from .core import (
     stack_values,
 )
 from .errors import NoDescentDirection, NotInDsdp, QcqpHullError
-from .gamma import FACE_TOL, GammaData, classify_face, optimal_face
+from .gamma import GammaData, b_aff_dim, optimal_face
 from .linalg import Definiteness, psd_status, solve_homogeneous
 
 MEMBERSHIP_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
+HESSIAN_PSD_TOL = 1e-8  # definiteness test of each hull constraint's Hessian
+DROP_TOL = 1e-12  # ray constraints with every coefficient below this are dropped
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,31 +72,27 @@ class ConvexCombination:
     trace: tuple
 
 
-def soc_description(v, p: Qcqp, psd_tol: float = 1e-8, drop_tol: float = 1e-12) -> SocDescription:
+def soc_description(v, p: Qcqp) -> SocDescription:
     """Build the hull description from the minimal generator representation."""
     if v.is_empty:
         raise ValueError("multiplier set is empty; the relaxation is unbounded everywhere")
     epi = []
     for gamma_e in v.vertices:
         g = lagrangian(p, gamma_e)
-        _require_psd_hessian(g, psd_tol, "epigraph")
+        _require_psd_hessian(g, "epigraph")
         epi.append(g)
     hom = []
     for gamma_r in v.rays:
         h = aggregate(p, np.concatenate([[0.0], gamma_r]))
-        if (
-            np.max(np.abs(h.A)) <= drop_tol
-            and np.max(np.abs(h.b)) <= drop_tol
-            and h.c <= drop_tol
-        ):
+        if np.max(np.abs(h.A)) <= DROP_TOL and np.max(np.abs(h.b)) <= DROP_TOL and h.c <= DROP_TOL:
             continue
-        _require_psd_hessian(h, psd_tol, "homogeneous")
+        _require_psd_hessian(h, "homogeneous")
         hom.append(h)
     return SocDescription(epigraph=tuple(epi), homogeneous=tuple(hom))
 
 
-def _require_psd_hessian(q: QuadraticFn, tol: float, label: str) -> None:
-    status = psd_status(q.A, tol=tol)
+def _require_psd_hessian(q: QuadraticFn, label: str) -> None:
+    status = psd_status(q.A, tol=HESSIAN_PSD_TOL)
     if status.tag is Definiteness.INDEFINITE:
         raise QcqpHullError(f"{label} hull constraint has an indefinite Hessian")
 
@@ -182,31 +180,30 @@ def _split(p, gd, x, res, depth, tol, trace):
         raise NotInDsdp("supremum became unbounded during decomposition")
     sup, face = res
     t0 = sup / 2.0
-    cls = classify_face(face, p, gd.sd, gd.h)
-    if cls.definite:
+    if face.definite:
         return [(x, t0)], [1.0]
     if depth > p.num_constraints:
         raise NoDescentDirection(
             f"recursion exceeded the face-dimension bound (depth {depth}, m {p.num_constraints})"
         )
 
-    v, s = _flat_direction(face, cls, p)
+    v, s = _flat_direction(face, gd.sd, p)
+    b_dim = b_aff_dim(face, p)
     if v is None:
         raise NoDescentDirection(
             "the direction system on the optimal face has only the zero solution "
-            f"(active rows {face.active_rows}, dim V = {cls.dim_v}, "
-            f"b-affine-dim = {cls.b_aff_dim})"
+            f"(active rows {face.active_rows}, dim V = {face.dim_v}, b-affine-dim = {b_dim})"
         )
 
-    alpha_plus, alpha_minus = _step_lengths(p, gd, x, t0, v, s, tol)
+    alpha_plus, alpha_minus = _step_lengths(p, gd, face, x, t0, v, s, tol)
     lam = -alpha_minus / (alpha_plus - alpha_minus)
     trace.append(
         {
             "depth": depth,
             "active_rows": [int(i) for i in face.active_rows],
             "aff_dim": int(face.aff_dim),
-            "dim_v": int(cls.dim_v),
-            "b_aff_dim": int(cls.b_aff_dim),
+            "dim_v": face.dim_v,
+            "b_aff_dim": b_dim,
             "v": [float(t) for t in v],
             "s": float(s),
             "alpha_plus": float(alpha_plus),
@@ -226,10 +223,12 @@ def _split(p, gd, x, res, depth, tol, trace):
     return out_pts, out_ws
 
 
-def _flat_direction(face, cls, p):
+def _flat_direction(face, sd, p):
     """Unit direction v in the shared zero eigenspace and scalar s with
-    <b(gamma), v> = s across the face; None when only v = 0 works."""
-    V = cls.basis
+    <b(gamma), v> = s across the face; None when only v = 0 works.  The
+    eigenspace is spanned by the face's dead columns of the congruence
+    basis, orthonormalized."""
+    V, _ = np.linalg.qr(sd.basis[:, face.dead])
     d = V.shape[1]
     samples = np.vstack([face.vertices, face.relint_point() + face.rays])
     bg = p.b[0] + samples @ p.b[1:]  # row k: b(gamma) at samples[k]
@@ -251,12 +250,17 @@ def _flat_direction(face, cls, p):
     return v, s
 
 
-def _step_lengths(p, gd, x, t0, v, s, tol):
-    """Nearest positive and negative roots over the non-flat convex
-    quadratics alpha -> q(gamma_e, x + alpha v) - 2(t0 + alpha s) and
-    alpha -> sum (gamma_r)_i q_i(x + alpha v)."""
-    epi = np.r_[np.ones(gd.v.vertices.shape[0]), np.zeros(gd.v.rays.shape[0])]
-    W = np.column_stack([epi, np.vstack([gd.v.vertices, gd.v.rays])])  # [1, gamma_e], [0, gamma_r]
+def _step_lengths(p, gd, face, x, t0, v, s, tol):
+    """Nearest positive and negative roots over the convex quadratics
+    alpha -> q(gamma_e, x + alpha v) - 2(t0 + alpha s) and
+    alpha -> sum (gamma_r)_i q_i(x + alpha v) of the generators off the
+    optimal face; those on it are identically zero along v."""
+    nv = gd.v.vertices.shape[0]
+    off = np.ones(nv + gd.v.rays.shape[0], dtype=bool)
+    off[list(face.vertex_ids)] = False
+    off[[nv + j for j in face.ray_ids]] = False
+    epi = np.r_[np.ones(nv), np.zeros(gd.v.rays.shape[0])][off]
+    W = np.column_stack([epi, np.vstack([gd.v.vertices, gd.v.rays])[off]])  # [1, gamma_e], [0, gamma_r]
     Av = p.A @ v
     coeffs = np.column_stack(
         [
@@ -266,22 +270,21 @@ def _step_lengths(p, gd, x, t0, v, s, tol):
         ]
     )
 
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    zero_tol = tol * scale
+    # Curvatures (units of q per x^2) and slopes (q per x) are each
+    # negligible relative to the largest of their own kind.  A row with
+    # neither is a negative constant: no root.
+    zero_a, zero_b = tol * np.max(np.abs(coeffs[:, :2]), axis=0, initial=0.0)
     pos_roots, neg_roots = [], []
     for a, b, c in coeffs:
-        if abs(a) <= zero_tol and abs(b) <= zero_tol and abs(c) <= zero_tol:
-            continue  # flat on the face
         c = min(c, 0.0)  # inside the hull: negative up to roundoff
-        if a > zero_tol:
+        if a > zero_a:
             disc = b * b - 4.0 * a * c
             root = np.sqrt(max(disc, 0.0))
             pos_roots.append((-b + root) / (2.0 * a))
             neg_roots.append((-b - root) / (2.0 * a))
-        elif abs(b) > zero_tol:
+        elif abs(b) > zero_b:
             r = -c / b
             (pos_roots if b > 0 else neg_roots).append(r)
-        # constant negative: no root
     if not pos_roots or not neg_roots:
         raise NoDescentDirection(
             "no strictly convex functional bounds the step; the supremum "
@@ -289,6 +292,7 @@ def _step_lengths(p, gd, x, t0, v, s, tol):
         )
     alpha_plus = max(min(pos_roots), 0.0)
     alpha_minus = min(max(neg_roots), 0.0)
-    if alpha_plus - alpha_minus <= zero_tol:
+    if alpha_plus <= 0.0 or alpha_minus >= 0.0:
+        # an active row bounds one side, so that child would get weight 0
         raise NoDescentDirection("degenerate step interval during decomposition")
     return alpha_plus, alpha_minus

@@ -53,6 +53,14 @@ def test_every_gtrs_passes_single_constraint_condition(seed):
     assert report.hull_guaranteed
 
 
+def test_large_gtrs_is_answered():
+    # Gamma is an interval: 2 cuts, though N + 1 = 41 rows
+    report, _ = analyze_problem(gtrs(40, 0))
+    assert report.num_faces == 3
+    assert len(report.semidefinite_faces) == 1
+    assert report.hull_guaranteed
+
+
 @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1, 0), (0, 2, 2)])
 def test_swiss_cheese_scaled_identity(counts):
     m1, m2, m3 = counts

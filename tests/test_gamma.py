@@ -5,17 +5,16 @@ import pytest
 from scipy.optimize import linprog
 
 from qcqp_hull.core import Qcqp, QuadraticFn, constraint_values, eval_quadratic
-from qcqp_hull.errors import GuardExceeded
+from qcqp_hull.errors import GuardExceeded, NoInteriorPoint
 from qcqp_hull.gamma import (
     FACE_TOL,
     PolyhedronH,
+    b_aff_dim,
     build_gamma,
     build_gamma_data,
-    classify_face,
     dd_vrep,
     enumerate_faces,
     find_definite_multiplier,
-    find_gamma_star,
     optimal_face,
 )
 from qcqp_hull.generators import (
@@ -75,6 +74,32 @@ ORACLE_CASES = {
         f"random{m}-{seed}": (lambda m=m, seed=seed: _random_hv(m, seed))
         for m, seed in [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)]
     },
+}
+
+
+def _random_problem(m, seed):
+    """A diagonal problem whose multiplier set is the random polyhedron
+    (its rows have b > 0, so the objective alone is definite)."""
+    h = random_poly(np.random.default_rng(seed), m)
+    return diag_problem(h.b, h.a.T, num_ineq=0)
+
+
+# Problems for the gamma* oracle: the problems of ORACLE_CASES, the random
+# polyhedra as multiplier sets, and barvinok seeds whose whitening
+# multiplier is not 0.
+GAMMA_STAR_CASES = {
+    "example1": example1,
+    "gtrs3": lambda: gtrs(3, 2),
+    "gtrs6": lambda: gtrs(6, 1),
+    "qmp": lambda: quadratic_matrix_program(2, 3, 2, seed=0),
+    "swiss6": lambda: swiss_cheese(20, 2, 2, 2, 0),
+    "swiss7": lambda: swiss_cheese(20, 3, 2, 2, 1),
+    "swiss8": lambda: swiss_cheese(20, 3, 3, 2, 0),
+    **{
+        f"random{m}-{seed}": (lambda m=m, seed=seed: _random_problem(m, seed))
+        for m, seed in [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)]
+    },
+    **{f"barvinok{seed}": (lambda seed=seed: barvinok_random(2, 1, seed)) for seed in range(4)},
 }
 
 
@@ -222,38 +247,42 @@ class TestDdVrep:
 
 
 class TestFindGammaStar:
+    """gamma* is the whitening multiplier, where every eigenvalue row is 1."""
+
     def test_example1(self, ex1_gd):
-        found = find_gamma_star(ex1_gd.h)
-        assert found is not None
-        gamma, margin = found
-        assert np.allclose(gamma, [0.0, 0.0], atol=1e-9)
-        assert margin == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(ex1_gd.gamma_star, [0.0, 0.0], atol=1e-9)
+        assert ex1_gd.margin == pytest.approx(1.0, abs=1e-9)
 
     def test_no_interior_point(self):
-        # constant row stuck at -1: no margin is achievable
-        h = poly(([1.0], 1.0), ([0.0], -1.0))
-        assert find_gamma_star(h) is None
+        # A_0 indefinite and nothing can fix coordinate 2: no definite
+        # multiplier, so no interior witness either
+        p = Qcqp(
+            QuadraticFn(np.diag([1.0, -1.0]), np.zeros(2), 0.0),
+            (QuadraticFn(np.diag([1.0, 0.0]), np.zeros(2), -1.0),),
+            1,
+            0,
+        )
+        with pytest.raises(NoInteriorPoint):
+            build_gamma_data(p)
 
     def test_interval(self):
-        p = diag_problem([1.0, 1.0], [[1.0, -1.0]], num_ineq=1)
-        sd = whiten_simdiag(p, np.zeros(1))
-        found = find_gamma_star(build_gamma(p, sd))
-        gamma, margin = found
-        assert np.allclose(gamma, [0.0], atol=1e-9)
-        assert margin == pytest.approx(1.0, abs=1e-9)
+        gd = build_gamma_data(diag_problem([1.0, 1.0], [[1.0, -1.0]], num_ineq=1))
+        assert np.allclose(gd.gamma_star, [0.0], atol=1e-9)
+        assert gd.margin == pytest.approx(1.0, abs=1e-9)
 
-
-    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    @pytest.mark.parametrize("case", list(GAMMA_STAR_CASES))
     def test_matches_lifted_dd_oracle(self, case):
-        h, _ = ORACLE_CASES[case]()
-        gamma, margin = find_gamma_star(h)
+        gd = build_gamma_data(GAMMA_STAR_CASES[case]())
+        h, gamma = gd.h, gd.gamma_star
         best, maximizers = lifted_dd_gamma_star(h)
-        assert margin == pytest.approx(best, abs=1e-9)
+        assert gd.margin == pytest.approx(best, abs=1e-9)
         vals = h.a @ gamma + h.b
-        assert np.min(vals[: h.num_eigen]) >= margin - 1e-9
+        assert np.min(vals[: h.num_eigen]) >= gd.margin - 1e-9
         assert np.all(vals[h.num_eigen :] >= -1e-9)
         if len(maximizers) == 1:
             assert np.max(np.abs(gamma - maximizers[0])) <= 1e-9
+        if case.startswith("barvinok"):
+            assert np.any(gamma != 0.0)  # the whitening multiplier is not 0 here
 
 
 class TestOptimalFace:
@@ -294,50 +323,63 @@ class TestOptimalFace:
         assert optimal_face(gd.v, p, np.array([2.0, 0.0]), gd.h) is None
 
 
+def _dead_basis(gd, face):
+    """Orthonormal basis of a face's shared zero eigenspace."""
+    return np.linalg.qr(gd.sd.basis[:, face.dead])[0]
+
+
 class TestClassifyFace:
+    """A face is definite when no eigenvalue row is active on it; dim V
+    counts its active eigenvalue rows."""
+
     def test_example1_vertex_faces(self, ex1, ex1_gd):
         sup, f00 = optimal_face(ex1_gd.v, ex1, np.zeros(2), ex1_gd.h)
-        cls = classify_face(f00, ex1, ex1_gd.sd, ex1_gd.h)
-        assert cls.definite
-        assert np.allclose(cls.witness, [0.0, 0.0], atol=1e-9)
+        assert f00.definite
+        assert np.allclose(f00.relint_point(), [0.0, 0.0], atol=1e-9)
 
         sup, f10 = optimal_face(ex1_gd.v, ex1, np.array([4.0, 2.0]), ex1_gd.h)
-        cls = classify_face(f10, ex1, ex1_gd.sd, ex1_gd.h)
-        assert not cls.definite
-        assert cls.dim_v == 1
-        assert np.allclose(np.abs(cls.basis[:, 0]), [0.0, 1.0], atol=1e-9)
-        assert cls.b_aff_dim == 0
+        assert not f10.definite
+        assert f10.dim_v == 1
+        assert np.allclose(np.abs(_dead_basis(ex1_gd, f10)[:, 0]), [0.0, 1.0], atol=1e-9)
+        assert b_aff_dim(f10, ex1) == 0
 
     def test_example1_full_face_definite(self, ex1, ex1_gd):
         faces = enumerate_faces(ex1_gd.h, ex1_gd.v)
         full = [f for f in faces if f.aff_dim == 2]
         assert len(full) == 1
-        cls = classify_face(full[0], ex1, ex1_gd.sd, ex1_gd.h)
-        assert cls.definite
+        assert full[0].definite
 
-    def test_witness_and_nullspace_properties(self, ex1, ex1_gd):
-        for f in enumerate_faces(ex1_gd.h, ex1_gd.v):
-            cls = classify_face(f, ex1, ex1_gd.sd, ex1_gd.h)
-            gamma_bar = f.relint_point()
-            A_bar = ex1.objective.A + sum(
-                g * q.A for g, q in zip(gamma_bar, ex1.constraints)
-            )
-            if cls.definite:
-                assert (
-                    psd_status(A_bar).tag is Definiteness.POSITIVE_DEFINITE
-                )
-            else:
-                assert cls.dim_v >= 1
-                assert np.max(np.abs(A_bar @ cls.basis)) <= 1e-8
+    def test_witness_and_nullspace_properties(self):
+        # qmp seed 0 has no semidefinite face; seeds 1 and 2 have 3 and 5
+        problems = [
+            example1(),
+            quadratic_matrix_program(2, 3, 2, seed=1),
+            quadratic_matrix_program(2, 3, 2, seed=2),
+            swiss_cheese(20, 2, 2, 2, 0),
+        ]
+        for p in problems:
+            gd = build_gamma_data(p)
+            faces = enumerate_faces(gd.h, gd.v)
+            assert any(not f.definite for f in faces)
+            for f in faces:
+                gamma_bar = f.relint_point()
+                A_bar = p.A[0] + np.tensordot(gamma_bar, p.A[1:], 1)
+                status = psd_status(A_bar)
+                if f.definite:
+                    assert status.tag is Definiteness.POSITIVE_DEFINITE
+                else:
+                    assert status.tag is Definiteness.PSD_SINGULAR
+                    assert f.dim_v == status.nullspace.shape[1]
+                    assert np.max(np.abs(A_bar @ _dead_basis(gd, f))) <= 1e-8
 
     def test_full_dimension_implies_definite(self):
-        # every face with aff_dim = m classifies definite
+        # every face with aff_dim = m is definite
         for seed in range(4):
             p = gtrs(3, seed)
             gd = build_gamma_data(p)
             for f in enumerate_faces(gd.h, gd.v):
                 if f.aff_dim == p.num_constraints:
-                    assert classify_face(f, p, gd.sd, gd.h).definite
+                    assert f.definite
 
     def test_kron_instances_have_thick_nullspaces(self):
         # semidefinite faces of block-structured instances have dim V >= k
@@ -345,9 +387,8 @@ class TestClassifyFace:
             p = quadratic_matrix_program(2, 3, 2, seed=seed)
             gd = build_gamma_data(p)
             for f in enumerate_faces(gd.h, gd.v):
-                cls = classify_face(f, p, gd.sd, gd.h)
-                if not cls.definite:
-                    assert cls.dim_v >= 3
+                if not f.definite:
+                    assert f.dim_v >= 3
 
 
 class TestEnumerateFaces:
@@ -379,10 +420,15 @@ class TestEnumerateFaces:
         assert got == row_subset_faces(h, v)
 
     def test_guard(self):
-        rng = np.random.default_rng(0)
-        h = poly(*((rng.normal(size=2), 1.0) for _ in range(21)))
+        # 21 rows tangent to the unit circle: 21 facets, so 21 cuts
+        angles = 2.0 * np.pi * np.arange(21) / 21
+        h = poly(*(((np.cos(t), np.sin(t)), 1.0) for t in angles))
         with pytest.raises(GuardExceeded):
             enumerate_faces(h, dd_vrep(h))
+        # 21 random rows with only 6 facets pass: 6 vertices, 6 edges, the polygon
+        rng = np.random.default_rng(0)
+        h = poly(*((rng.normal(size=2), 1.0) for _ in range(21)))
+        assert len(enumerate_faces(h, dd_vrep(h))) == 13
 
 
 class TestDefiniteMultiplier:

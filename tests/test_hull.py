@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracle2d import oracle_agreement
-from qcqp_hull.core import EpigraphPoint, Qcqp, QuadraticFn, check_feasible
+from qcqp_hull.core import EpigraphPoint, Qcqp, QuadraticFn, affine_transform, check_feasible
 from qcqp_hull.errors import NotInDsdp
 from qcqp_hull.gamma import build_gamma_data, optimal_face
 from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
@@ -150,6 +150,21 @@ class TestDecompose:
     def test_outside_point_rejected(self, ex1, ex1_gd):
         with pytest.raises(NotInDsdp):
             decompose(ex1, ex1_gd, EpigraphPoint([4.0, 2.0], 33.0))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("angle,x0", [(0.0, (4.0, 2.0)), (0.3, (4.0, 0.0)), (1.0, (4.0, 0.0))])
+    def test_split_invariant_under_rescaling_x(self, ex1, angle, x0, scale):
+        # y = U x with U a scaled rotation leaves every q value alone but
+        # scales step lengths; at (4, 0) every generator's slope along v
+        # vanishes, and after a rotation the optimal face's own rows are
+        # roundoff rather than zero
+        c, s = np.cos(angle), np.sin(angle)
+        U = scale * np.array([[c, -s], [s, c]])
+        p = affine_transform(ex1, U, np.zeros(2))
+        target = EpigraphPoint(U @ np.array(x0), 33.5)
+        comb = decompose(p, build_gamma_data(p), target)
+        assert len(comb.points) == 2
+        assert verify_certificate(p, comb, target)
 
     @pytest.mark.parametrize(
         "maker,seed",

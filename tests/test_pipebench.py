@@ -1,0 +1,40 @@
+"""Smoke test of the pipeline benchmark's entry points.
+
+pipebench/pipeline.py reaches the library through module attributes, so a
+library change that drops or renames a name it calls fails here, not
+only in a benchmark run.  The module is loaded from its file, unedited.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from qcqp_hull import _kernels
+
+BENCH = Path(__file__).resolve().parent.parent / "pipebench"
+
+
+def _load_pipeline():
+    spec = importlib.util.spec_from_file_location("pipebench_pipeline", BENCH / "pipeline.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_jobs_on_example1_match_reference(tmp_path):
+    pl = _load_pipeline()
+    reference = json.loads((BENCH / "reference.json").read_text())
+    kinds = ("hull", "analyze", "solve", "decompose")
+    workload = pl.Workload("smoke", pool=(pl.EXAMPLE1,), kinds=kinds, control=())
+    jobs = pl.job_list(pl.prepare(workload, 0, str(tmp_path)), 0)
+    assert {job.kind for job in jobs} == set(kinds)
+    for job in jobs:
+        summary, error = pl.run_job(job)
+        assert error == ""
+        assert pl.check("solve-certify", job, summary, reference) == []
+
+
+def test_kernels_backend_is_reported():
+    assert isinstance(_kernels.backend(), str)
