@@ -42,7 +42,6 @@ from .hull import (
 )
 from .linalg import (
     Definiteness,
-    KroneckerStructure,
     Spectrum,
     kron_multiplicity,
     psd_status,

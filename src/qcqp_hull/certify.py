@@ -14,7 +14,7 @@ import numpy as np
 from .core import EpigraphPoint, Qcqp, check_feasible, eval_quadratic
 from .errors import NoInteriorPoint, NotSimultaneouslyDiagonalizable
 from .gamma import GammaData, b_aff_dim, build_gamma_data, enumerate_faces
-from .linalg import KroneckerStructure, kron_multiplicity
+from .linalg import kron_multiplicity
 
 SCALED_IDENTITY_TOL = 1e-12
 ZERO_B_TOL = 1e-12
@@ -46,18 +46,21 @@ class ConditionReport:
     notes: tuple
 
 
-def _is_scaled_identity_family(p: Qcqp, tol: float = SCALED_IDENTITY_TOL) -> bool:
+def _is_scaled_identity_family(p: Qcqp) -> bool:
+    """Every Hessian is alpha_i I, entrywise within SCALED_IDENTITY_TOL * max(1, |alpha_i|)."""
     alpha = np.trace(p.A, axis1=1, axis2=2) / p.dim
     dev = np.max(np.abs(p.A - alpha[:, None, None] * np.eye(p.dim)), axis=(1, 2))
-    return bool(np.all(dev <= tol * np.maximum(1.0, np.abs(alpha))))
+    return bool(np.all(dev <= SCALED_IDENTITY_TOL * np.maximum(1.0, np.abs(alpha))))
 
 
-def _zero_constraint_b(p: Qcqp, tol: float = ZERO_B_TOL) -> bool:
-    return bool(np.all(np.abs(p.b[1:]) <= tol))
+def _zero_constraint_b(p: Qcqp) -> bool:
+    """No constraint has a linear term above ZERO_B_TOL."""
+    return bool(np.all(np.abs(p.b[1:]) <= ZERO_B_TOL))
 
 
-def check_conditions(p: Qcqp, gd: GammaData, kron: KroneckerStructure) -> ConditionReport:
-    """Evaluate all sufficient conditions given verified multiplier-set data."""
+def check_conditions(p: Qcqp, gd: GammaData, k: int) -> ConditionReport:
+    """Evaluate all sufficient conditions given verified multiplier-set
+    data and the Kronecker multiplicity ``k`` of ``kron_multiplicity(p)``."""
     faces = enumerate_faces(gd.h, gd.v)
     semidef = [
         SemidefiniteFaceRecord(
@@ -67,7 +70,7 @@ def check_conditions(p: Qcqp, gd: GammaData, kron: KroneckerStructure) -> Condit
         if not f.definite
     ]
     theorem1 = all(r.dim_v >= r.b_aff_dim + 1 for r in semidef)
-    theorem2 = all(kron.k >= r.b_aff_dim + 1 for r in semidef)
+    theorem2 = all(k >= r.b_aff_dim + 1 for r in semidef)
     corollary_m1 = p.num_constraints == 1
     corollary_b0 = _zero_constraint_b(p)
     corollary_scaled = _is_scaled_identity_family(p) and p.num_constraints <= p.dim
@@ -80,7 +83,7 @@ def check_conditions(p: Qcqp, gd: GammaData, kron: KroneckerStructure) -> Condit
         gamma_star=gd.gamma_star,
         margin=gd.margin,
         assumption2="pass",
-        k=kron.k,
+        k=k,
         theorem1=theorem1,
         theorem2=theorem2,
         semidefinite_faces=tuple(semidef),
@@ -93,7 +96,7 @@ def check_conditions(p: Qcqp, gd: GammaData, kron: KroneckerStructure) -> Condit
     )
 
 
-def _unknown_report(kron: KroneckerStructure, assumption1: bool, m1: bool, notes):
+def _unknown_report(k: int, assumption1: bool, m1: bool, notes):
     """Report when the multiplier set could not be built: the faces, the
     theorems and assumption 2 are unknown, and only the single-constraint
     corollary ``m1`` can still guarantee the hull."""
@@ -102,7 +105,7 @@ def _unknown_report(kron: KroneckerStructure, assumption1: bool, m1: bool, notes
         gamma_star=None,
         margin=None,
         assumption2="unknown",
-        k=kron.k,
+        k=k,
         theorem1=None,
         theorem2=None,
         semidefinite_faces=(),
@@ -137,12 +140,12 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
             )
     else:
         primal_notes.append("warning: nonempty feasible region assumed (no point supplied)")
-    kron = kron_multiplicity(p)
+    k = kron_multiplicity(p)
     try:
         gd = build_gamma_data(p)
     except NoInteriorPoint as e:
         notes = primal_notes + [f"no interior multiplier: {e}"]
-        return _unknown_report(kron, False, False, notes), None
+        return _unknown_report(k, False, False, notes), None
     except NotSimultaneouslyDiagonalizable as e:
         # Only whiten_simdiag raises this, and build_gamma_data calls it
         # after a definite multiplier was found: assumption 1 holds.
@@ -150,8 +153,8 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
             "polyhedrality of the multiplier set not certified: " + str(e),
             "zero-linear-term condition needs a certified polyhedral multiplier set",
         ]
-        return _unknown_report(kron, True, p.num_constraints == 1, primal_notes + notes), None
-    report = check_conditions(p, gd, kron)
+        return _unknown_report(k, True, p.num_constraints == 1, primal_notes + notes), None
+    report = check_conditions(p, gd, k)
     report = replace(report, notes=tuple(primal_notes) + report.notes)
     return report, gd
 

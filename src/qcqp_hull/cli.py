@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hull", help="emit the SOC hull description")
     sp.add_argument("problem")
-    common(sp)
+    sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=_cmd_hull)
 
     sp = sub.add_parser("decompose", help="certificate for a relaxed-epigraph point")

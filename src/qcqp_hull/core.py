@@ -21,6 +21,7 @@ import numpy as np
 from . import _kernels
 
 FEASIBILITY_TOL = 1e-8
+AFFINE_COND_LIMIT = 1e10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -204,10 +205,11 @@ def shor_matrix(q: QuadraticFn) -> np.ndarray:
     return M
 
 
-def affine_transform(p: Qcqp, U, z, cond_limit: float = 1e10) -> Qcqp:
+def affine_transform(p: Qcqp, U, z) -> Qcqp:
     """Reparametrize by y = U(x + z): returns q' with q'_i(U(x+z)) = q_i(x).
 
-    The inverse reparametrization is affine_transform(p', U^-1, -Uz).
+    U must have condition number at most AFFINE_COND_LIMIT.  The inverse
+    reparametrization is affine_transform(p', U^-1, -Uz).
     """
     U = np.asarray(U, dtype=float)
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -216,7 +218,7 @@ def affine_transform(p: Qcqp, U, z, cond_limit: float = 1e10) -> Qcqp:
         raise ValueError(f"U must be {n}x{n}, got {U.shape}")
     if z.shape[0] != n:
         raise ValueError(f"z has length {z.shape[0]}, expected {n}")
-    if np.linalg.cond(U) > cond_limit:
+    if np.linalg.cond(U) > AFFINE_COND_LIMIT:
         raise ValueError("U is singular or too ill-conditioned to invert")
     Uinv = np.linalg.inv(U)
 

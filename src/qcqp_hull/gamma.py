@@ -21,13 +21,7 @@ import numpy as np
 from ._lp import CuttingPlaneLP
 from .core import Qcqp, lagrangian, stack_values
 from .errors import GuardExceeded, NoInteriorPoint
-from .linalg import (
-    Definiteness,
-    SimultaneousDiagonalization,
-    psd_status,
-    sym_eig,
-    whiten_simdiag,
-)
+from .linalg import SimultaneousDiagonalization, sym_eig, whiten_simdiag
 
 DD_GUARD = 12
 FACE_GUARD = 20
@@ -124,7 +118,6 @@ class Face:
 class GammaData:
     """Pipeline bundle: diagonalization, H- and V-representations, witness."""
 
-    problem: Qcqp
     sd: SimultaneousDiagonalization
     h: PolyhedronH
     v: PolyhedronV
@@ -197,55 +190,39 @@ def _initial_basis_rows(B: np.ndarray, dim: int):
     return None
 
 
-def _dd_cone(B: np.ndarray, tol: float) -> np.ndarray:
-    """Extreme rays of the pointed cone {x : Bx >= 0} (B full column rank)."""
+def _dd_cone(B: np.ndarray) -> np.ndarray:
+    """Extreme rays of the pointed cone {x : Bx >= 0} (B full column rank).
+
+    The rows are reordered basis-first, so the rows processed before row
+    k are the prefix B[:k].  Two rays are adjacent when they are the only
+    rays active on every processed row that both are active on."""
     dim = B.shape[1]
     first = _initial_basis_rows(B, dim)
     if first is None:
         raise AssertionError("cone is not pointed: rows do not span")
-    rest = [i for i in range(B.shape[0]) if i not in first]
-    rays = np.linalg.inv(B[first]).T  # row k: ray with B[first] @ ray = e_k
+    B = B[first + [i for i in range(B.shape[0]) if i not in first]]
+    rays = np.linalg.inv(B[:dim]).T  # row k: ray with B[:dim] @ ray = e_k
     rays /= np.linalg.norm(rays, axis=1)[:, None]
-    processed = list(first)
-    act = np.abs(rays @ B[processed].T) <= tol
-
-    for ri in rest:
-        b = B[ri]
-        vals = rays @ b
-        pos = np.where(vals > tol)[0]
-        neg = np.where(vals < -tol)[0]
-        zero = np.where(np.abs(vals) <= tol)[0]
+    for k in range(dim, B.shape[0]):
+        vals = rays @ B[k]
+        neg = np.flatnonzero(vals < -DD_TOL)
         if neg.size == 0:
-            processed.append(ri)
-            act = np.hstack([act, (np.abs(vals) <= tol)[:, None]])
             continue
-        keep = np.concatenate([pos, zero])
+        pos = np.flatnonzero(vals > DD_TOL)
+        act = np.abs(rays @ B[:k].T) <= DD_TOL
         new_rays = []
-        min_common = max(dim - 2, 0)
         for i, j in itertools.product(pos, neg):
             common = act[i] & act[j]
-            if np.count_nonzero(common) < min_common:
+            if np.count_nonzero(common) < dim - 2:
                 continue
-            adjacent = True
-            for k in range(rays.shape[0]):
-                if k == i or k == j:
-                    continue
-                if np.all(act[k][common]):
-                    adjacent = False
-                    break
-            if adjacent:
+            if np.count_nonzero(act[:, common].all(axis=1)) == 2:
                 r = vals[i] * rays[j] - vals[j] * rays[i]
                 nrm = np.linalg.norm(r)
-                if nrm > tol:
+                if nrm > DD_TOL:
                     new_rays.append(r / nrm)
-        processed.append(ri)
-        parts = [rays[keep]]
-        if new_rays:
-            parts.append(np.array(new_rays))
-        rays = np.vstack(parts) if parts else np.zeros((0, dim))
+        rays = np.vstack([rays[pos], rays[np.abs(vals) <= DD_TOL], *new_rays])
         if rays.shape[0] == 0:
             return rays
-        act = np.abs(rays @ B[processed].T) <= tol
     return rays
 
 
@@ -265,66 +242,51 @@ def _dedup_points(points: np.ndarray, tol: float) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, points.shape[1]))
 
 
-def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD, tol: float = DD_TOL) -> PolyhedronV:
+def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD) -> PolyhedronV:
     """Minimal vertex/ray representation by the incremental double
     description method on the homogenization cone.
 
     Lineality is split off first (quotient by the kernel of the row
     directions) and returned as opposite ray pairs.  An empty result
-    signals an empty polyhedron.
+    signals an empty polyhedron.  A row is tight within ``DD_TOL``.
     """
     m = h.dim
     if m > guard:
         raise GuardExceeded(f"double description guard: dimension {m} > {guard}")
     empty = PolyhedronV(vertices=np.zeros((0, m)), rays=np.zeros((0, m)))
 
-    if np.any(h.beta[~h.nontrivial] < -tol):
+    if np.any(h.beta[~h.nontrivial] < -DD_TOL):
         return empty
     keep = _dedup_rows(h)
     A, beta = h.A[keep], h.beta[keep]
 
-    # Lineality = kernel of the row directions.
     if A.shape[0] == 0:
-        lin = np.eye(m)
-        d = 0
-        Qperp = np.zeros((m, 0))
-    else:
-        U, s, Vt = np.linalg.svd(A, full_matrices=True)
-        r = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-        Qperp = Vt[:r].T
-        lin = Vt[r:].T
-        d = r
-
-    if d == 0:
-        # Whole quotient collapses: polyhedron = point + lineality.
-        vertices = np.zeros((1, m))
-        rays = np.vstack([lin.T, -lin.T]) if lin.shape[1] else np.zeros((0, m))
-        return PolyhedronV(vertices=vertices, rays=_canonical_order(rays))
+        # No nonconstant row: the polyhedron is the whole space.
+        rays = np.vstack([np.eye(m), -np.eye(m)])
+        return PolyhedronV(vertices=np.zeros((1, m)), rays=_canonical_order(rays))
+    # Lineality = kernel of the row directions.
+    _, s, Vt = np.linalg.svd(A)
+    d = int(np.sum(s > RANK_TOL * max(1.0, s[0])))
+    Qperp, lin = Vt[:d].T, Vt[d:].T
 
     Aq = A @ Qperp  # rows in quotient coordinates
     B = np.hstack([Aq, beta[:, None]])
     B = np.vstack([B, np.concatenate([np.zeros(d), [1.0]])])  # w >= 0
     B /= np.linalg.norm(B, axis=1)[:, None]
 
-    cone_rays = _dd_cone(B, tol)
+    cone_rays = _dd_cone(B)
     if cone_rays.shape[0] == 0:
         return empty
     w = cone_rays[:, d]
-    vert_mask = w > tol
+    vert_mask = w > DD_TOL
     if not np.any(vert_mask):
         return empty
     vertices_q = cone_rays[vert_mask, :d] / w[vert_mask, None]
     rays_q = cone_rays[~vert_mask, :d]
 
-    vertices = vertices_q @ Qperp.T
-    ray_list = [rays_q @ Qperp.T] if rays_q.shape[0] else []
-    if lin.shape[1]:
-        ray_list.extend([lin.T, -lin.T])
-    rays = np.vstack(ray_list) if ray_list else np.zeros((0, m))
-    if rays.shape[0]:
-        rays /= np.linalg.norm(rays, axis=1)[:, None]
-        rays = _dedup_points(rays, 1e-9)
-    vertices = _dedup_points(vertices, 1e-9)
+    rays = np.vstack([rays_q @ Qperp.T, lin.T, -lin.T])
+    rays = _dedup_points(rays / np.linalg.norm(rays, axis=1)[:, None], 1e-9)
+    vertices = _dedup_points(vertices_q @ Qperp.T, 1e-9)
     return PolyhedronV(vertices=_canonical_order(vertices), rays=_canonical_order(rays))
 
 
@@ -483,7 +445,8 @@ def build_gamma_data(p: Qcqp) -> GammaData:
 
     The witness gamma* is the whitening multiplier gamma0: whitening makes
     P' A(gamma0) P = I, so every eigenvalue row is 1 at gamma0, which is
-    the margin cap.
+    the margin cap.  Whitening's eigendecomposition of A(gamma0) is the
+    one definiteness check on the witness.
 
     Raises NoInteriorPoint when no definite aggregation exists and
     NotSimultaneouslyDiagonalizable when polyhedrality is not certified.
@@ -496,7 +459,4 @@ def build_gamma_data(p: Qcqp) -> GammaData:
     v = dd_vrep(h)
     k = h.num_eigen
     margin = float(np.min(h.a[:k] @ gamma0 + h.b[:k], initial=1.0))
-    status = psd_status(lagrangian(p, gamma0).A)
-    if status.tag is not Definiteness.POSITIVE_DEFINITE:
-        raise NoInteriorPoint("interior witness failed the definiteness re-check")
-    return GammaData(problem=p, sd=sd, h=h, v=v, gamma_star=gamma0, margin=margin)
+    return GammaData(sd=sd, h=h, v=v, gamma_star=gamma0, margin=margin)

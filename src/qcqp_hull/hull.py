@@ -92,8 +92,7 @@ def soc_description(v, p: Qcqp) -> SocDescription:
 
 
 def _require_psd_hessian(q: QuadraticFn, label: str) -> None:
-    status = psd_status(q.A, tol=HESSIAN_PSD_TOL)
-    if status.tag is Definiteness.INDEFINITE:
+    if psd_status(q.A, tol=HESSIAN_PSD_TOL) is Definiteness.INDEFINITE:
         raise QcqpHullError(f"{label} hull constraint has an indefinite Hessian")
 
 

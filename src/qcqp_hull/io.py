@@ -72,10 +72,11 @@ def problem_from_dict(d: dict) -> Qcqp:
             num_inequalities=int(d["mi"]),
             num_equalities=int(d["me"]),
         )
+        n = int(d["n"])
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ParseError(f"invalid problem document: {e}") from e
-    if p.dim != int(d["n"]):
-        raise ParseError(f"declared dimension {d['n']} does not match quadratics ({p.dim})")
+    if p.dim != n:
+        raise ParseError(f"declared dimension {n} does not match quadratics ({p.dim})")
     return p
 
 

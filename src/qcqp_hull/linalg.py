@@ -37,21 +37,6 @@ class Definiteness(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class DefinitenessStatus:
-    tag: Definiteness
-    # Orthonormal basis of the (near-)zero eigenspace; only for PSD_SINGULAR.
-    nullspace: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class KroneckerStructure:
-    """A_i = I_k (x) factors[i] for every quadratic of the problem."""
-
-    k: int
-    factors: tuple
-
-
-@dataclass(frozen=True, eq=False)
 class SimultaneousDiagonalization:
     """Congruence basis P with P' A_i P = diag(diagonals[i]) for i = 0..m."""
 
@@ -84,27 +69,25 @@ def sym_eig(M) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(V))
 
 
-def psd_status(M, tol: float = PSD_TOL) -> DefinitenessStatus:
-    """Classify a symmetric matrix as PD, PSD-singular (with nullspace), or indefinite."""
+def psd_status(M, tol: float = PSD_TOL) -> Definiteness:
+    """Classify a symmetric matrix as PD, PSD-singular, or indefinite by
+    its smallest eigenvalue against tol * max(1, max|M|)."""
     M = _check_symmetric(M)
-    spec = sym_eig(M)
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    lo = spec.eigenvalues[0]
+    lo = sym_eig(M).eigenvalues[0]
     if lo > tol * scale:
-        return DefinitenessStatus(Definiteness.POSITIVE_DEFINITE)
+        return Definiteness.POSITIVE_DEFINITE
     if lo < -tol * scale:
-        return DefinitenessStatus(Definiteness.INDEFINITE)
-    null_mask = np.abs(spec.eigenvalues) <= tol * scale
-    basis = spec.eigenvectors[:, null_mask]
-    return DefinitenessStatus(Definiteness.PSD_SINGULAR, nullspace=basis)
+        return Definiteness.INDEFINITE
+    return Definiteness.PSD_SINGULAR
 
 
-def solve_homogeneous(E, rtol: float = KERNEL_RTOL) -> np.ndarray | None:
+def solve_homogeneous(E) -> np.ndarray | None:
     """A unit-norm kernel vector of E, or None when only x = 0 solves Ex = 0.
 
     Kernel directions come from the eigendecomposition of E'E; one counts
-    as kernel when ||E v|| is below rtol * sigma_max.  The vector returned
-    is the projection of the all-ones vector onto that kernel, so it
+    as kernel when ||E v|| is below KERNEL_RTOL * sigma_max.  The vector
+    returned is the projection of the all-ones vector onto that kernel, so it
     depends on the kernel subspace alone; when the projection vanishes it
     is the first kernel eigenvector.  The zero matrix returns the first
     canonical basis vector.
@@ -122,27 +105,25 @@ def solve_homogeneous(E, rtol: float = KERNEL_RTOL) -> np.ndarray | None:
         return spec.eigenvectors[:, 0]  # zero matrix; sym_eig(0) keeps e_1 first
     # The Gram eigendecomposition gives the directions; the kernel test uses
     # ||E v|| directly to dodge the squared-condition noise floor.
-    kernel = spec.eigenvectors[:, np.linalg.norm(E @ spec.eigenvectors, axis=0) <= rtol * smax]
+    kernel = spec.eigenvectors[:, np.linalg.norm(E @ spec.eigenvectors, axis=0) <= KERNEL_RTOL * smax]
     if kernel.shape[1] == 0:
         return None
     u = kernel @ kernel.sum(axis=0)
     nu = float(np.linalg.norm(u))
-    if nu <= rtol * np.sqrt(q):
+    if nu <= KERNEL_RTOL * np.sqrt(q):
         return kernel[:, 0]
     return u / nu
 
 
-def whiten_simdiag(
-    p: Qcqp,
-    gamma_star,
-    commute_tol: float = COMMUTE_TOL,
-    offdiag_tol: float = OFFDIAG_TOL,
-) -> SimultaneousDiagonalization:
+def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
     """Whiten by A(gamma*)^(-1/2) and jointly diagonalize all quadratic forms.
 
-    Requires A(gamma*) positive definite.  After whitening, the family is
-    simultaneously diagonalizable by an orthogonal basis exactly when it
-    commutes pairwise; raises NotSimultaneouslyDiagonalizable otherwise.
+    Requires A(gamma*) positive definite (smallest eigenvalue above
+    PSD_TOL * max(1, max|A(gamma*)|), as ``psd_status`` tests).  After
+    whitening, the family is simultaneously diagonalizable by an
+    orthogonal basis exactly when it commutes pairwise (commutators within
+    COMMUTE_TOL); raises NotSimultaneouslyDiagonalizable otherwise, or
+    when the joint basis leaves an off-diagonal entry above OFFDIAG_TOL.
     """
     agg = lagrangian(p, gamma_star)
     spec = sym_eig(agg.A)
@@ -156,7 +137,7 @@ def whiten_simdiag(
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if np.max(np.abs(comm)) > commute_tol * scale:
+            if np.max(np.abs(comm)) > COMMUTE_TOL * scale:
                 raise NotSimultaneouslyDiagonalizable(
                     f"whitened forms {i} and {j} do not commute "
                     f"(max commutator entry {np.max(np.abs(comm)):.3e})"
@@ -168,7 +149,7 @@ def whiten_simdiag(
     diags = np.diagonal(D, axis1=1, axis2=2).copy()
     off = np.max(np.abs(D - diags[:, :, None] * np.eye(p.dim)), axis=(1, 2))
     si = np.maximum(1.0, np.max(np.abs(D), axis=(1, 2)))
-    bad = np.flatnonzero(off > offdiag_tol * si)
+    bad = np.flatnonzero(off > OFFDIAG_TOL * si)
     if bad.size:
         raise NotSimultaneouslyDiagonalizable(
             f"residual off-diagonal {off[bad[0]]:.3e} for form {bad[0]} after joint diagonalization"
@@ -208,24 +189,20 @@ def _divisors_desc(n: int) -> list:
     return [d for d in range(n, 0, -1) if n % d == 0]
 
 
-def kron_multiplicity(p: Qcqp, tol: float = KRON_TOL) -> KroneckerStructure:
-    """Largest k with A_i = I_k (x) (leading n x n block) for every quadratic.
+def kron_multiplicity(p: Qcqp) -> int:
+    """Largest k with A_i = I_k (x) (leading n x n block) for every quadratic,
+    entrywise within KRON_TOL * max(1, max|A_i|).
 
     Checked in the given basis only, in decreasing divisor order; k = 1
     always holds.
     """
     N = p.dim
-    mats = p.A
     for k in _divisors_desc(N):
         n = N // k
-        ok = True
-        for A in mats:
-            block = A[:n, :n]
-            cand = np.kron(np.eye(k), block)
-            if np.max(np.abs(A - cand)) > tol * max(1.0, float(np.max(np.abs(A)))):
-                ok = False
-                break
-        if ok:
-            factors = tuple(A[:n, :n].copy() for A in mats)
-            return KroneckerStructure(k=k, factors=factors)
+        if all(
+            np.max(np.abs(A - np.kron(np.eye(k), A[:n, :n])))
+            <= KRON_TOL * max(1.0, float(np.max(np.abs(A))))
+            for A in p.A
+        ):
+            return k
     raise AssertionError("unreachable: k = 1 always matches")

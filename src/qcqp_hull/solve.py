@@ -30,13 +30,24 @@ from .core import Qcqp, stack_values
 from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
 
+# brute_force: zoom levels and points per axis after the first grid,
+# inequality slack, and the multistart generator's seed
+BRUTE_REFINE_LEVELS = 3
+BRUTE_REFINE_POINTS = 81
+BRUTE_FEAS_TOL = 1e-9
+MULTISTART_SEED = 0
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     value: float  # min 2t over the hull description
     minimizer: np.ndarray
     iterations: int
-    status: str  # "converged" | "iteration_limit" | "unbounded"
+    # "converged" | "iteration_limit" | "unbounded".  "iteration_limit"
+    # with value inf: the budget ran out (or an LP failed) before any LP
+    # iterate met the homogeneous constraints; that is no proof of
+    # infeasibility, which only an infeasible LP gives.
+    status: str
     # A lower bound on min 2t over the description in the box: the larger
     # of the Kelley LP bound and the polish's weak-duality bound.
     lower_bound: float
@@ -60,7 +71,10 @@ def _grads(d, idx, x) -> np.ndarray:
 def minimize_soc(
     d: SocDescription, box, tol: float = 1e-8, max_iter: int = 10_000
 ) -> SolveResult:
-    """Minimize 2t subject to the hull description inside the box."""
+    """Minimize 2t subject to the hull description inside the box.
+
+    Raises InfeasibleRegion when a Kelley LP is infeasible, which proves
+    the homogeneous constraints infeasible inside the box."""
     if not d.epigraph:
         raise ValueError("hull description has no epigraph constraints")
     n = d.dim
@@ -113,9 +127,6 @@ def minimize_soc(
             status = "converged"
             break
         add_cuts(x, vals)
-
-    if not np.isfinite(best_val):
-        raise InfeasibleRegion("no point satisfying the homogeneous constraints was found")
 
     if status == "converged" and _box_active_improving(d, box, best_x):
         status = "unbounded"
@@ -214,16 +225,7 @@ def _box_active_improving(d, box, x) -> bool:
 # Brute-force oracle on the original QCQP
 
 
-def brute_force(
-    p: Qcqp,
-    box,
-    grid_points: int = 400,
-    refine_levels: int = 3,
-    refine_points: int = 81,
-    feas_tol: float = 1e-9,
-    starts: int = 10_000,
-    seed: int = 0,
-):
+def brute_force(p: Qcqp, box, grid_points: int = 400, starts: int = 10_000):
     """Best feasible objective value (in 2t units) found in the box.
 
     N <= 3 uses a dense grid with recursive zoom refinement; equality
@@ -235,7 +237,7 @@ def brute_force(
     n = p.dim
     box = _as_box(box, n)
     if n > 3:
-        return _multistart(p, box, starts, seed, feas_tol)
+        return _multistart(p, box, starts)
 
     corner = np.linalg.norm(np.max(np.abs(box), axis=1))
     grad_bound = 2.0 * np.linalg.norm(p.A, 2, axis=(1, 2)) * corner + 2.0 * np.linalg.norm(p.b, axis=1)
@@ -253,7 +255,7 @@ def brute_force(
         eq_tols = {}
         for i in range(1, p.num_constraints + 1):
             if i - 1 < mi:
-                ok &= vals[i] <= feas_tol
+                ok &= vals[i] <= BRUTE_FEAS_TOL
             else:
                 eq_tols[i] = h * grad_bound[i] + 1e-12
                 ok &= np.abs(vals[i]) <= eq_tols[i]
@@ -267,7 +269,7 @@ def brute_force(
     if first is None:
         raise NoFeasiblePoint("no feasible grid point in the box")
     value, x, h, eq_tols = first
-    for _ in range(refine_levels):
+    for _ in range(BRUTE_REFINE_LEVELS):
         # The zoom window must cover the drift of the relaxed-equality band
         # when its tolerance tightens at the next level.
         drift = 0.0
@@ -277,19 +279,19 @@ def brute_force(
         half = 2.0 * h + drift
         lo = np.maximum(x - half, box[:, 0])
         hi = np.minimum(x + half, box[:, 1])
-        nxt = sweep(lo, hi, refine_points)
+        nxt = sweep(lo, hi, BRUTE_REFINE_POINTS)
         if nxt is None:
             break
         value, x, h, eq_tols = nxt
     return value, x
 
 
-def _multistart(p: Qcqp, box, starts: int, seed: int, feas_tol: float):
-    rng = np.random.default_rng(seed)
+def _multistart(p: Qcqp, box, starts: int):
+    rng = np.random.default_rng(MULTISTART_SEED)
     n = p.dim
     mi = p.num_inequalities
     scale = max(1.0, float(np.max(np.abs(p.A))))
-    tol = max(feas_tol, 1e-7 * scale)
+    tol = max(BRUTE_FEAS_TOL, 1e-7 * scale)
 
     def penalized(x, rho):
         vals = stack_values(p, x)

@@ -137,14 +137,14 @@ def test_criterion_6_multiplicity_family():
     start = time.perf_counter()
     for seed in range(QMP_INSTANCES):
         p = quadratic_matrix_program(2, 3, 2, seed=seed)
-        kron = kron_multiplicity(p)
-        assert kron.k >= 3
+        k = kron_multiplicity(p)
+        assert k >= 3
         gd = build_gamma_data(p)
-        rep = check_conditions(p, gd, kron)
+        rep = check_conditions(p, gd, k)
         assert rep.theorem2
         for f in enumerate_faces(gd.h, gd.v):
             if not f.definite:
-                assert f.dim_v >= kron.k
+                assert f.dim_v >= k
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(6, elapsed, f"{QMP_INSTANCES} block-structured instances")

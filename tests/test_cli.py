@@ -114,6 +114,16 @@ class TestCliFlows:
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1}')
         assert run(["analyze", str(bad)]) == 2
+        # a missing or non-integer dimension is a parse error too
+        doc = json.loads(open(ex1_file).read())
+        for n in (None, "two"):
+            doc.pop("n", None)
+            if n is not None:
+                doc["n"] = n
+            bad.write_text(json.dumps(doc))
+            assert run(["analyze", str(bad)]) == 2
+        # hull reads no tolerance, so it takes none
+        assert run(["hull", ex1_file, "--tol", "1e-6"]) == 1
         # guard: dimension 13 multiplier set
         big = generate(FamilySpec(family="swisscheese", n=13, m1=5, m2=5, m3=3, seed=0))
         bigf = str(tmp_path / "big.json")

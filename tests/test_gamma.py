@@ -24,7 +24,7 @@ from qcqp_hull.generators import (
     quadratic_matrix_program,
     swiss_cheese,
 )
-from qcqp_hull.linalg import Definiteness, psd_status, whiten_simdiag
+from qcqp_hull.linalg import PSD_TOL, Definiteness, psd_status, sym_eig, whiten_simdiag
 
 
 def poly(*rows):
@@ -41,6 +41,46 @@ def random_poly(rng, m):
         a /= np.linalg.norm(a)
         rows.append((a, abs(rng.normal()) + 0.1))
     return poly(*rows)
+
+
+def with_variant(h, variant):
+    """``h`` with column 0 zeroed (lineality along e_1), or with every row
+    repeated at three times its scale."""
+    if variant == "zero_column":
+        a = h.a.copy()
+        a[:, 0] = 0.0
+        return PolyhedronH(a=a, b=h.b, num_eigen=h.num_eigen)
+    if variant == "duplicate":
+        return PolyhedronH(a=np.vstack([h.a, 3.0 * h.a]), b=np.r_[h.b, 3.0 * h.b], num_eigen=h.num_eigen)
+    return h
+
+
+def row_subset_vrep(h, tol=1e-9):
+    """Slow oracle for a pointed polyhedron (m <= 4): a vertex solves m
+    independent rows as equalities and meets the others; an extreme ray
+    spans the kernel of m - 1 independent rows and meets every
+    homogeneous row.  Returns the distinct vertices and unit rays."""
+    A, beta, m = h.A[h.nontrivial], h.beta[h.nontrivial], h.dim
+    assert m <= 4 and np.linalg.matrix_rank(A) == m, "the oracle needs a pointed polyhedron"
+    vertices, rays = [], []
+    for S in map(list, itertools.combinations(range(len(A)), m)):
+        if np.linalg.matrix_rank(A[S]) == m:
+            x = np.linalg.solve(A[S], -beta[S])
+            if np.min(A @ x + beta) >= -tol:
+                vertices.append(x)
+    for S in map(list, itertools.combinations(range(len(A)), m - 1)):
+        if np.linalg.matrix_rank(A[S]) == m - 1:
+            d = np.linalg.svd(np.vstack([A[S], np.zeros(m)]))[2][-1]
+            rays.extend(s for s in (d, -d) if np.min(A @ s) >= -tol)
+
+    def distinct(points):
+        out = []
+        for p in points:
+            if all(np.max(np.abs(p - q)) > 1e-7 for q in out):
+                out.append(p)
+        return np.array(out).reshape(-1, m)
+
+    return distinct(vertices), distinct(rays)
 
 
 def diag_problem(diag0, diags, num_ineq):
@@ -200,11 +240,23 @@ class TestDdVrep:
         with pytest.raises(GuardExceeded):
             dd_vrep(h)
 
-    @pytest.mark.parametrize("m,seed", [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)])
-    def test_roundtrip_random(self, m, seed):
+    @pytest.mark.parametrize(
+        "m,seed,variant",
+        [
+            *(pytest.param(m, seed, None, id=f"{m}-{seed}")
+              for m, seed in [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)]),
+            pytest.param(3, 5, "zero_column", id="3-5-zero_column"),
+            pytest.param(4, 6, "duplicate", id="4-6-duplicate"),
+        ],
+    )
+    def test_roundtrip_random(self, m, seed, variant):
         rng = np.random.default_rng(seed)
-        h = random_poly(rng, m)
+        h = with_variant(random_poly(rng, m), variant)
         v = dd_vrep(h)
+        if variant == "zero_column":
+            e1 = np.eye(m)[0]
+            assert any(np.allclose(r, e1) for r in v.rays)
+            assert any(np.allclose(r, -e1) for r in v.rays)
         assert not v.is_empty
         A, beta = h.a, h.b
         # every vertex satisfies all rows, every ray the homogeneous parts
@@ -226,6 +278,46 @@ class TestDdVrep:
             b_eq = np.concatenate([x, [1.0]])
             res = linprog(np.zeros(nv + nr), A_eq=A_eq, b_eq=b_eq, method="highs")
             assert res.success, "interior point not in conv(V) + cone(R)"
+
+    DD_KINDS = ["plain", "duplicate", "near_parallel", "unbounded", "cone", "degenerate"]
+
+    @pytest.mark.parametrize("kind", DD_KINDS)
+    def test_matches_row_subset_oracle(self, kind):
+        rng = np.random.default_rng(self.DD_KINDS.index(kind))
+        nonempty = 0
+        for _ in range(20):
+            m = int(rng.integers(1, 5))
+            a = rng.normal(size=(m + int(rng.integers(1, 5)), m))
+            b = rng.normal(size=len(a)) + 1.0
+            if kind == "degenerate":  # lattice rows: many rows meet at each vertex
+                m = 4
+                a = rng.integers(-1, 2, size=(m + int(rng.integers(2, 8)), m)).astype(float)
+                a = np.vstack([a[np.abs(a).sum(axis=1) > 0], np.eye(m)])
+                b = rng.integers(0, 3, size=len(a)).astype(float)
+            elif kind == "duplicate":  # repeat some rows, one of them rescaled
+                idx = rng.integers(0, len(a), size=2)
+                a, b = np.vstack([a, a[idx], 2.0 * a[idx[:1]]]), np.r_[b, b[idx], 2.0 * b[idx[:1]]]
+            elif kind == "near_parallel":
+                a, b = np.vstack([a, a[:1] + 1e-4 * rng.normal(size=m)]), np.r_[b, b[:1]]
+            elif kind == "unbounded":  # every row nondecreasing along d
+                d = rng.normal(size=m)
+                a *= np.where(a @ d < 0, -1.0, 1.0)[:, None]
+            elif kind == "cone":
+                b = np.zeros(len(a))
+            h = PolyhedronH(a=a, b=b, num_eigen=len(a))
+            v = dd_vrep(h)
+            want_v, want_r = row_subset_vrep(h)
+            if want_v.shape[0] == 0:
+                assert v.is_empty
+                continue
+            nonempty += 1
+            for got, want in ((v.vertices, want_v), (v.rays, want_r)):
+                assert got.shape == want.shape
+                for p in got:
+                    assert np.min(np.max(np.abs(want - p), axis=1)) <= 1e-7
+            if kind == "unbounded":
+                assert v.rays.shape[0] > 0
+        assert nonempty >= 10
 
     def test_minimality_no_redundant_generators(self, ex1_gd):
         v = ex1_gd.v
@@ -366,10 +458,13 @@ class TestClassifyFace:
                 A_bar = p.A[0] + np.tensordot(gamma_bar, p.A[1:], 1)
                 status = psd_status(A_bar)
                 if f.definite:
-                    assert status.tag is Definiteness.POSITIVE_DEFINITE
+                    assert status is Definiteness.POSITIVE_DEFINITE
                 else:
-                    assert status.tag is Definiteness.PSD_SINGULAR
-                    assert f.dim_v == status.nullspace.shape[1]
+                    assert status is Definiteness.PSD_SINGULAR
+                    # dim V is the number of zero eigenvalues under psd_status's tolerance
+                    zero_tol = PSD_TOL * max(1.0, np.max(np.abs(A_bar)))
+                    eigs = sym_eig(A_bar).eigenvalues
+                    assert f.dim_v == np.count_nonzero(np.abs(eigs) <= zero_tol)
                     assert np.max(np.abs(A_bar @ _dead_basis(gd, f))) <= 1e-8
 
     def test_full_dimension_implies_definite(self):

@@ -59,7 +59,7 @@ def test_qmp_vectorization_matches_trace_form():
     # x'(I_k (x) F)x + 2 b'x must equal tr(X'FX) + 2 tr(B'X) for x = vec(X)
     n, k = 2, 3
     p = quadratic_matrix_program(n, k, 2, seed=4)
-    ks = kron_multiplicity(p)
+    k = kron_multiplicity(p)
     rng = np.random.default_rng(0)
     for q in p.quadratics():
         F = q.A[:n, :n]
@@ -69,13 +69,13 @@ def test_qmp_vectorization_matches_trace_form():
             x = X.flatten(order="F")
             trace_form = np.trace(X.T @ F @ X) + 2.0 * np.trace(B.T @ X) + q.c
             assert eval_quadratic(q, x) == pytest.approx(trace_form, abs=1e-10)
-    assert ks.k % 3 == 0 or ks.k == 6
+    assert k % 3 == 0 or k == 6
 
 
 def test_qmp_multiplicity_at_least_k():
     for seed in range(5):
         p = quadratic_matrix_program(2, 3, 2, seed=seed)
-        assert kron_multiplicity(p).k >= 3
+        assert kron_multiplicity(p) >= 3
 
 
 def test_swiss_cheese_hessians_and_feasibility():

@@ -6,6 +6,7 @@ from qcqp_hull.core import Qcqp, QuadraticFn
 from qcqp_hull.errors import NotSimultaneouslyDiagonalizable
 from qcqp_hull.generators import example1, quadratic_matrix_program
 from qcqp_hull.linalg import (
+    PSD_TOL,
     Definiteness,
     kron_multiplicity,
     psd_status,
@@ -52,11 +53,15 @@ class TestSymEig:
 
 class TestPsdStatus:
     def test_examples(self):
-        assert psd_status(np.eye(2)).tag is Definiteness.POSITIVE_DEFINITE
-        st = psd_status(np.diag([2.0, 0.0]))
-        assert st.tag is Definiteness.PSD_SINGULAR
-        assert np.allclose(np.abs(st.nullspace[:, 0]), [0.0, 1.0])
-        assert psd_status(np.diag([1.0, -1.0])).tag is Definiteness.INDEFINITE
+        assert psd_status(np.eye(2)) is Definiteness.POSITIVE_DEFINITE
+        M = np.diag([2.0, 0.0])
+        assert psd_status(M) is Definiteness.PSD_SINGULAR
+        # its nullspace is spanned by e_2: one zero eigenvalue under the same tolerance
+        spec = sym_eig(M)
+        zero = np.abs(spec.eigenvalues) <= PSD_TOL * max(1.0, np.max(np.abs(M)))
+        assert np.count_nonzero(zero) == 1
+        assert np.allclose(np.abs(spec.eigenvectors[:, zero][:, 0]), [0.0, 1.0])
+        assert psd_status(np.diag([1.0, -1.0])) is Definiteness.INDEFINITE
 
     def test_agrees_with_leading_minors(self):
         # Sylvester: PD iff all leading principal minors are positive.
@@ -71,7 +76,7 @@ class TestPsdStatus:
                 continue
             checked += 1
             minors_pos = all(np.linalg.det(S[:k, :k]) > 0 for k in (1, 2, 3))
-            got = psd_status(S, tol=tol).tag
+            got = psd_status(S, tol=tol)
             if minors_pos:
                 assert got is Definiteness.POSITIVE_DEFINITE
             else:
@@ -177,21 +182,26 @@ class TestKronMultiplicity:
             num_inequalities=1,
             num_equalities=0,
         )
-        ks = kron_multiplicity(p)
-        assert ks.k == n
-        assert all(f.shape == (1, 1) for f in ks.factors)
+        k = kron_multiplicity(p)
+        assert k == n
+        # each Hessian is I_n (x) its 1 x 1 leading block
+        for A in p.A:
+            assert np.array_equal(A, np.kron(np.eye(k), A[:1, :1]))
 
     def test_example1_is_one(self, ex1):
-        assert kron_multiplicity(ex1).k == 1
+        assert kron_multiplicity(ex1) == 1
 
     def test_constructed_block_structure_detected(self):
         p = quadratic_matrix_program(2, 3, 2, seed=9)
-        ks = kron_multiplicity(p)
-        assert ks.k in (3, 6)
-        assert ks.k * ks.factors[0].shape[0] == 6
+        k = kron_multiplicity(p)
+        assert k in (3, 6)
+        n = 6 // k
+        for A in p.A:
+            assert np.max(np.abs(A - np.kron(np.eye(k), A[:n, :n]))) <= 1e-10
 
     def test_roundtrip(self):
         p = quadratic_matrix_program(3, 2, 2, seed=5)
-        ks = kron_multiplicity(p)
-        for q, f in zip(p.quadratics(), ks.factors):
-            assert np.max(np.abs(np.kron(np.eye(ks.k), f) - q.A)) <= 1e-10
+        k = kron_multiplicity(p)
+        n = p.dim // k
+        for q in p.quadratics():
+            assert np.max(np.abs(np.kron(np.eye(k), q.A[:n, :n]) - q.A)) <= 1e-10

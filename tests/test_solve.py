@@ -6,7 +6,13 @@ import pytest
 from qcqp_hull.core import Qcqp, QuadraticFn, stack_values
 from qcqp_hull.errors import InfeasibleRegion, NoFeasiblePoint
 from qcqp_hull.gamma import build_gamma_data
-from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
+from qcqp_hull.generators import (
+    barvinok_random,
+    example1,
+    gtrs,
+    quadratic_matrix_program,
+    swiss_cheese,
+)
 from qcqp_hull.hull import SocDescription, soc_description
 from qcqp_hull.solve import _as_box, _polish, brute_force, minimize_soc
 
@@ -118,6 +124,17 @@ class TestMinimizeSoc:
         d = SocDescription(epigraph=(g,), homogeneous=(h,))
         with pytest.raises(InfeasibleRegion):
             minimize_soc(d, (-1.0, 1.0))
+
+    def test_spent_budget_is_no_infeasibility_verdict(self):
+        # The objective is the constant -1 and x = 0 meets every homogeneous
+        # row, so running out of iterations proves nothing about feasibility.
+        res = minimize_soc(_soc(barvinok_random(3, 1, seed=0)), (-10.0, 10.0), max_iter=300)
+        if res.status == "converged":
+            assert res.value == pytest.approx(-1.0, abs=1e-6)
+        else:
+            assert res.status == "iteration_limit"
+            assert res.value == math.inf
+            assert res.lower_bound <= -1.0 + 1e-9
 
 
 def _soc(p):
