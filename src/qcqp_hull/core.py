@@ -155,12 +155,13 @@ def eval_quadratic(q: QuadraticFn, x) -> float:
     return float(x @ q.A @ x + 2.0 * (q.b @ x) + q.c)
 
 
-def aggregate(s, w) -> QuadraticFn:
-    """The quadratic sum_k w_k q_k over the stack of ``s`` (anything with
-    ``A``/``b``/``c`` stacks: a Qcqp or a SocDescription)."""
+def aggregate(s, w):
+    """(A, b, c) of the quadratic sum_k w_k q_k over the stack of ``s``
+    (anything with ``A``/``b``/``c`` stacks: a Qcqp or a SocDescription);
+    a matrix ``w`` gives stacks with one quadratic per row of weights."""
     w = np.asarray(w, dtype=float)
-    A = (w @ s.A.reshape(len(w), -1)).reshape(s.A.shape[1:])
-    return QuadraticFn(A, w @ s.b, float(w @ s.c))
+    A = (w @ s.A.reshape(s.A.shape[0], -1)).reshape(w.shape[:-1] + s.A.shape[1:])
+    return A, w @ s.b, w @ s.c
 
 
 def stack_values(s, x) -> np.ndarray:
@@ -174,7 +175,7 @@ def lagrangian(p: Qcqp, gamma) -> QuadraticFn:
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
     if gamma.shape[0] != p.num_constraints:
         raise ValueError(f"gamma has length {gamma.shape[0]}, expected {p.num_constraints}")
-    return aggregate(p, np.concatenate([[1.0], gamma]))
+    return QuadraticFn(*aggregate(p, np.concatenate([[1.0], gamma])))
 
 
 def constraint_values(p: Qcqp, x) -> np.ndarray:

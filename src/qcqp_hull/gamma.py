@@ -21,7 +21,7 @@ import numpy as np
 from ._lp import CuttingPlaneLP
 from .core import Qcqp, lagrangian, stack_values
 from .errors import GuardExceeded, NoInteriorPoint
-from .linalg import SimultaneousDiagonalization, sym_eig, whiten_simdiag
+from .linalg import SimultaneousDiagonalization, is_definite, sym_eig, whiten_simdiag
 
 DD_GUARD = 12
 FACE_GUARD = 20
@@ -71,11 +71,19 @@ class PolyhedronV:
     """Minimal generator representation: conv(vertices) + cone(rays).
 
     Rays are unit length.  Lineality directions appear as opposite ray
-    pairs.  Empty vertices means the polyhedron is empty.
-    """
+    pairs.  Empty vertices means the polyhedron is empty.  ``generators``
+    is the same list homogenized as one read-only array, row k generator
+    k: [1, gamma_e] per vertex, then [0, gamma_r] per ray."""
 
     vertices: np.ndarray
     rays: np.ndarray
+    generators: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lead = np.r_[np.ones(len(self.vertices)), np.zeros(len(self.rays))]
+        generators = np.column_stack([lead, np.vstack([self.vertices, self.rays])])
+        generators.setflags(write=False)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def is_empty(self) -> bool:
@@ -86,18 +94,30 @@ class PolyhedronV:
 class Face:
     """A face described by the generators of the ambient polyhedron it contains.
 
+    ``generators`` holds the rows ``generator_ids`` of the ambient
+    ``PolyhedronV.generators``, vertices first; ``vertex_ids`` and
+    ``ray_ids`` index the same ones in its ``vertices`` and ``rays``.
+
     ``dead`` lists its active eigenvalue rows.  Coordinate j is dead when
     its eigenvalue is zero across the face, so the shared zero eigenspace
     V is spanned by the dead columns of the congruence basis: the face is
     definite when none is dead, and dim V is their count."""
 
+    generator_ids: tuple
     vertex_ids: tuple
     ray_ids: tuple
-    vertices: np.ndarray
-    rays: np.ndarray
+    generators: np.ndarray
     active_rows: tuple
     aff_dim: int
     dead: tuple
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.generators[: len(self.vertex_ids), 1:]
+
+    @property
+    def rays(self) -> np.ndarray:
+        return self.generators[len(self.vertex_ids) :, 1:]
 
     @property
     def definite(self) -> bool:
@@ -108,10 +128,7 @@ class Face:
         return len(self.dead)
 
     def relint_point(self) -> np.ndarray:
-        pt = self.vertices.mean(axis=0)
-        if self.rays.shape[0]:
-            pt = pt + self.rays.sum(axis=0)
-        return pt
+        return self.vertices.mean(axis=0) + self.rays.sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,24 +150,23 @@ def _rank(M, tol: float = RANK_TOL) -> int:
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def _directions(vertices: np.ndarray, rays: np.ndarray) -> np.ndarray:
-    """Vertex differences, then rays: the directions whose span is the
-    linear part of the affine hull of conv(vertices) + cone(rays)."""
-    return np.vstack([vertices[1:] - vertices[:1], rays])
+def _directions(generators: np.ndarray) -> np.ndarray:
+    """Homogenized generator rows after the first, a vertex, minus that
+    vertex where they are vertices: [0, gamma_e - gamma_0] and [0, gamma_r],
+    whose span is the linear part of the affine hull of the generators."""
+    rest = generators[1:]
+    return rest - rest[:, :1] * generators[0]
 
 
 def b_aff_dim(face: Face, p: Qcqp) -> int:
     """Affine dimension of gamma -> b(gamma) = b_0 + sum gamma_i b_i over the face."""
-    return _rank(_directions(face.vertices, face.rays) @ p.b[1:])
+    return _rank(_directions(face.generators) @ p.b)
 
 
-def _incidence(h: PolyhedronH, vertices: np.ndarray, rays: np.ndarray) -> np.ndarray:
-    """Activity of each given generator (vertices, then rays) on each
-    normalized row of ``h``."""
-    act = np.vstack(
-        [np.abs(vertices @ h.A.T + h.beta) <= FACE_TOL, np.abs(rays @ h.A.T) <= FACE_TOL]
-    )
-    return act & h.nontrivial
+def _incidence(h: PolyhedronH, generators: np.ndarray) -> np.ndarray:
+    """Activity of each given homogenized generator on each normalized
+    row of ``h``."""
+    return (np.abs(generators @ np.vstack([h.beta, h.A.T])) <= FACE_TOL) & h.nontrivial
 
 
 def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
@@ -294,22 +310,21 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD) -> PolyhedronV:
 # Optimization and faces
 
 
-def _face(v: PolyhedronV, vertex_ids, ray_ids, act: np.ndarray, num_eigen: int) -> Face:
-    """The face spanned by the given generators of ``v``.  ``act`` holds
-    the incidences of exactly these generators, so the face's active rows
-    are the rows active at all of them."""
-    vertex_ids = tuple(sorted(int(i) for i in vertex_ids))
-    ray_ids = tuple(sorted(int(i) for i in ray_ids))
-    verts = v.vertices[list(vertex_ids)]
-    rays = v.rays[list(ray_ids)]
+def _face(v: PolyhedronV, ids, act: np.ndarray, num_eigen: int) -> Face:
+    """The face spanned by the generators of ``v`` with the given ascending
+    ids.  ``act`` holds the incidences of exactly these generators, so the
+    face's active rows are the rows active at all of them."""
+    ids = [int(i) for i in ids]
+    nv = v.vertices.shape[0]
+    generators = v.generators[ids]
     active = np.flatnonzero(np.all(act, axis=0))
     return Face(
-        vertex_ids=vertex_ids,
-        ray_ids=ray_ids,
-        vertices=verts,
-        rays=rays,
+        generator_ids=tuple(ids),
+        vertex_ids=tuple(i for i in ids if i < nv),
+        ray_ids=tuple(i - nv for i in ids if i >= nv),
+        generators=generators,
         active_rows=tuple(int(i) for i in active),
-        aff_dim=_rank(_directions(verts, rays)),
+        aff_dim=_rank(_directions(generators)),
         dead=tuple(int(i) for i in active[active < num_eigen]),
     )
 
@@ -322,21 +337,15 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
     """
     if v.is_empty:
         raise ValueError("polyhedron is empty")
-    vals = stack_values(p, x)
-    rvals = vals[1:]
-    vertex_vals = vals[0] + v.vertices @ rvals
-    sup = float(np.max(vertex_vals))
+    vals = v.generators @ stack_values(p, x)  # functional at vertices, slope along rays
+    nv = v.vertices.shape[0]
+    sup = float(np.max(vals[:nv]))
     tol_abs = FACE_TOL * max(1.0, abs(sup))
-    if v.rays.shape[0]:
-        ray_vals = v.rays @ rvals
-        if np.any(ray_vals > tol_abs):
-            return None
-        ray_ids = np.where(np.abs(ray_vals) <= tol_abs)[0]
-    else:
-        ray_ids = np.array([], dtype=int)
-    vertex_ids = np.where(vertex_vals >= sup - tol_abs)[0]
-    act = _incidence(h, v.vertices[vertex_ids], v.rays[ray_ids])
-    return sup, _face(v, vertex_ids, ray_ids, act, h.num_eigen)
+    if np.any(vals[nv:] > tol_abs):
+        return None
+    # The maximizers: vertices at the sup, rays along which it is flat.
+    ids = np.flatnonzero(np.abs(vals - sup * v.generators[:, 0]) <= tol_abs)
+    return sup, _face(v, ids, _incidence(h, v.generators[ids]), h.num_eigen)
 
 
 def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
@@ -353,24 +362,24 @@ def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
     if v.is_empty:
         return []
     nv = v.vertices.shape[0]
-    act = _incidence(h, v.vertices, v.rays)
+    act = _incidence(h, v.generators)
     cols = np.unique(act[:, act[:nv].any(axis=0)], axis=1)
     if cols.shape[1] > FACE_GUARD:
         raise GuardExceeded(f"face enumeration guard: {cols.shape[1]} cuts > {FACE_GUARD}")
-    cuts = [(frozenset(np.flatnonzero(c[:nv])), frozenset(np.flatnonzero(c[nv:]))) for c in cols.T]
-    full = (frozenset(range(nv)), frozenset(range(v.rays.shape[0])))
+    cuts = [frozenset(np.flatnonzero(c).tolist()) for c in cols.T]
+    full = frozenset(range(v.generators.shape[0]))
     seen = {full}
     frontier = [full]
     while frontier:
         fresh = []
-        for vs, rs in frontier:
-            for cut_vs, cut_rs in cuts:
-                key = (vs & cut_vs, rs & cut_rs)
-                if key[0] and key not in seen:
+        for ids in frontier:
+            for cut in cuts:
+                key = ids & cut
+                if key not in seen and min(key, default=nv) < nv:
                     seen.add(key)
                     fresh.append(key)
         frontier = fresh
-    faces = [_face(v, vs, rs, act[[*vs, *(nv + r for r in rs)]], h.num_eigen) for vs, rs in seen]
+    faces = [_face(v, ids, act[ids], h.num_eigen) for ids in map(sorted, seen)]
     faces.sort(key=lambda f: (f.aff_dim, f.vertex_ids, f.ray_ids))
     return faces
 
@@ -386,8 +395,8 @@ def find_definite_multiplier(p: Qcqp):
     capped at the largest Hessian entry (at least 1), by a cutting-plane
     scheme on mu <= v' A(gamma) v; a multiplier past the cap is pulled
     back toward 0 until the cap is just guaranteed.  Returns None when
-    the maximum is not positive (no definite aggregation exists in the
-    box).
+    the best multiplier fails ``is_definite``, the rule whitening applies
+    (no definite aggregation exists in the box).
     """
     m = p.num_constraints
     scale = max(1.0, float(np.max(np.abs(p.A))))
@@ -434,9 +443,8 @@ def find_definite_multiplier(p: Qcqp):
         # out.  lambda_min(A(t gamma)) is concave in t, so it is still >=
         # scale at this t, where the chord from (0, lam0) reaches scale.
         best_gamma *= (scale - lam0) / (best_lam - lam0)
-    elif best_lam <= DEFINITE_TOL * scale:
-        return None
-    return best_gamma
+    A = lagrangian(p, best_gamma).A
+    return best_gamma if is_definite(A, sym_eig(A).eigenvalues[0]) else None
 
 
 def build_gamma_data(p: Qcqp) -> GammaData:

@@ -7,7 +7,8 @@ relaxed epigraph is exactly
     { (x, t) : q(gamma_e, x) <= 2t  for every vertex gamma_e,
                sum_i (gamma_r)_i q_i(x) <= 0  for every extreme ray gamma_r }
 
-a finite list of convex quadratic (SOC-representable) constraints.
+a finite list of convex quadratic (SOC-representable) constraints: the
+generator rows [1, gamma_e] and [0, gamma_r] weighting (q_0, ..., q_m).
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .core import (
     QuadraticFn,
     aggregate,
     check_feasible,
-    lagrangian,
     stack_quadratics,
     stack_values,
 )
 from .errors import NoDescentDirection, NotInDsdp, QcqpHullError
 from .gamma import GammaData, b_aff_dim, optimal_face
-from .linalg import Definiteness, psd_status, solve_homogeneous
+from .linalg import solve_homogeneous
 
 MEMBERSHIP_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
@@ -73,27 +73,21 @@ class ConvexCombination:
 
 
 def soc_description(v, p: Qcqp) -> SocDescription:
-    """Build the hull description from the minimal generator representation."""
+    """Build the hull description from the minimal generator representation,
+    one weighted sum of the problem's stack per generator row."""
     if v.is_empty:
         raise ValueError("multiplier set is empty; the relaxation is unbounded everywhere")
-    epi = []
-    for gamma_e in v.vertices:
-        g = lagrangian(p, gamma_e)
-        _require_psd_hessian(g, "epigraph")
-        epi.append(g)
-    hom = []
-    for gamma_r in v.rays:
-        h = aggregate(p, np.concatenate([[0.0], gamma_r]))
-        if np.max(np.abs(h.A)) <= DROP_TOL and np.max(np.abs(h.b)) <= DROP_TOL and h.c <= DROP_TOL:
-            continue
-        _require_psd_hessian(h, "homogeneous")
-        hom.append(h)
-    return SocDescription(epigraph=tuple(epi), homogeneous=tuple(hom))
-
-
-def _require_psd_hessian(q: QuadraticFn, label: str) -> None:
-    if psd_status(q.A, tol=HESSIAN_PSD_TOL) is Definiteness.INDEFINITE:
+    A, b, c = aggregate(p, v.generators)
+    nv = v.vertices.shape[0]
+    a_max = np.max(np.abs(A), axis=(1, 2))
+    trivial = (a_max <= DROP_TOL) & (np.max(np.abs(b), axis=1) <= DROP_TOL) & (c <= DROP_TOL)
+    keep = np.flatnonzero((np.arange(len(c)) < nv) | ~trivial)
+    bad = keep[np.linalg.eigvalsh(A[keep])[:, 0] < -HESSIAN_PSD_TOL * np.maximum(1.0, a_max[keep])]
+    if bad.size:
+        label = "epigraph" if bad[0] < nv else "homogeneous"
         raise QcqpHullError(f"{label} hull constraint has an indefinite Hessian")
+    quads = tuple(QuadraticFn(A[k], b[k], c[k]) for k in keep)
+    return SocDescription(epigraph=quads[:nv], homogeneous=quads[nv:])
 
 
 def dsdp_membership(d: SocDescription, pt: EpigraphPoint, tol: float = MEMBERSHIP_TOL):
@@ -254,18 +248,13 @@ def _step_lengths(p, gd, face, x, t0, v, s, tol):
     alpha -> q(gamma_e, x + alpha v) - 2(t0 + alpha s) and
     alpha -> sum (gamma_r)_i q_i(x + alpha v) of the generators off the
     optimal face; those on it are identically zero along v."""
-    nv = gd.v.vertices.shape[0]
-    off = np.ones(nv + gd.v.rays.shape[0], dtype=bool)
-    off[list(face.vertex_ids)] = False
-    off[[nv + j for j in face.ray_ids]] = False
-    epi = np.r_[np.ones(nv), np.zeros(gd.v.rays.shape[0])][off]
-    W = np.column_stack([epi, np.vstack([gd.v.vertices, gd.v.rays])[off]])  # [1, gamma_e], [0, gamma_r]
+    W = np.delete(gd.v.generators, face.generator_ids, axis=0)  # W[:, 0] = 1 on vertices
     Av = p.A @ v
     coeffs = np.column_stack(
         [
             W @ (Av @ v),
-            2.0 * (W @ (Av @ x + p.b @ v)) - 2.0 * s * epi,
-            W @ stack_values(p, x) - 2.0 * t0 * epi,
+            2.0 * (W @ (Av @ x + p.b @ v)) - 2.0 * s * W[:, 0],
+            W @ stack_values(p, x) - 2.0 * t0 * W[:, 0],
         ]
     )
 

@@ -69,6 +69,11 @@ def sym_eig(M) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(V))
 
 
+def is_definite(M, lam_min: float) -> bool:
+    """Whether ``lam_min``, the smallest eigenvalue of M, is above PSD_TOL * max(1, max|M|)."""
+    return lam_min > PSD_TOL * max(1.0, float(np.max(np.abs(M))))
+
+
 def psd_status(M, tol: float = PSD_TOL) -> Definiteness:
     """Classify a symmetric matrix as PD, PSD-singular, or indefinite by
     its smallest eigenvalue against tol * max(1, max|M|)."""
@@ -118,8 +123,7 @@ def solve_homogeneous(E) -> np.ndarray | None:
 def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
     """Whiten by A(gamma*)^(-1/2) and jointly diagonalize all quadratic forms.
 
-    Requires A(gamma*) positive definite (smallest eigenvalue above
-    PSD_TOL * max(1, max|A(gamma*)|), as ``psd_status`` tests).  After
+    Requires A(gamma*) positive definite by ``is_definite``.  After
     whitening, the family is simultaneously diagonalizable by an
     orthogonal basis exactly when it commutes pairwise (commutators within
     COMMUTE_TOL); raises NotSimultaneouslyDiagonalizable otherwise, or
@@ -127,8 +131,7 @@ def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
     """
     agg = lagrangian(p, gamma_star)
     spec = sym_eig(agg.A)
-    scale0 = max(1.0, float(np.max(np.abs(agg.A))))
-    if spec.eigenvalues[0] <= PSD_TOL * scale0:
+    if not is_definite(agg.A, spec.eigenvalues[0]):
         raise ValueError("aggregated Hessian at gamma_star is not positive definite")
     W = spec.eigenvectors @ np.diag(1.0 / np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.T
 

@@ -1,5 +1,5 @@
 """Minimize the relaxed objective over the SOC hull description, plus an
-independent brute-force oracle on the original problem.
+independent brute-force grid oracle on the original problem at N <= 3.
 
 The hull solver is a Kelley cutting-plane loop on f(x) = max_e g_e(x)
 subject to the homogeneous constraints and a user box, on one HiGHS LP in
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _kernels
 from ._lp import CuttingPlaneLP
@@ -31,11 +30,10 @@ from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
 
 # brute_force: zoom levels and points per axis after the first grid,
-# inequality slack, and the multistart generator's seed
+# and inequality slack
 BRUTE_REFINE_LEVELS = 3
 BRUTE_REFINE_POINTS = 81
 BRUTE_FEAS_TOL = 1e-9
-MULTISTART_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,19 +223,19 @@ def _box_active_improving(d, box, x) -> bool:
 # Brute-force oracle on the original QCQP
 
 
-def brute_force(p: Qcqp, box, grid_points: int = 400, starts: int = 10_000):
-    """Best feasible objective value (in 2t units) found in the box.
+def brute_force(p: Qcqp, box, grid_points: int = 400):
+    """Best feasible objective value (in 2t units) found in the box, for
+    N <= 3 only; raises ValueError for N > 3.
 
-    N <= 3 uses a dense grid with recursive zoom refinement; equality
-    constraints are relaxed proportionally to the current grid spacing.
-    Higher dimensions fall back to random multistart with penalized local
-    descent.  Returns (value, x); raises NoFeasiblePoint when nothing in
-    the box satisfies the constraints.
+    A dense grid with recursive zoom refinement; equality constraints are
+    relaxed proportionally to the current grid spacing.  Returns
+    (value, x); raises NoFeasiblePoint when nothing in the box satisfies
+    the constraints.
     """
     n = p.dim
-    box = _as_box(box, n)
     if n > 3:
-        return _multistart(p, box, starts)
+        raise ValueError(f"the brute-force grid oracle runs at N <= 3, got N = {n}")
+    box = _as_box(box, n)
 
     corner = np.linalg.norm(np.max(np.abs(box), axis=1))
     grad_bound = 2.0 * np.linalg.norm(p.A, 2, axis=(1, 2)) * corner + 2.0 * np.linalg.norm(p.b, axis=1)
@@ -284,37 +282,3 @@ def brute_force(p: Qcqp, box, grid_points: int = 400, starts: int = 10_000):
             break
         value, x, h, eq_tols = nxt
     return value, x
-
-
-def _multistart(p: Qcqp, box, starts: int):
-    rng = np.random.default_rng(MULTISTART_SEED)
-    n = p.dim
-    mi = p.num_inequalities
-    scale = max(1.0, float(np.max(np.abs(p.A))))
-    tol = max(BRUTE_FEAS_TOL, 1e-7 * scale)
-
-    def penalized(x, rho):
-        vals = stack_values(p, x)
-        pen = np.sum(np.maximum(vals[1 : mi + 1], 0.0) ** 2) + np.sum(vals[mi + 1 :] ** 2)
-        return vals[0] + rho * pen
-
-    best_val, best_x = np.inf, None
-    for _ in range(starts):
-        x = rng.uniform(box[:, 0], box[:, 1])
-        for rho in (1e3, 1e5, 1e7):
-            res = minimize(
-                penalized,
-                x,
-                args=(rho,),
-                method="L-BFGS-B",
-                bounds=[(lo, hi) for lo, hi in box],
-                options={"maxiter": 200},
-            )
-            x = res.x
-        vals = stack_values(p, x)
-        feasible = np.all(vals[1 : mi + 1] <= tol) and np.all(np.abs(vals[mi + 1 :]) <= tol)
-        if feasible and vals[0] < best_val:
-            best_val, best_x = vals[0], x.copy()
-    if best_x is None:
-        raise NoFeasiblePoint("multistart found no feasible point in the box")
-    return float(best_val), best_x

@@ -4,7 +4,7 @@ import pytest
 from qcqp_hull import certify, gamma
 from qcqp_hull.core import Qcqp, QuadraticFn
 from qcqp_hull.certify import analyze_problem, check_conditions, report_text
-from qcqp_hull.gamma import build_gamma_data
+from qcqp_hull.gamma import build_gamma_data, find_definite_multiplier
 from qcqp_hull.generators import (
     barvinok_random,
     example1,
@@ -154,6 +154,28 @@ def test_no_interior_multiplier_reported():
     assert gd is None
     assert not report.assumption1
     assert not report.hull_guaranteed
+
+
+def barely_definite_problem(eps):
+    """A(gamma) = diag(-1 + 1e-3 gamma, eps, gamma): its smallest eigenvalue
+    peaks at eps once gamma >= 1000, below PSD_TOL * max|A(gamma)|."""
+    return Qcqp(
+        QuadraticFn(np.diag([-1.0, eps, 0.0]), np.zeros(3), 0.0),
+        (QuadraticFn(np.diag([1e-3, 0.0, 1.0]), np.zeros(3), -1.0),),
+        1,
+        0,
+    )
+
+
+@pytest.mark.parametrize("eps", [1e-7, 5e-9])
+def test_barely_definite_multiplier_reported(eps):
+    # the search's best multiplier fails whitening's definiteness rule
+    p = barely_definite_problem(eps)
+    assert find_definite_multiplier(p) is None
+    report, gd = analyze_problem(p)
+    assert gd is None
+    assert not report.assumption1
+    assert "assumption1 (interior multiplier): FAIL" in report_text(report)
 
 
 def test_conditions_imply_decomposability():

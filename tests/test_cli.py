@@ -154,6 +154,15 @@ class TestCliFlows:
         assert run(["hull", f]) == 3
         assert run(["analyze", f]) == 3
 
+    @pytest.mark.parametrize("eps", [1e-7, 5e-9])
+    def test_barely_definite_multiplier_exit_code(self, tmp_path, eps):
+        from test_certify import barely_definite_problem
+
+        f = str(tmp_path / "barely.json")
+        io.write_problem(f, barely_definite_problem(eps))
+        assert run(["analyze", f]) == 3
+        assert run(["hull", f]) == 3
+
     def test_plot_wrong_dimension(self, tmp_path):
         p = generate(FamilySpec(family="gtrs", n=3, seed=0))
         f = str(tmp_path / "p3.json")

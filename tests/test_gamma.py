@@ -402,6 +402,30 @@ class TestOptimalFace:
             for vid in res[1].vertex_ids:
                 assert vals[vid] == pytest.approx(res[0], abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "make",
+        [example1, lambda: quadratic_matrix_program(2, 3, 2, seed=1), lambda: swiss_cheese(3, 1, 1, 1, 3)],
+    )
+    def test_is_an_enumerated_face(self, make):
+        p = make()
+        gd = build_gamma_data(p)
+        faces = {(f.vertex_ids, f.ray_ids): f for f in enumerate_faces(gd.h, gd.v)}
+        rng = np.random.default_rng(5)
+        found = 0
+        # Integer points tie generators, so faces past single vertices come
+        # up; a bounded sup is rare on swisscheese.
+        for _ in range(3000):
+            res = optimal_face(gd.v, p, rng.integers(-3, 4, size=p.dim).astype(float), gd.h)
+            if res is None:
+                continue
+            face = res[1]
+            f = faces[(face.vertex_ids, face.ray_ids)]
+            assert (face.active_rows, face.aff_dim, face.dead) == (f.active_rows, f.aff_dim, f.dead)
+            found += 1
+            if found == 20:
+                break
+        assert found == 20
+
     def test_unbounded_direction(self):
         # maximizing along a ray with positive functional value
         p = diag_problem([1.0, 1.0], [[1.0, 0.0]], num_ineq=1)

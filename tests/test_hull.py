@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 from oracle2d import oracle_agreement
-from qcqp_hull.core import EpigraphPoint, Qcqp, QuadraticFn, affine_transform, check_feasible
-from qcqp_hull.errors import NotInDsdp
-from qcqp_hull.gamma import build_gamma_data, optimal_face
+from test_core import STACKED
+from qcqp_hull.core import (
+    EpigraphPoint,
+    Qcqp,
+    QuadraticFn,
+    affine_transform,
+    aggregate,
+    check_feasible,
+    lagrangian,
+)
+from qcqp_hull.errors import NotInDsdp, QcqpHullError
+from qcqp_hull.gamma import PolyhedronV, build_gamma_data, optimal_face
 from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import (
+    DROP_TOL,
     ConvexCombination,
     decompose,
     dsdp_membership,
@@ -104,6 +114,36 @@ class TestSocDescription:
         assert len(soc.homogeneous) == 1
         h = soc.homogeneous[0]
         assert np.allclose(h.A, np.eye(2)) and h.c == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize(
+        "vertex,rays,label",
+        [
+            ((3.0, 0.0), np.zeros((0, 2)), "epigraph"),  # A = diag(4, -2)
+            ((0.0, 0.0), np.array([[1.0, 0.0]]), "homogeneous"),  # A = diag(1, -1)
+        ],
+    )
+    def test_indefinite_hessian_rejected(self, ex1, vertex, rays, label):
+        v = PolyhedronV(vertices=np.array([vertex]), rays=rays)
+        with pytest.raises(QcqpHullError, match=f"^{label} hull constraint has an indefinite Hessian"):
+            soc_description(v, ex1)
+
+    @pytest.mark.parametrize("family", sorted(STACKED))
+    def test_rows_match_per_generator_aggregates(self, family):
+        # oracle: lagrangian per vertex, the ray-weighted constraint sum per
+        # ray unless it is identically true
+        p = STACKED[family]()
+        v = build_gamma_data(p).v
+        soc = soc_description(v, p)
+        want = [lagrangian(p, g) for g in v.vertices]
+        for g in v.rays:
+            h = QuadraticFn(*aggregate(p, np.concatenate([[0.0], g])))
+            if max(np.max(np.abs(h.A)), np.max(np.abs(h.b)), h.c) > DROP_TOL:
+                want.append(h)
+        assert (len(soc.epigraph), len(soc.homogeneous)) == (len(v.vertices), len(want) - len(v.vertices))
+        for got, q in zip(soc.epigraph + soc.homogeneous, want):
+            scale = max(1.0, np.max(np.abs(q.A)), np.max(np.abs(q.b)), abs(q.c))
+            err = max(np.max(np.abs(got.A - q.A)), np.max(np.abs(got.b - q.b)), abs(got.c - q.c))
+            assert err <= 1e-12 * scale
 
 
 class TestMembership:

@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from qcqp_hull import _kernels
 
 BENCH = Path(__file__).resolve().parent.parent / "pipebench"
@@ -34,6 +36,30 @@ def test_jobs_on_example1_match_reference(tmp_path):
         summary, error = pl.run_job(job)
         assert error == ""
         assert pl.check("solve-certify", job, summary, reference) == []
+
+
+@pytest.mark.parametrize(
+    "workload,pool",
+    [
+        # 14 vertices, 45 faces, 37 semidefinite
+        ("dense", lambda pl: pl._qmp(16, 4, 3, (0,))),
+        # swisscheese m = (4, 3, 3): 1920 faces, 896 semidefinite
+        ("lattice", lambda pl: pl._swiss(20, 10, (0,))),
+    ],
+)
+def test_pool_instance_matches_reference(tmp_path, workload, pool):
+    """One pool instance per workload runs hull and analyze through the
+    unedited check, so a change that moves a reference count fails here."""
+    pl = _load_pipeline()
+    reference = json.loads((BENCH / "reference.json").read_text())
+    w = pl.Workload(workload, pool=tuple(pool(pl)), kinds=("hull", "analyze"), control=())
+    jobs = pl.job_list(pl.prepare(w, 0, str(tmp_path)), 0)
+    assert {job.kind for job in jobs} == {"hull", "analyze"}
+    for job in jobs:
+        assert isinstance(reference[job.prep.inst.key][job.kind], dict)
+        summary, error = pl.run_job(job)
+        assert error == ""
+        assert pl.check(workload, job, summary, reference) == []
 
 
 def test_kernels_backend_is_reported():

@@ -219,15 +219,15 @@ class TestBruteForce:
         val, x = brute_force(p, (-2.0, 2.0), grid_points=201)
         assert val == pytest.approx(1.0, abs=5e-3)
 
-    def test_multistart_high_dimension(self):
+    def test_refuses_dimension_above_three(self):
         p = Qcqp(
             QuadraticFn(np.eye(4), np.zeros(4), 0.0),
             (QuadraticFn(np.eye(4), np.zeros(4), -1.0),),
             1,
             0,
         )
-        val, x = brute_force(p, (-2.0, 2.0), starts=20)
-        assert val == pytest.approx(0.0, abs=1e-5)
+        with pytest.raises(ValueError, match="N <= 3"):
+            brute_force(p, (-2.0, 2.0))
 
 
 class TestRelaxationBounds:
