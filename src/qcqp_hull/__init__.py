@@ -17,7 +17,6 @@ from .core import (
     check_feasible,
     eval_quadratic,
     lagrangian,
-    shor_matrix,
 )
 from .certify import ConditionReport, analyze_problem, check_conditions, report_text
 from .gamma import (
@@ -40,15 +39,7 @@ from .hull import (
     soc_description,
     verify_certificate,
 )
-from .linalg import (
-    Definiteness,
-    Spectrum,
-    kron_multiplicity,
-    psd_status,
-    solve_homogeneous,
-    sym_eig,
-    whiten_simdiag,
-)
+from .linalg import Spectrum, solve_homogeneous, sym_eig, whiten_simdiag
 from .solve import SolveResult, brute_force, minimize_soc
 
 __version__ = "0.1.0"

@@ -14,9 +14,7 @@ import numpy as np
 from .core import EpigraphPoint, Qcqp, check_feasible, eval_quadratic
 from .errors import NoInteriorPoint, NotSimultaneouslyDiagonalizable
 from .gamma import GammaData, b_aff_dim, build_gamma_data, enumerate_faces
-from .linalg import kron_multiplicity
 
-SCALED_IDENTITY_TOL = 1e-12
 ZERO_B_TOL = 1e-12
 
 
@@ -34,7 +32,7 @@ class ConditionReport:
     gamma_star: np.ndarray | None
     margin: float | None
     assumption2: str  # "pass" | "unknown"
-    k: int
+    k: int | None  # quadratic eigenvalue multiplicity; None when Gamma was not built
     theorem1: bool | None
     theorem2: bool | None
     semidefinite_faces: tuple
@@ -46,21 +44,17 @@ class ConditionReport:
     notes: tuple
 
 
-def _is_scaled_identity_family(p: Qcqp) -> bool:
-    """Every Hessian is alpha_i I, entrywise within SCALED_IDENTITY_TOL * max(1, |alpha_i|)."""
-    alpha = np.trace(p.A, axis1=1, axis2=2) / p.dim
-    dev = np.max(np.abs(p.A - alpha[:, None, None] * np.eye(p.dim)), axis=(1, 2))
-    return bool(np.all(dev <= SCALED_IDENTITY_TOL * np.maximum(1.0, np.abs(alpha))))
-
-
 def _zero_constraint_b(p: Qcqp) -> bool:
     """No constraint has a linear term above ZERO_B_TOL."""
     return bool(np.all(np.abs(p.b[1:]) <= ZERO_B_TOL))
 
 
-def check_conditions(p: Qcqp, gd: GammaData, k: int) -> ConditionReport:
+def check_conditions(p: Qcqp, gd: GammaData) -> ConditionReport:
     """Evaluate all sufficient conditions given verified multiplier-set
-    data and the Kronecker multiplicity ``k`` of ``kron_multiplicity(p)``."""
+    data.  The multiplicity k is the joint diagonalization's
+    ``gd.sd.multiplicity``; k = N means every Hessian is a multiple of
+    A(gamma*), a scaled-identity family after a change of basis."""
+    k = gd.sd.multiplicity
     faces = enumerate_faces(gd.h, gd.v)
     semidef = [
         SemidefiniteFaceRecord(
@@ -73,7 +67,7 @@ def check_conditions(p: Qcqp, gd: GammaData, k: int) -> ConditionReport:
     theorem2 = all(k >= r.b_aff_dim + 1 for r in semidef)
     corollary_m1 = p.num_constraints == 1
     corollary_b0 = _zero_constraint_b(p)
-    corollary_scaled = _is_scaled_identity_family(p) and p.num_constraints <= p.dim
+    corollary_scaled = k == p.dim and p.num_constraints <= p.dim
     notes = []
     if not semidef:
         notes.append("no semidefinite faces: every optimal face is definite")
@@ -96,16 +90,16 @@ def check_conditions(p: Qcqp, gd: GammaData, k: int) -> ConditionReport:
     )
 
 
-def _unknown_report(k: int, assumption1: bool, m1: bool, notes):
-    """Report when the multiplier set could not be built: the faces, the
-    theorems and assumption 2 are unknown, and only the single-constraint
-    corollary ``m1`` can still guarantee the hull."""
+def _unknown_report(assumption1: bool, m1: bool, notes):
+    """Report when the multiplier set could not be built: k, the faces,
+    the theorems and assumption 2 are unknown, and only the
+    single-constraint corollary ``m1`` can still guarantee the hull."""
     return ConditionReport(
         assumption1=assumption1,
         gamma_star=None,
         margin=None,
         assumption2="unknown",
-        k=k,
+        k=None,
         theorem1=None,
         theorem2=None,
         semidefinite_faces=(),
@@ -140,12 +134,11 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
             )
     else:
         primal_notes.append("warning: nonempty feasible region assumed (no point supplied)")
-    k = kron_multiplicity(p)
     try:
         gd = build_gamma_data(p)
     except NoInteriorPoint as e:
         notes = primal_notes + [f"no interior multiplier: {e}"]
-        return _unknown_report(k, False, False, notes), None
+        return _unknown_report(False, False, notes), None
     except NotSimultaneouslyDiagonalizable as e:
         # Only whiten_simdiag raises this, and build_gamma_data calls it
         # after a definite multiplier was found: assumption 1 holds.
@@ -153,8 +146,8 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
             "polyhedrality of the multiplier set not certified: " + str(e),
             "zero-linear-term condition needs a certified polyhedral multiplier set",
         ]
-        return _unknown_report(k, True, p.num_constraints == 1, primal_notes + notes), None
-    report = check_conditions(p, gd, k)
+        return _unknown_report(True, p.num_constraints == 1, primal_notes + notes), None
+    report = check_conditions(p, gd)
     report = replace(report, notes=tuple(primal_notes) + report.notes)
     return report, gd
 
@@ -174,7 +167,7 @@ def report_text(r: ConditionReport) -> str:
     else:
         lines.append(f"assumption1 (interior multiplier): {pf(r.assumption1)}")
     lines.append(f"assumption2 (polyhedral multiplier set): {r.assumption2.upper()}")
-    lines.append(f"quadratic eigenvalue multiplicity: k = {r.k}")
+    lines.append(f"quadratic eigenvalue multiplicity: k = {'?' if r.k is None else r.k}")
     nsd = len(r.semidefinite_faces)
     nf = "?" if r.num_faces is None else r.num_faces
     lines.append(f"theorem1 (shared nullspace vs linear-term dimension): {pf(r.theorem1)}  "

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from . import _kernels
-from .core import EpigraphPoint, Qcqp
+from .core import EpigraphPoint, Qcqp, objective_and_violations
 from .errors import (
     GuardExceeded,
     NoInteriorPoint,
@@ -73,10 +73,8 @@ def plot2d(p: Qcqp, d, box, resolution: int = 201, tol: float = 1e-8):
     G1, G2 = np.meshgrid(ax1, ax2, indexing="ij")
     X = np.stack([G1.ravel(), G2.ravel()], axis=1)
 
-    vals = _kernels.eval_quadratics(p.A, p.b, p.c, X)
-    mi = p.num_inequalities
-    feas = np.all(vals[1 : mi + 1] <= tol, axis=0) & np.all(np.abs(vals[mi + 1 :]) <= tol, axis=0)
-    tmin_d = np.where(feas, 0.5 * vals[0], np.inf)
+    obj, viol = objective_and_violations(p, X)
+    tmin_d = np.where(np.all(viol <= tol, axis=0), 0.5 * obj, np.inf)
 
     ne = len(d.epigraph)
     svals = _kernels.eval_quadratics(d.A, d.b, d.c, X)

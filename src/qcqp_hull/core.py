@@ -8,8 +8,9 @@ Conventions fixed here and used everywhere else:
   * a family of quadratics is stacked once, when its object is built, as
     read-only arrays A (K, N, N), b (K, N) and c (K,) with row k the k-th
     quadratic; for a Qcqp row 0 is the objective and rows 1..m the
-    constraints.  ``aggregate`` is the one rule that combines a stack and
-    ``stack_values`` (over ``_kernels.eval_quadratics``) the one evaluator.
+    constraints.  ``aggregate`` is the one rule that combines a stack,
+    ``stack_values`` (over ``_kernels.eval_quadratics``) the one evaluator
+    and ``objective_and_violations`` the one violation rule.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class EpigraphPoint:
 class FeasReport:
     """Feasibility check result.
 
-    ``violations[i]`` is the positive part of q_i(x) for inequalities and
-    |q_i(x)| for equalities; ``epigraph_gap`` is q_0(x) - 2t.
+    ``violations[i]`` is the violation of q_{i+1} at x by
+    ``objective_and_violations``; ``epigraph_gap`` is q_0(x) - 2t.
     """
 
     feasible: bool
@@ -178,32 +179,26 @@ def lagrangian(p: Qcqp, gamma) -> QuadraticFn:
     return QuadraticFn(*aggregate(p, np.concatenate([[1.0], gamma])))
 
 
-def constraint_values(p: Qcqp, x) -> np.ndarray:
-    """Vector (q_1(x), ..., q_m(x))."""
-    return stack_values(p, x)[1:]
+def objective_and_violations(p: Qcqp, X):
+    """q_0 at the rows of the point array X (P, N), shape (P,), and the
+    constraint violations there, shape (m, P): the positive part of q_i
+    for inequalities and |q_i| for equalities."""
+    vals = _kernels.eval_quadratics(p.A, p.b, p.c, X)
+    ineq, eq = vals[1 : p.num_inequalities + 1], vals[p.num_inequalities + 1 :]
+    np.maximum(ineq, 0.0, out=ineq)
+    np.abs(eq, out=eq)
+    return vals[0], vals[1:]
 
 
 def check_feasible(p: Qcqp, pt: EpigraphPoint, tol: float = FEASIBILITY_TOL) -> FeasReport:
     """Report constraint violations of an epigraph point; never raises."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    vals = stack_values(p, pt.x)
-    mi = p.num_inequalities
-    viol = np.concatenate([np.maximum(vals[1 : mi + 1], 0.0), np.abs(vals[mi + 1 :])])
-    gap = float(vals[0]) - 2.0 * pt.t
+    obj, viol = objective_and_violations(p, pt.x.reshape(1, -1))
+    viol = viol[:, 0]
+    gap = float(obj[0]) - 2.0 * pt.t
     feasible = bool(np.all(viol <= tol) and gap <= tol)
     return FeasReport(feasible=feasible, violations=viol, epigraph_gap=gap, tol=tol)
-
-
-def shor_matrix(q: QuadraticFn) -> np.ndarray:
-    """The (N+1)x(N+1) lifted matrix [[c, b'], [b, A]] (export only)."""
-    n = q.dim
-    M = np.empty((n + 1, n + 1))
-    M[0, 0] = q.c
-    M[0, 1:] = q.b
-    M[1:, 0] = q.b
-    M[1:, 1:] = q.A
-    return M
 
 
 def affine_transform(p: Qcqp, U, z) -> Qcqp:

@@ -8,7 +8,7 @@ of the eigenvectors so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from math import gcd
 
 import numpy as np
 
@@ -19,7 +19,6 @@ PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-9
 COMMUTE_TOL = 1e-8
 OFFDIAG_TOL = 1e-7
-KRON_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,18 +29,21 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-class Definiteness(Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    PSD_SINGULAR = "psd_singular"
-    INDEFINITE = "indefinite"
-
-
 @dataclass(frozen=True, eq=False)
 class SimultaneousDiagonalization:
-    """Congruence basis P with P' A_i P = diag(diagonals[i]) for i = 0..m."""
+    """Congruence basis P with P' A_i P = diag(diagonals[i]) for i = 0..m.
+
+    ``multiplicity`` is the quadratic eigenvalue multiplicity k: the gcd
+    of the joint eigenspace dimensions.  Coordinates of one joint
+    eigenspace share the tuple (diagonals[0, j], ..., diagonals[m, j]),
+    so after reordering the columns of P every A_i is I_k (x) F_i, and k
+    is the largest such k over all bases.  k = N exactly when every A_i
+    is a multiple of A(gamma*).
+    """
 
     basis: np.ndarray
     diagonals: np.ndarray  # shape (m + 1, N), row 0 is the objective
+    multiplicity: int
 
 
 def _check_symmetric(M) -> np.ndarray:
@@ -72,19 +74,6 @@ def sym_eig(M) -> Spectrum:
 def is_definite(M, lam_min: float) -> bool:
     """Whether ``lam_min``, the smallest eigenvalue of M, is above PSD_TOL * max(1, max|M|)."""
     return lam_min > PSD_TOL * max(1.0, float(np.max(np.abs(M))))
-
-
-def psd_status(M, tol: float = PSD_TOL) -> Definiteness:
-    """Classify a symmetric matrix as PD, PSD-singular, or indefinite by
-    its smallest eigenvalue against tol * max(1, max|M|)."""
-    M = _check_symmetric(M)
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    lo = sym_eig(M).eigenvalues[0]
-    if lo > tol * scale:
-        return Definiteness.POSITIVE_DEFINITE
-    if lo < -tol * scale:
-        return Definiteness.INDEFINITE
-    return Definiteness.PSD_SINGULAR
 
 
 def solve_homogeneous(E) -> np.ndarray | None:
@@ -146,7 +135,7 @@ def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
                     f"(max commutator entry {np.max(np.abs(comm)):.3e})"
                 )
 
-    Q = _common_eigenbasis(mats)
+    Q, sizes = _common_eigenbasis(mats)
     P = W @ Q
     D = P.T @ p.A @ P
     diags = np.diagonal(D, axis1=1, axis2=2).copy()
@@ -157,11 +146,12 @@ def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
         raise NotSimultaneouslyDiagonalizable(
             f"residual off-diagonal {off[bad[0]]:.3e} for form {bad[0]} after joint diagonalization"
         )
-    return SimultaneousDiagonalization(basis=P, diagonals=diags)
+    return SimultaneousDiagonalization(basis=P, diagonals=diags, multiplicity=gcd(*sizes))
 
 
-def _common_eigenbasis(mats) -> np.ndarray:
-    """Orthogonal basis diagonalizing a commuting symmetric family.
+def _common_eigenbasis(mats):
+    """Orthogonal basis diagonalizing a commuting symmetric family, and
+    the sizes of its joint eigenspaces.
 
     Refines invariant blocks matrix by matrix, then reorders columns by
     their dominant row so already-diagonal families come back in the
@@ -185,27 +175,4 @@ def _common_eigenbasis(mats) -> np.ndarray:
             new_blocks.extend(np.split(blk, np.flatnonzero(np.diff(w) > split_tol) + 1))
         blocks = new_blocks
     order = np.argsort(np.argmax(np.abs(Q), axis=0), kind="stable")
-    return _fix_signs(Q[:, order])
-
-
-def _divisors_desc(n: int) -> list:
-    return [d for d in range(n, 0, -1) if n % d == 0]
-
-
-def kron_multiplicity(p: Qcqp) -> int:
-    """Largest k with A_i = I_k (x) (leading n x n block) for every quadratic,
-    entrywise within KRON_TOL * max(1, max|A_i|).
-
-    Checked in the given basis only, in decreasing divisor order; k = 1
-    always holds.
-    """
-    N = p.dim
-    for k in _divisors_desc(N):
-        n = N // k
-        if all(
-            np.max(np.abs(A - np.kron(np.eye(k), A[:n, :n])))
-            <= KRON_TOL * max(1.0, float(np.max(np.abs(A))))
-            for A in p.A
-        ):
-            return k
-    raise AssertionError("unreachable: k = 1 always matches")
+    return _fix_signs(Q[:, order]), [len(blk) for blk in blocks]

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._lp import CuttingPlaneLP
-from .core import Qcqp, stack_values
+from .core import Qcqp, objective_and_violations, stack_values
 from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
 
@@ -241,25 +240,20 @@ def brute_force(p: Qcqp, box, grid_points: int = 400):
     grad_bound = 2.0 * np.linalg.norm(p.A, 2, axis=(1, 2)) * corner + 2.0 * np.linalg.norm(p.b, axis=1)
 
     mi = p.num_inequalities
-    eq_ids = list(range(mi + 1, p.num_constraints + 1))
 
     def sweep(lo, hi, pts):
         axes = [np.linspace(lo[i], hi[i], pts) for i in range(n)]
         h = max(float(ax[1] - ax[0]) if len(ax) > 1 else 0.0 for ax in axes)
         mesh = np.meshgrid(*axes, indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = _kernels.eval_quadratics(p.A, p.b, p.c, X)
-        ok = np.ones(X.shape[0], dtype=bool)
-        eq_tols = {}
-        for i in range(1, p.num_constraints + 1):
-            if i - 1 < mi:
-                ok &= vals[i] <= BRUTE_FEAS_TOL
-            else:
-                eq_tols[i] = h * grad_bound[i] + 1e-12
-                ok &= np.abs(vals[i]) <= eq_tols[i]
+        obj, viol = objective_and_violations(p, X)
+        # Per-row tolerances: the inequality slack, then the equality bands.
+        eq_tols = h * grad_bound[mi + 1 :] + 1e-12
+        tols = np.r_[np.full(mi, BRUTE_FEAS_TOL), eq_tols]
+        ok = np.all(viol <= tols[:, None], axis=0)
         if not np.any(ok):
             return None
-        obj = np.where(ok, vals[0], np.inf)
+        obj = np.where(ok, obj, np.inf)
         j = int(np.argmin(obj))
         return float(obj[j]), X[j], h, eq_tols
 
@@ -271,9 +265,9 @@ def brute_force(p: Qcqp, box, grid_points: int = 400):
         # The zoom window must cover the drift of the relaxed-equality band
         # when its tolerance tightens at the next level.
         drift = 0.0
-        for i in eq_ids:
+        for i, eq_tol in enumerate(eq_tols, start=mi + 1):
             g = 2.0 * float(np.linalg.norm(p.A[i] @ x + p.b[i]))
-            drift = max(drift, eq_tols[i] / max(g, 1e-6))
+            drift = max(drift, eq_tol / max(g, 1e-6))
         half = 2.0 * h + drift
         lo = np.maximum(x - half, box[:, 0])
         hi = np.minimum(x + half, box[:, 1])

@@ -2,8 +2,23 @@ import numpy as np
 import pytest
 
 from qcqp_hull.gamma import build_gamma_data
-from qcqp_hull.generators import example1
+from qcqp_hull.generators import barvinok_random, example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import soc_description
+
+# Small instances of every family, each with a certified multiplier set
+# (barvinok seeds 0-3 commute).
+SMALL_INSTANCES = {
+    "example1": example1,
+    **{f"gtrs-{n}-{s}": (lambda n=n, s=s: gtrs(n, s)) for n in (2, 3, 4) for s in range(3)},
+    **{f"qmp-1-2-2-{s}": (lambda s=s: quadratic_matrix_program(1, 2, 2, seed=s)) for s in range(2)},
+    **{f"qmp-2-3-2-{s}": (lambda s=s: quadratic_matrix_program(2, 3, 2, seed=s)) for s in range(3)},
+    **{
+        f"swisscheese-{n}-{s}": (lambda n=n, s=s: swiss_cheese(n, 1, 1, 1, seed=s))
+        for n in (3, 4)
+        for s in range(2)
+    },
+    **{f"barvinok-3-1-{s}": (lambda s=s: barvinok_random(3, 1, seed=s)) for s in range(4)},
+}
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +41,32 @@ def random_spd(rng, n, shift=1.0):
     S = 0.5 * (S + S.T)
     lam = np.linalg.eigvalsh(S)[0]
     return S + (abs(lam) + shift) * np.eye(n)
+
+
+def kron_oracle(p, tol=1e-10):
+    """Largest k with A_i = I_k (x) (leading n x n block) for every
+    quadratic, entrywise within tol * max(1, max|A_i|), in the given basis
+    only; k = 1 always holds."""
+    N = p.dim
+    for k in range(N, 0, -1):
+        n = N // k
+        if N % k == 0 and all(
+            np.max(np.abs(A - np.kron(np.eye(k), A[:n, :n]))) <= tol * max(1.0, np.max(np.abs(A)))
+            for A in p.A
+        ):
+            return k
+
+
+def all_scaled_identities(p, tol=1e-12):
+    """Every Hessian is alpha_i I in the given basis, entrywise within
+    tol * max(1, |alpha_i|)."""
+    alpha = np.trace(p.A, axis1=1, axis2=2) / p.dim
+    dev = np.max(np.abs(p.A - alpha[:, None, None] * np.eye(p.dim)), axis=(1, 2))
+    return bool(np.all(dev <= tol * np.maximum(1.0, np.abs(alpha))))
+
+
+def conditioned_map(rng, n, cond):
+    """A random n x n matrix with condition number ``cond``."""
+    Q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q1 @ np.diag(np.logspace(0.0, np.log10(cond), n)) @ Q2

@@ -14,7 +14,6 @@ from qcqp_hull.core import EpigraphPoint
 from qcqp_hull.gamma import build_gamma_data, dd_vrep, enumerate_faces, optimal_face
 from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import decompose, soc_description, verify_certificate
-from qcqp_hull.linalg import kron_multiplicity
 from qcqp_hull.solve import brute_force, minimize_soc
 
 GTRS_INSTANCES = 50
@@ -137,14 +136,15 @@ def test_criterion_6_multiplicity_family():
     start = time.perf_counter()
     for seed in range(QMP_INSTANCES):
         p = quadratic_matrix_program(2, 3, 2, seed=seed)
-        k = kron_multiplicity(p)
-        assert k >= 3
         gd = build_gamma_data(p)
-        rep = check_conditions(p, gd, k)
+        k = gd.sd.multiplicity
+        assert k >= 3
+        rep = check_conditions(p, gd)
+        assert rep.k == k
         assert rep.theorem2
         for f in enumerate_faces(gd.h, gd.v):
             if not f.definite:
-                assert f.dim_v >= k
+                assert f.dim_v % k == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(6, elapsed, f"{QMP_INSTANCES} block-structured instances")

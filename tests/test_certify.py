@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import SMALL_INSTANCES, conditioned_map
 from qcqp_hull import certify, gamma
-from qcqp_hull.core import Qcqp, QuadraticFn
+from qcqp_hull.core import Qcqp, QuadraticFn, affine_transform
 from qcqp_hull.certify import analyze_problem, check_conditions, report_text
 from qcqp_hull.gamma import build_gamma_data, find_definite_multiplier
 from qcqp_hull.generators import (
@@ -12,12 +13,11 @@ from qcqp_hull.generators import (
     quadratic_matrix_program,
     swiss_cheese,
 )
-from qcqp_hull.linalg import kron_multiplicity
 
 
 class TestExample1Report:
     def test_all_conditions(self, ex1, ex1_gd):
-        report = check_conditions(ex1, ex1_gd, kron_multiplicity(ex1))
+        report = check_conditions(ex1, ex1_gd)
         assert report.assumption1
         assert report.assumption2 == "pass"
         assert report.corollary_b0
@@ -30,7 +30,7 @@ class TestExample1Report:
         assert all(r.dim_v == 1 and r.b_aff_dim == 0 for r in sd)
 
     def test_report_text_renders(self, ex1, ex1_gd):
-        report = check_conditions(ex1, ex1_gd, kron_multiplicity(ex1))
+        report = check_conditions(ex1, ex1_gd)
         text = report_text(report)
         assert "hull_guaranteed: TRUE" in text
         assert "PASS" in text
@@ -110,6 +110,8 @@ def test_barvinok_noncommuting_reports_unknown_polyhedrality():
     assert report.theorem1 is None and report.theorem2 is None
     assert not report.corollary_b0  # not certified without polyhedrality
     assert any("polyhedrality" in n for n in report.notes)
+    assert report.k is None  # no joint eigenbasis settles k
+    assert "quadratic eigenvalue multiplicity: k = ?" in report_text(report)
 
 
 def test_non_sd_branch_finds_the_multiplier_once(monkeypatch):
@@ -192,3 +194,54 @@ def test_conditions_imply_decomposability():
         for pt in sample_relaxed_points(p, gd, 10, rng):
             comb = decompose(p, gd, pt, soc=soc)
             assert verify_certificate(p, comb, pt)
+
+
+def _verdicts(p):
+    """Everything in the report that a change of variables or a rescaling
+    of the constraints must keep."""
+    r, gd = analyze_problem(p)
+    return {
+        "assumption1": r.assumption1,
+        "assumption2": r.assumption2,
+        "k": r.k,
+        "theorem1": r.theorem1,
+        "theorem2": r.theorem2,
+        "corollary_m1": r.corollary_m1,
+        "corollary_b0": r.corollary_b0,
+        "corollary_scaled_identity": r.corollary_scaled_identity,
+        "hull_guaranteed": r.hull_guaranteed,
+        "faces": r.num_faces,
+        "semidefinite_faces": len(r.semidefinite_faces),
+        "vertices": None if gd is None else gd.v.vertices.shape[0],
+        "rays": None if gd is None else gd.v.rays.shape[0],
+    }
+
+
+def _rescaled(p, rng):
+    s = 10.0 ** rng.uniform(-3.0, 3.0, size=p.num_constraints)
+    return Qcqp(
+        p.objective,
+        tuple(QuadraticFn(si * q.A, si * q.b, si * q.c) for si, q in zip(s, p.constraints)),
+        p.num_inequalities,
+        p.num_equalities,
+    )
+
+
+def _permuted(p, rng):
+    mi = p.num_inequalities
+    order = np.r_[rng.permutation(mi), mi + rng.permutation(p.num_equalities)]
+    return Qcqp(p.objective, tuple(p.constraints[i] for i in order), mi, p.num_equalities)
+
+
+def _mapped(p, rng):
+    return affine_transform(p, conditioned_map(rng, p.dim, 100.0), np.zeros(p.dim))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_INSTANCES))
+def test_report_invariant_under_scaling_permutation_and_linear_map(name):
+    p = SMALL_INSTANCES[name]()
+    want = _verdicts(p)
+    rng = np.random.default_rng(sorted(SMALL_INSTANCES).index(name))
+    for _ in range(2):
+        for transform in (_rescaled, _permuted, _mapped):
+            assert _verdicts(transform(p, rng)) == want, transform.__name__

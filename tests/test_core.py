@@ -7,10 +7,9 @@ from qcqp_hull.core import (
     QuadraticFn,
     affine_transform,
     check_feasible,
-    constraint_values,
     eval_quadratic,
     lagrangian,
-    shor_matrix,
+    objective_and_violations,
     stack_values,
 )
 from qcqp_hull.gamma import build_gamma_data
@@ -101,29 +100,6 @@ def test_check_feasible_examples(ex1):
     assert rep.feasible
 
 
-def test_shor_matrix_examples(ex1):
-    assert np.array_equal(
-        shor_matrix(QuadraticFn(np.eye(1), np.zeros(1), 0.0)), [[0.0, 0.0], [0.0, 1.0]]
-    )
-    assert np.array_equal(
-        shor_matrix(ex1.constraints[0]),
-        [[-5.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]],
-    )
-    assert np.array_equal(
-        shor_matrix(QuadraticFn(np.zeros((1, 1)), np.ones(1), 0.0)), [[0.0, 1.0], [1.0, 0.0]]
-    )
-
-
-def test_shor_matrix_roundtrip_exact():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(4, 4))
-    q = QuadraticFn(A, rng.normal(size=4), rng.normal())
-    M = shor_matrix(q)
-    assert np.array_equal(M[1:, 1:], q.A)
-    assert np.array_equal(M[0, 1:], q.b)
-    assert M[0, 0] == q.c
-
-
 def test_affine_transform_identity(ex1):
     same = affine_transform(ex1, np.eye(2), np.zeros(2))
     for q1, q2 in zip(same.quadratics(), ex1.quadratics()):
@@ -204,7 +180,21 @@ def test_stack_values_match_scalar_formula(family):
         want = np.array([eval_quadratic(q, x) for q in p.quadratics()])
         got = stack_values(p, x)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(constraint_values(p, x), got[1:])
+
+
+@pytest.mark.parametrize("family", sorted(STACKED))
+def test_violations_match_scalar_rule(family):
+    p = STACKED[family]()
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(20, p.dim)) * 3
+    obj, viol = objective_and_violations(p, X)
+    assert obj.shape == (20,) and viol.shape == (p.num_constraints, 20)
+    for j, x in enumerate(X):
+        vals = stack_values(p, x)
+        want = [max(v, 0.0) if i < p.num_inequalities else abs(v) for i, v in enumerate(vals[1:])]
+        assert np.allclose(obj[j], vals[0], rtol=1e-12, atol=1e-12)
+        assert np.allclose(viol[:, j], want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(check_feasible(p, EpigraphPoint(x, 0.0)).violations, want)
 
 
 @pytest.mark.parametrize("family", sorted(STACKED))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from qcqp_hull.core import Qcqp, QuadraticFn, constraint_values, eval_quadratic
+from qcqp_hull.core import Qcqp, QuadraticFn, eval_quadratic, stack_values
 from qcqp_hull.errors import GuardExceeded, NoInteriorPoint
 from qcqp_hull.gamma import (
     FACE_TOL,
@@ -24,7 +24,7 @@ from qcqp_hull.generators import (
     quadratic_matrix_program,
     swiss_cheese,
 )
-from qcqp_hull.linalg import PSD_TOL, Definiteness, psd_status, sym_eig, whiten_simdiag
+from qcqp_hull.linalg import PSD_TOL, sym_eig, whiten_simdiag
 
 
 def poly(*rows):
@@ -395,7 +395,7 @@ class TestOptimalFace:
             x = rng.normal(size=2) * 3
             res = optimal_face(ex1_gd.v, ex1, x, ex1_gd.h)
             vals = [
-                eval_quadratic(ex1.objective, x) + g @ constraint_values(ex1, x)
+                eval_quadratic(ex1.objective, x) + g @ stack_values(ex1, x)[1:]
                 for g in ex1_gd.v.vertices
             ]
             assert res[0] == pytest.approx(max(vals), abs=1e-9)
@@ -480,14 +480,15 @@ class TestClassifyFace:
             for f in faces:
                 gamma_bar = f.relint_point()
                 A_bar = p.A[0] + np.tensordot(gamma_bar, p.A[1:], 1)
-                status = psd_status(A_bar)
+                # classify A_bar by its smallest eigenvalue against
+                # PSD_TOL * max(1, max|A_bar|)
+                zero_tol = PSD_TOL * max(1.0, np.max(np.abs(A_bar)))
+                eigs = sym_eig(A_bar).eigenvalues
                 if f.definite:
-                    assert status is Definiteness.POSITIVE_DEFINITE
+                    assert eigs[0] > zero_tol
                 else:
-                    assert status is Definiteness.PSD_SINGULAR
-                    # dim V is the number of zero eigenvalues under psd_status's tolerance
-                    zero_tol = PSD_TOL * max(1.0, np.max(np.abs(A_bar)))
-                    eigs = sym_eig(A_bar).eigenvalues
+                    assert abs(eigs[0]) <= zero_tol
+                    # dim V is the number of zero eigenvalues under that tolerance
                     assert f.dim_v == np.count_nonzero(np.abs(eigs) <= zero_tol)
                     assert np.max(np.abs(A_bar @ _dead_basis(gd, f))) <= 1e-8
 

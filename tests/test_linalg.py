@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd
-from qcqp_hull.core import Qcqp, QuadraticFn
+from conftest import SMALL_INSTANCES, all_scaled_identities, conditioned_map, kron_oracle, random_spd
+from qcqp_hull.core import Qcqp, QuadraticFn, affine_transform
 from qcqp_hull.errors import NotSimultaneouslyDiagonalizable
+from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import example1, quadratic_matrix_program
 from qcqp_hull.linalg import (
     PSD_TOL,
-    Definiteness,
-    kron_multiplicity,
-    psd_status,
+    is_definite,
     solve_homogeneous,
     sym_eig,
     whiten_simdiag,
@@ -51,36 +50,31 @@ class TestSymEig:
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
-class TestPsdStatus:
+class TestIsDefinite:
     def test_examples(self):
-        assert psd_status(np.eye(2)) is Definiteness.POSITIVE_DEFINITE
+        assert is_definite(np.eye(2), 1.0)
         M = np.diag([2.0, 0.0])
-        assert psd_status(M) is Definiteness.PSD_SINGULAR
+        assert not is_definite(M, sym_eig(M).eigenvalues[0])
         # its nullspace is spanned by e_2: one zero eigenvalue under the same tolerance
         spec = sym_eig(M)
         zero = np.abs(spec.eigenvalues) <= PSD_TOL * max(1.0, np.max(np.abs(M)))
         assert np.count_nonzero(zero) == 1
         assert np.allclose(np.abs(spec.eigenvectors[:, zero][:, 0]), [0.0, 1.0])
-        assert psd_status(np.diag([1.0, -1.0])) is Definiteness.INDEFINITE
+        assert not is_definite(np.diag([1.0, -1.0]), -1.0)
 
     def test_agrees_with_leading_minors(self):
         # Sylvester: PD iff all leading principal minors are positive.
         rng = np.random.default_rng(11)
-        tol = 1e-9
         checked = 0
         while checked < 60:
             S = rng.normal(size=(3, 3))
             S = 0.5 * (S + S.T) + rng.normal() * np.eye(3)
             lam = np.linalg.eigvalsh(S)
-            if abs(lam[0]) <= 10 * tol:
+            if abs(lam[0]) <= 10 * PSD_TOL:
                 continue
             checked += 1
             minors_pos = all(np.linalg.det(S[:k, :k]) > 0 for k in (1, 2, 3))
-            got = psd_status(S, tol=tol)
-            if minors_pos:
-                assert got is Definiteness.POSITIVE_DEFINITE
-            else:
-                assert got is Definiteness.INDEFINITE
+            assert is_definite(S, sym_eig(S).eigenvalues[0]) == minors_pos
 
 
 class TestSolveHomogeneous:
@@ -173,7 +167,14 @@ class TestWhitenSimdiag:
             whiten_simdiag(p, np.zeros(1))
 
 
+def _multiplicity(p) -> int:
+    return build_gamma_data(p).sd.multiplicity
+
+
 class TestKronMultiplicity:
+    """The joint eigenbasis's multiplicity against the given-basis scan
+    ``kron_oracle`` on instances given in Kronecker form."""
+
     def test_scaled_identities_give_full_multiplicity(self):
         n = 4
         p = Qcqp(
@@ -182,26 +183,38 @@ class TestKronMultiplicity:
             num_inequalities=1,
             num_equalities=0,
         )
-        k = kron_multiplicity(p)
-        assert k == n
-        # each Hessian is I_n (x) its 1 x 1 leading block
-        for A in p.A:
-            assert np.array_equal(A, np.kron(np.eye(k), A[:1, :1]))
+        assert _multiplicity(p) == kron_oracle(p) == n
 
     def test_example1_is_one(self, ex1):
-        assert kron_multiplicity(ex1) == 1
+        assert _multiplicity(ex1) == kron_oracle(ex1) == 1
 
     def test_constructed_block_structure_detected(self):
         p = quadratic_matrix_program(2, 3, 2, seed=9)
-        k = kron_multiplicity(p)
+        k = _multiplicity(p)
         assert k in (3, 6)
-        n = 6 // k
-        for A in p.A:
-            assert np.max(np.abs(A - np.kron(np.eye(k), A[:n, :n]))) <= 1e-10
+        assert k == kron_oracle(p)
 
     def test_roundtrip(self):
         p = quadratic_matrix_program(3, 2, 2, seed=5)
-        k = kron_multiplicity(p)
+        k = _multiplicity(p)
+        assert k == kron_oracle(p)
         n = p.dim // k
         for q in p.quadratics():
             assert np.max(np.abs(np.kron(np.eye(k), q.A[:n, :n]) - q.A)) <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(SMALL_INSTANCES))
+    def test_matches_given_basis_scan(self, name):
+        # each instance family is built in Kronecker form, or has k = 1
+        p = SMALL_INSTANCES[name]()
+        k = _multiplicity(p)
+        assert k == kron_oracle(p)
+        assert (k == p.dim) == all_scaled_identities(p)
+
+    def test_basis_change_keeps_multiplicity(self):
+        p = quadratic_matrix_program(2, 3, 2, seed=0)
+        U = conditioned_map(np.random.default_rng(0), p.dim, 100.0)
+        moved = affine_transform(p, U, np.zeros(p.dim))
+        assert kron_oracle(p) == _multiplicity(p) == 3
+        # the given-basis scan loses the structure; the joint eigenbasis keeps it
+        assert kron_oracle(moved) == 1
+        assert _multiplicity(moved) == 3

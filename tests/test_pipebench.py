@@ -2,9 +2,13 @@
 
 pipebench/pipeline.py reaches the library through module attributes, so a
 library change that drops or renames a name it calls fails here, not
-only in a benchmark run.  The module is loaded from its file, unedited.
+only in a benchmark run.  pipebench/tracing.py names the library
+functions whose spans feed the per-layer metrics; a dropped or renamed
+one would silently read 0, so it fails here too.  Both modules are loaded
+from their files, unedited.
 """
 
+import importlib
 import importlib.util
 import json
 import sys
@@ -17,16 +21,30 @@ from qcqp_hull import _kernels
 BENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
 
-def _load_pipeline():
-    spec = importlib.util.spec_from_file_location("pipebench_pipeline", BENCH / "pipeline.py")
+# Traced functions the library no longer has; their spans read 0 until the
+# benchmark's TARGETS drops them.
+GONE_TARGETS = {"jacobi_eigh", "find_gamma_star", "classify_face", "psd_status", "kron_multiplicity"}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"pipebench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
+def test_traced_functions_exist():
+    missing = {
+        attr
+        for mod_name, attr, _ in _load("tracing").TARGETS
+        if not callable(getattr(importlib.import_module(mod_name), attr, None))
+    }
+    assert missing <= GONE_TARGETS, f"traced but absent from the library: {sorted(missing - GONE_TARGETS)}"
+
+
 def test_jobs_on_example1_match_reference(tmp_path):
-    pl = _load_pipeline()
+    pl = _load("pipeline")
     reference = json.loads((BENCH / "reference.json").read_text())
     kinds = ("hull", "analyze", "solve", "decompose")
     workload = pl.Workload("smoke", pool=(pl.EXAMPLE1,), kinds=kinds, control=())
@@ -50,7 +68,7 @@ def test_jobs_on_example1_match_reference(tmp_path):
 def test_pool_instance_matches_reference(tmp_path, workload, pool):
     """One pool instance per workload runs hull and analyze through the
     unedited check, so a change that moves a reference count fails here."""
-    pl = _load_pipeline()
+    pl = _load("pipeline")
     reference = json.loads((BENCH / "reference.json").read_text())
     w = pl.Workload(workload, pool=tuple(pool(pl)), kinds=("hull", "analyze"), control=())
     jobs = pl.job_list(pl.prepare(w, 0, str(tmp_path)), 0)
