@@ -153,14 +153,17 @@ def _common_eigenbasis(mats):
     """Orthogonal basis diagonalizing a commuting symmetric family, and
     the sizes of its joint eigenspaces.
 
-    Refines invariant blocks matrix by matrix, then reorders columns by
-    their dominant row so already-diagonal families come back in the
-    original coordinate order.
+    Refines invariant blocks matrix by matrix, splitting a block where
+    adjacent eigenvalues of B differ by more than 1e-7 * max|B|, a bound
+    that scales with B so the sizes do not depend on how the forms are
+    scaled.  Then reorders columns by their dominant row so
+    already-diagonal families come back in the original coordinate order.
     """
     n = mats[0].shape[0]
     Q = np.eye(n)
     blocks = [np.arange(n)]
     for B in mats:
+        split_tol = 1e-7 * float(np.max(np.abs(B)))
         new_blocks = []
         for blk in blocks:
             if len(blk) == 1:
@@ -170,9 +173,7 @@ def _common_eigenbasis(mats):
             R = Qb.T @ B @ Qb
             spec = sym_eig(R)
             Q[:, blk] = Qb @ spec.eigenvectors
-            w = spec.eigenvalues
-            split_tol = 1e-7 * max(1.0, float(np.max(np.abs(w))))
-            new_blocks.extend(np.split(blk, np.flatnonzero(np.diff(w) > split_tol) + 1))
+            new_blocks.extend(np.split(blk, np.flatnonzero(np.diff(spec.eigenvalues) > split_tol) + 1))
         blocks = new_blocks
     order = np.argsort(np.argmax(np.abs(Q), axis=0), kind="stable")
     return _fix_signs(Q[:, order]), [len(blk) for blk in blocks]

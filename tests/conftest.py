@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcqp_hull.core import Qcqp, QuadraticFn
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import barvinok_random, example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import soc_description
@@ -19,6 +20,19 @@ SMALL_INSTANCES = {
     },
     **{f"barvinok-3-1-{s}": (lambda s=s: barvinok_random(3, 1, seed=s)) for s in range(4)},
 }
+
+
+# Two distinct forms of order 1e-8 beside A_0 = I: no joint eigenspace of
+# dimension 2, so k = 1 although every whitened form is within 1e-7 of 0.
+TINY_DISTINCT = Qcqp(
+    objective=QuadraticFn(np.eye(2), np.zeros(2), 0.0),
+    constraints=(
+        QuadraticFn(1e-8 * np.diag([1.0, -1.0]), np.zeros(2), -1.0),
+        QuadraticFn(1e-8 * np.diag([-1.0, 2.0]), np.zeros(2), -1.0),
+    ),
+    num_inequalities=2,
+    num_equalities=0,
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SMALL_INSTANCES, conditioned_map
+from conftest import SMALL_INSTANCES, TINY_DISTINCT, conditioned_map
 from qcqp_hull import certify, gamma
 from qcqp_hull.core import Qcqp, QuadraticFn, affine_transform
 from qcqp_hull.certify import analyze_problem, check_conditions, report_text
@@ -68,6 +68,14 @@ def test_swiss_cheese_scaled_identity(counts):
     report, _ = analyze_problem(p)
     assert report.corollary_scaled_identity
     assert report.hull_guaranteed
+
+
+def test_small_distinct_forms_are_not_scaled_identities():
+    # A_0 = I beside 1e-8 * diag(1, -1) and 1e-8 * diag(-1, 2): no Hessian
+    # but A_0 is a multiple of A(gamma*) = I, so k = 1 at every scale.
+    report, _ = analyze_problem(TINY_DISTINCT)
+    assert report.k == 1
+    assert not report.corollary_scaled_identity
 
 
 def test_swiss_cheese_needs_m_at_most_n():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SMALL_INSTANCES, all_scaled_identities, conditioned_map, kron_oracle, random_spd
+from conftest import SMALL_INSTANCES, TINY_DISTINCT, all_scaled_identities, conditioned_map, kron_oracle, random_spd
 from qcqp_hull.core import Qcqp, QuadraticFn, affine_transform
 from qcqp_hull.errors import NotSimultaneouslyDiagonalizable
 from qcqp_hull.gamma import build_gamma_data
@@ -52,15 +52,14 @@ class TestSymEig:
 
 class TestIsDefinite:
     def test_examples(self):
-        assert is_definite(np.eye(2), 1.0)
+        for M, want in ((np.eye(2), True), (np.diag([2.0, 0.0]), False), (np.diag([1.0, -1.0]), False)):
+            assert is_definite(M, sym_eig(M).eigenvalues[0]) == want
+        # diag(2, 0) has its nullspace spanned by e_2: one zero eigenvalue under the same tolerance
         M = np.diag([2.0, 0.0])
-        assert not is_definite(M, sym_eig(M).eigenvalues[0])
-        # its nullspace is spanned by e_2: one zero eigenvalue under the same tolerance
         spec = sym_eig(M)
         zero = np.abs(spec.eigenvalues) <= PSD_TOL * max(1.0, np.max(np.abs(M)))
         assert np.count_nonzero(zero) == 1
         assert np.allclose(np.abs(spec.eigenvectors[:, zero][:, 0]), [0.0, 1.0])
-        assert not is_definite(np.diag([1.0, -1.0]), -1.0)
 
     def test_agrees_with_leading_minors(self):
         # Sylvester: PD iff all leading principal minors are positive.
@@ -167,6 +166,12 @@ class TestWhitenSimdiag:
             whiten_simdiag(p, np.zeros(1))
 
 
+def _rescaled(p, s) -> Qcqp:
+    """p with constraint i multiplied by s[i]."""
+    cons = tuple(QuadraticFn(si * q.A, si * q.b, si * q.c) for si, q in zip(s, p.constraints))
+    return Qcqp(p.objective, cons, p.num_inequalities, p.num_equalities)
+
+
 def _multiplicity(p) -> int:
     return build_gamma_data(p).sd.multiplicity
 
@@ -209,6 +214,19 @@ class TestKronMultiplicity:
         k = _multiplicity(p)
         assert k == kron_oracle(p)
         assert (k == p.dim) == all_scaled_identities(p)
+
+    @pytest.mark.parametrize("name", [*sorted(SMALL_INSTANCES), "tiny-distinct"])
+    def test_constraint_scaling_keeps_multiplicity(self, name):
+        # Whitening at the rescaled multiplier gamma*_i / s_i gives the same
+        # A(gamma*), so only the scale of the whitened constraint forms moves.
+        p = TINY_DISTINCT if name == "tiny-distinct" else SMALL_INSTANCES[name]()
+        gd = build_gamma_data(p)
+        assert gd.sd.multiplicity == kron_oracle(p)
+        rng = np.random.default_rng(sorted(SMALL_INSTANCES).index(name) if name in SMALL_INSTANCES else 99)
+        m = p.num_constraints
+        for s in (np.full(m, 1e-8), np.full(m, 1e8), 10.0 ** rng.uniform(-8.0, 3.0, size=m)):
+            scaled = _rescaled(p, s)
+            assert whiten_simdiag(scaled, gd.gamma_star / s).multiplicity == gd.sd.multiplicity, s
 
     def test_basis_change_keeps_multiplicity(self):
         p = quadratic_matrix_program(2, 3, 2, seed=0)
