@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import EpigraphPoint, Qcqp, check_feasible, eval_quadratic
 from .errors import NoInteriorPoint, NotSimultaneouslyDiagonalizable
-from .gamma import GammaData, b_aff_dim, build_gamma_data, enumerate_faces
+from .gamma import GammaData, b_aff_dims, build_gamma_data, enumerate_faces
 
 ZERO_B_TOL = 1e-12
 
@@ -56,12 +56,10 @@ def check_conditions(p: Qcqp, gd: GammaData) -> ConditionReport:
     A(gamma*), a scaled-identity family after a change of basis."""
     k = gd.sd.multiplicity
     faces = enumerate_faces(gd.h, gd.v)
+    semidef_faces = [f for f in faces if not f.definite]
     semidef = [
-        SemidefiniteFaceRecord(
-            active_rows=f.active_rows, aff_dim=f.aff_dim, dim_v=f.dim_v, b_aff_dim=b_aff_dim(f, p)
-        )
-        for f in faces
-        if not f.definite
+        SemidefiniteFaceRecord(active_rows=f.active_rows, aff_dim=f.aff_dim, dim_v=f.dim_v, b_aff_dim=d)
+        for f, d in zip(semidef_faces, b_aff_dims(semidef_faces, p))
     ]
     theorem1 = all(r.dim_v >= r.b_aff_dim + 1 for r in semidef)
     theorem2 = all(k >= r.b_aff_dim + 1 for r in semidef)

@@ -13,6 +13,7 @@ active eigenvalue rows) settle whether it is definite and its dim V.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -142,25 +143,38 @@ class GammaData:
     margin: float
 
 
-def _rank(M, tol: float = RANK_TOL) -> int:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
+def _ranks(M, tol: float = RANK_TOL) -> np.ndarray:
+    """Rank of each matrix in the (..., r, c) stack M: its singular values
+    above tol * max(1, s_max).  A matrix without rows or columns has rank 0."""
+    M = np.asarray(M, dtype=float)
+    if M.shape[-2] == 0 or M.shape[-1] == 0:
+        return np.zeros(M.shape[:-2], dtype=int)
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return (s > tol * np.maximum(1.0, s[..., :1])).sum(axis=-1)
+
+
+def _rank(M, tol: float = RANK_TOL) -> int:
+    return int(_ranks(np.atleast_2d(M), tol))
 
 
 def _directions(generators: np.ndarray) -> np.ndarray:
     """Homogenized generator rows after the first, a vertex, minus that
     vertex where they are vertices: [0, gamma_e - gamma_0] and [0, gamma_r],
-    whose span is the linear part of the affine hull of the generators."""
-    rest = generators[1:]
-    return rest - rest[:, :1] * generators[0]
+    whose span is the linear part of the affine hull of the generators.
+    Works on a (..., G, m + 1) stack of generator arrays."""
+    rest = generators[..., 1:, :]
+    return rest - rest[..., :1] * generators[..., :1, :]
 
 
 def b_aff_dim(face: Face, p: Qcqp) -> int:
     """Affine dimension of gamma -> b(gamma) = b_0 + sum gamma_i b_i over the face."""
     return _rank(_directions(face.generators) @ p.b)
+
+
+def _by_size(sizes) -> dict:
+    """Positions of each distinct size: {size: index array}."""
+    sizes = np.asarray(sizes, dtype=int)
+    return {int(n): np.flatnonzero(sizes == n) for n in np.unique(sizes)}
 
 
 def _incidence(h: PolyhedronH, generators: np.ndarray) -> np.ndarray:
@@ -310,23 +324,33 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD) -> PolyhedronV:
 # Optimization and faces
 
 
-def _face(v: PolyhedronV, ids, act: np.ndarray, num_eigen: int) -> Face:
+def _face(v: PolyhedronV, ids: list, generators: np.ndarray, active: np.ndarray, aff_dim: int,
+          num_eigen: int) -> Face:
     """The face spanned by the generators of ``v`` with the given ascending
-    ids.  ``act`` holds the incidences of exactly these generators, so the
-    face's active rows are the rows active at all of them."""
-    ids = [int(i) for i in ids]
+    ids.  ``generators`` are their rows of ``v.generators``, the mask
+    ``active`` marks the rows active at all of them and ``aff_dim`` is
+    their affine dimension; callers compute the last two for one face or
+    for a stack of faces."""
     nv = v.vertices.shape[0]
-    generators = v.generators[ids]
-    active = np.flatnonzero(np.all(act, axis=0))
+    k = bisect.bisect_left(ids, nv)
+    active = np.flatnonzero(active).tolist()
     return Face(
         generator_ids=tuple(ids),
-        vertex_ids=tuple(i for i in ids if i < nv),
-        ray_ids=tuple(i - nv for i in ids if i >= nv),
+        vertex_ids=tuple(ids[:k]),
+        ray_ids=tuple(i - nv for i in ids[k:]),
         generators=generators,
-        active_rows=tuple(int(i) for i in active),
-        aff_dim=_rank(_directions(generators)),
-        dead=tuple(int(i) for i in active[active < num_eigen]),
+        active_rows=tuple(active),
+        aff_dim=aff_dim,
+        dead=tuple(active[: bisect.bisect_left(active, num_eigen)]),
     )
+
+
+def _unpack_bitmasks(keys, width: int) -> np.ndarray:
+    """One boolean row of ``width`` per int key, entry k its bit k."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(k.to_bytes(nbytes, "little") for k in keys)
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes), axis=1, bitorder="little")
+    return bits[:, :width].astype(bool)
 
 
 def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
@@ -345,7 +369,10 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
         return None
     # The maximizers: vertices at the sup, rays along which it is flat.
     ids = np.flatnonzero(np.abs(vals - sup * v.generators[:, 0]) <= tol_abs)
-    return sup, _face(v, ids, _incidence(h, v.generators[ids]), h.num_eigen)
+    generators = v.generators[ids]
+    active = _incidence(h, generators).all(axis=0)
+    aff_dim = _rank(_directions(generators))
+    return sup, _face(v, ids.tolist(), generators, active, aff_dim, h.num_eigen)
 
 
 def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
@@ -357,17 +384,21 @@ def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
     at; rows active at no vertex cut out nothing and are dropped, so the
     guard counts the cuts the closure really runs over.  Faces are
     identified by the ambient generators they contain; a candidate without
-    a vertex is empty.
+    a vertex is empty.  The faces with the same number of generators get
+    their affine dimensions from one stacked SVD and their active rows
+    from one reduction over the incidences.
     """
     if v.is_empty:
         return []
-    nv = v.vertices.shape[0]
+    nv, num_gen = v.vertices.shape[0], v.generators.shape[0]
     act = _incidence(h, v.generators)
     cols = np.unique(act[:, act[:nv].any(axis=0)], axis=1)
     if cols.shape[1] > FACE_GUARD:
         raise GuardExceeded(f"face enumeration guard: {cols.shape[1]} cuts > {FACE_GUARD}")
-    cuts = [frozenset(np.flatnonzero(c).tolist()) for c in cols.T]
-    full = frozenset(range(v.generators.shape[0]))
+    # Generator-id sets as bitmasks, bit k for generator k (vertices first).
+    cuts = [sum(1 << k for k in np.flatnonzero(c).tolist()) for c in cols.T]
+    has_vertex = (1 << nv) - 1
+    full = (1 << num_gen) - 1
     seen = {full}
     frontier = [full]
     while frontier:
@@ -375,13 +406,32 @@ def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
         for ids in frontier:
             for cut in cuts:
                 key = ids & cut
-                if key not in seen and min(key, default=nv) < nv:
+                if key & has_vertex and key not in seen:
                     seen.add(key)
                     fresh.append(key)
         frontier = fresh
-    faces = [_face(v, ids, act[ids], h.num_eigen) for ids in map(sorted, seen)]
+    member = _unpack_bitmasks(seen, num_gen)
+    faces = []
+    for size, group in _by_size(member.sum(axis=1)).items():
+        I = np.nonzero(member[group])[1].reshape(len(group), size)
+        generators = v.generators[I]
+        aff_dims = _ranks(_directions(generators)).tolist()
+        active = act[I].all(axis=1)
+        faces += [
+            _face(v, ids, g, a, d, h.num_eigen)
+            for ids, g, a, d in zip(I.tolist(), generators, active, aff_dims)
+        ]
     faces.sort(key=lambda f: (f.aff_dim, f.vertex_ids, f.ray_ids))
     return faces
+
+
+def b_aff_dims(faces, p: Qcqp) -> list:
+    """``b_aff_dim`` of each face, from one stacked SVD per generator count."""
+    dims = np.zeros(len(faces), dtype=int)
+    for group in _by_size([len(f.generator_ids) for f in faces]).values():
+        generators = np.stack([faces[j].generators for j in group])
+        dims[group] = _ranks(_directions(generators) @ p.b)
+    return dims.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
 
 # brute_force: zoom levels and points per axis after the first grid,
-# and inequality slack
+# inequality slack, and the most grid points evaluated at once
 BRUTE_REFINE_LEVELS = 3
 BRUTE_REFINE_POINTS = 81
 BRUTE_FEAS_TOL = 1e-9
+BRUTE_SLAB_POINTS = 400**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +228,11 @@ def brute_force(p: Qcqp, box, grid_points: int = 400):
     N <= 3 only; raises ValueError for N > 3.
 
     A dense grid with recursive zoom refinement; equality constraints are
-    relaxed proportionally to the current grid spacing.  Returns
-    (value, x); raises NoFeasiblePoint when nothing in the box satisfies
-    the constraints.
+    relaxed proportionally to the current grid spacing.  Each grid is
+    evaluated in slabs of whole layers along the first axis, at most
+    BRUTE_SLAB_POINTS points or one layer each, so memory stays bounded at
+    N = 3.  Returns (value, x); raises NoFeasiblePoint when
+    nothing in the box satisfies the constraints.
     """
     n = p.dim
     if n > 3:
@@ -244,18 +247,25 @@ def brute_force(p: Qcqp, box, grid_points: int = 400):
     def sweep(lo, hi, pts):
         axes = [np.linspace(lo[i], hi[i], pts) for i in range(n)]
         h = max(float(ax[1] - ax[0]) if len(ax) > 1 else 0.0 for ax in axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([m.ravel() for m in mesh], axis=1)
-        obj, viol = objective_and_violations(p, X)
         # Per-row tolerances: the inequality slack, then the equality bands.
         eq_tols = h * grad_bound[mi + 1 :] + 1e-12
         tols = np.r_[np.full(mi, BRUTE_FEAS_TOL), eq_tols]
-        ok = np.all(viol <= tols[:, None], axis=0)
-        if not np.any(ok):
-            return None
-        obj = np.where(ok, obj, np.inf)
-        j = int(np.argmin(obj))
-        return float(obj[j]), X[j], h, eq_tols
+        # Slabs of whole first-axis layers; the first best point in grid
+        # order wins, as in one sweep of the whole grid.
+        step = max(1, BRUTE_SLAB_POINTS // pts ** (n - 1))
+        best = None
+        for start in range(0, pts, step):
+            mesh = np.meshgrid(axes[0][start : start + step], *axes[1:], indexing="ij")
+            X = np.stack([m.ravel() for m in mesh], axis=1)
+            obj, viol = objective_and_violations(p, X)
+            ok = np.all(viol <= tols[:, None], axis=0)
+            if not np.any(ok):
+                continue
+            obj = np.where(ok, obj, np.inf)
+            j = int(np.argmin(obj))
+            if best is None or obj[j] < best[0]:
+                best = float(obj[j]), X[j]
+        return None if best is None else (*best, h, eq_tols)
 
     first = sweep(box[:, 0], box[:, 1], grid_points)
     if first is None:

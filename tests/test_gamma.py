@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from conftest import SMALL_INSTANCES
+from qcqp_hull.certify import check_conditions
 from qcqp_hull.core import Qcqp, QuadraticFn, eval_quadratic, stack_values
 from qcqp_hull.errors import GuardExceeded, NoInteriorPoint
 from qcqp_hull.gamma import (
     FACE_TOL,
+    RANK_TOL,
     PolyhedronH,
+    _directions,
+    _incidence,
+    _initial_basis_rows,
+    _rank,
+    _ranks,
     b_aff_dim,
     build_gamma,
     build_gamma_data,
@@ -595,3 +603,101 @@ class TestDefiniteMultiplier:
             scale = max(1.0, float(np.max(np.abs(p.A))))
             lam = np.linalg.eigvalsh(p.A[0] + np.tensordot(gamma, p.A[1:], 1))[0]
             assert 0.0 < lam <= 2.0 * scale
+
+
+def scalar_rank(M, tol=RANK_TOL):
+    """The one-matrix rank rule: singular values above tol * max(1, s_max)."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.size == 0:
+        return 0
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > tol * max(1.0, s[0])))
+
+
+class TestStackedRanks:
+    def assert_slices_match(self, stack):
+        ranks = _ranks(stack)
+        assert ranks.shape == stack.shape[:-2]
+        assert ranks.tolist() == [scalar_rank(M) for M in stack]
+
+    def test_empty_stacks(self):
+        for shape in [(0, 3, 4), (0, 0, 4), (3, 0, 4), (3, 2, 0)]:
+            self.assert_slices_match(np.zeros(shape))
+
+    def test_single_vertex_faces_have_no_direction_rows(self):
+        vertices = np.column_stack([np.ones(5), np.arange(15.0).reshape(5, 3)])[:, None, :]
+        directions = _directions(vertices)
+        assert directions.shape == (5, 0, 4)
+        assert _ranks(directions).tolist() == [0] * 5
+
+    def test_zero_matrices(self):
+        self.assert_slices_match(np.zeros((2, 3, 3)))
+
+    def test_rank_deficient_and_mixed_magnitude_slices(self):
+        rng = np.random.default_rng(0)
+        u, v = rng.normal(size=(2, 5))
+        big = 1e12 * np.eye(5)
+        big[4, 4] = 1e-2  # below 1e-9 relative to the largest singular value
+        stack = np.array([
+            rng.normal(size=(5, 5)),
+            np.outer(u, v),
+            np.outer(u, v) + np.outer(v, u),
+            1e-12 * rng.normal(size=(5, 5)),  # below the absolute floor of 1
+            big,
+            np.diag([1.0, 1e-3, 1e-8, 2e-10, 0.0]),
+        ])
+        self.assert_slices_match(stack)
+        assert _ranks(stack).tolist() == [5, 1, 2, 0, 4, 3]
+
+    def test_rays_vertices_and_lineality(self):
+        # Two faces of four generators each: two vertices and an opposite
+        # ray pair (a lineality direction), and three collinear vertices
+        # with a ray along their line.
+        faces = np.array([
+            [[1, 0, 0], [1, 1, 0], [0, 0, 1], [0, 0, -1]],
+            [[1, 0, 0], [1, 1, 0], [1, 2, 0], [0, 1, 0]],
+        ], dtype=float)
+        directions = _directions(faces)
+        assert _ranks(directions).tolist() == [2, 1]
+        for stacked, face in zip(directions, faces):
+            assert np.array_equal(stacked, _directions(face))
+            assert _rank(stacked) == scalar_rank(_directions(face))
+
+    def test_initial_basis_rows_keeps_its_tolerance(self):
+        # Row 1 leaves row 0 by 5e-10: independent under 1e-10, not under RANK_TOL.
+        B = np.array([[1.0, 0.0], [1.0, 5e-10], [0.0, 1.0]])
+        assert scalar_rank(B[:2], tol=1e-10) == 2 and scalar_rank(B[:2]) == 1
+        assert _initial_basis_rows(B, 2) == [0, 1]
+
+
+def _lattice(m, seed):
+    m1 = -(-m // 3)
+    m2 = -(-(m - m1) // 2)
+    return swiss_cheese(20, m1, m2, m - m1 - m2, seed)
+
+
+STACKED_FACE_CASES = {
+    **SMALL_INSTANCES,
+    **{f"lattice-20-{m}-{s}": (lambda m=m, s=s: _lattice(m, s)) for m in (6, 7, 8) for s in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("case", list(STACKED_FACE_CASES))
+def test_stacked_faces_match_per_face_path(case):
+    """Each face's stacked aff_dim, active rows and b_aff_dim equal the
+    one-face computation."""
+    p = STACKED_FACE_CASES[case]()
+    gd = build_gamma_data(p)
+    faces = enumerate_faces(gd.h, gd.v)
+    for f in faces:
+        assert np.array_equal(f.generators, gd.v.generators[list(f.generator_ids)])
+        assert f.aff_dim == _rank(_directions(f.generators))
+        active = np.flatnonzero(_incidence(gd.h, f.generators).all(axis=0))
+        assert f.active_rows == tuple(active.tolist())
+        assert f.dead == tuple(i for i in f.active_rows if i < gd.h.num_eigen)
+    semidef = [f for f in faces if not f.definite]
+    records = check_conditions(p, gd).semidefinite_faces
+    assert len(records) == len(semidef)
+    for r, f in zip(records, semidef):
+        assert (r.active_rows, r.aff_dim, r.dim_v) == (f.active_rows, f.aff_dim, f.dim_v)
+        assert r.b_aff_dim == b_aff_dim(f, p)

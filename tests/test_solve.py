@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qcqp_hull.generators import (
     quadratic_matrix_program,
     swiss_cheese,
 )
+from qcqp_hull import solve
 from qcqp_hull.hull import SocDescription, soc_description
 from qcqp_hull.solve import _as_box, _polish, brute_force, minimize_soc
 
@@ -228,6 +230,31 @@ class TestBruteForce:
         )
         with pytest.raises(ValueError, match="N <= 3"):
             brute_force(p, (-2.0, 2.0))
+
+    def test_three_dimensional_grid_in_bounded_memory(self):
+        # 200^3 = 8M grid points: the point array alone would be 192 MB.
+        p = gtrs(3, 0)
+        tracemalloc.start()
+        try:
+            val, _ = brute_force(p, (-10.0, 10.0), grid_points=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # gtrs is hull-guaranteed, so the converged hull solve is the optimum.
+        res = minimize_soc(soc_description(build_gamma_data(p).v, p), (-10.0, 10.0), tol=1e-8)
+        assert res.status == "converged"
+        assert val == pytest.approx(res.value, abs=1e-3)
+
+    @pytest.mark.parametrize("make", [lambda: gtrs(3, 1), lambda: swiss_cheese(3, 1, 1, 1, 0)])
+    def test_slabs_find_the_whole_grid_optimum(self, make, monkeypatch):
+        p = make()
+        whole = brute_force(p, (-3.0, 3.0), grid_points=41)
+        # One first-axis layer per slab.
+        monkeypatch.setattr(solve, "BRUTE_SLAB_POINTS", 1)
+        val, x = brute_force(p, (-3.0, 3.0), grid_points=41)
+        assert val == pytest.approx(whole[0], rel=1e-12, abs=1e-12)
+        assert np.allclose(x, whole[1], rtol=0.0, atol=1e-12)
 
 
 class TestRelaxationBounds:
