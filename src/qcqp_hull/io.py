@@ -4,6 +4,14 @@ Problem files are UTF-8 JSON with keys ``n``, ``mi``, ``me`` and
 ``quadratics`` (a list of ``{A, b, c}`` objects, index 0 the objective).
 Values round-trip losslessly: Python's float repr is shortest-exact.
 All writes are atomic (temp file + rename).
+
+Every JSON file is laid out by ``_layout``, two spaces per level: an
+object puts each key on its own line, a list of objects each object, and a
+matrix (a list of lists of numbers) each row.  Vectors and scalars stay on
+one line.  All numbers go through ``json.dumps`` without ``indent``, which
+runs json's C encoder (``indent`` would switch it to the pure-Python one);
+a matrix is encoded in one call and then broken at its rows.  The file
+ends with a newline, and ``json.load`` reads it as the same document.
 """
 
 from __future__ import annotations
@@ -32,8 +40,24 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _layout(value, pad: str = "") -> str:
+    """JSON text of ``value`` in the layout of the module docstring."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_layout(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        items = [inner + _layout(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    text = json.dumps(value)
+    if isinstance(value, list) and value and isinstance(value[0], list) and '"' not in text:
+        # A matrix: with no strings in it, "], [" only separates its rows.
+        return "[\n" + inner + text[1:-1].replace("], [", "],\n" + inner + "[") + "\n" + pad + "]"
+    return text
+
+
 def _write_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_text(path, _layout(doc) + "\n")
 
 
 def _read_json(path: str):
@@ -42,12 +66,15 @@ def _read_json(path: str):
             return json.load(f)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
 
 
-def _quad_to_dict(q: QuadraticFn) -> dict:
-    return {"A": q.A.tolist(), "b": q.b.tolist(), "c": q.c}
+def _stack_to_dicts(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> list:
+    """One ``{A, b, c}`` object per row of a quadratic stack."""
+    return [{"A": Ak, "b": bk, "c": ck} for Ak, bk, ck in zip(A.tolist(), b.tolist(), c.tolist())]
 
 
 def _quad_from_dict(d: dict) -> QuadraticFn:
@@ -59,7 +86,7 @@ def problem_to_dict(p: Qcqp) -> dict:
         "n": p.dim,
         "mi": p.num_inequalities,
         "me": p.num_equalities,
-        "quadratics": [_quad_to_dict(q) for q in p.quadratics()],
+        "quadratics": _stack_to_dicts(p.A, p.b, p.c),
     }
 
 
@@ -124,11 +151,9 @@ def read_certificate(path: str):
 
 
 def soc_to_dict(d: SocDescription) -> dict:
-    return {
-        "n": d.dim,
-        "epigraph": [_quad_to_dict(q) for q in d.epigraph],
-        "homogeneous": [_quad_to_dict(q) for q in d.homogeneous],
-    }
+    rows = _stack_to_dicts(d.A, d.b, d.c)
+    ne = len(d.epigraph)
+    return {"n": d.dim, "epigraph": rows[:ne], "homogeneous": rows[ne:]}
 
 
 def write_soc(path: str, d: SocDescription) -> None:

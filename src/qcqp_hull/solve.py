@@ -223,21 +223,27 @@ def _box_active_improving(d, box, x) -> bool:
 # Brute-force oracle on the original QCQP
 
 
-def brute_force(p: Qcqp, box, grid_points: int = 400):
+def brute_force(p: Qcqp, box, grid_points: int | None = None):
     """Best feasible objective value (in 2t units) found in the box, for
     N <= 3 only; raises ValueError for N > 3.
 
     A dense grid with recursive zoom refinement; equality constraints are
-    relaxed proportionally to the current grid spacing.  Each grid is
-    evaluated in slabs of whole layers along the first axis, at most
-    BRUTE_SLAB_POINTS points or one layer each, so memory stays bounded at
-    N = 3.  Returns (value, x); raises NoFeasiblePoint when
-    nothing in the box satisfies the constraints.
+    relaxed proportionally to the current grid spacing.  The first grid has
+    ``grid_points`` points per axis, by default min(400,
+    floor(BRUTE_SLAB_POINTS^(1/N))): 400 at N <= 2 and 54 at N = 3, so the
+    default first grid is one slab.  Each grid is evaluated in slabs of
+    whole layers along the first axis, at most BRUTE_SLAB_POINTS points or
+    one layer each, so memory stays bounded at N = 3.  Returns (value, x);
+    raises NoFeasiblePoint when nothing in the box satisfies the
+    constraints.
     """
     n = p.dim
     if n > 3:
         raise ValueError(f"the brute-force grid oracle runs at N <= 3, got N = {n}")
     box = _as_box(box, n)
+    if grid_points is None:
+        # The 1e-9 keeps the exact square root at N = 2 from rounding down.
+        grid_points = min(400, int(BRUTE_SLAB_POINTS ** (1.0 / n) + 1e-9))
 
     corner = np.linalg.norm(np.max(np.abs(box), axis=1))
     grad_bound = 2.0 * np.linalg.norm(p.A, 2, axis=(1, 2)) * corner + 2.0 * np.linalg.norm(p.b, axis=1)

@@ -7,8 +7,10 @@ import pytest
 from qcqp_hull import io
 from qcqp_hull.cli import plot2d, run
 from qcqp_hull.core import EpigraphPoint
+from qcqp_hull.errors import ParseError
+from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import FamilySpec, generate
-from qcqp_hull.hull import verify_certificate
+from qcqp_hull.hull import decompose, soc_description, verify_certificate
 
 
 @pytest.fixture
@@ -52,8 +54,107 @@ class TestProblemIo:
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError):
             io.read_problem(str(bad))
+        # A UTF-16 byte-order mark is not UTF-8.
+        bad.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match="UTF-8"):
+            io.read_problem(str(bad))
+        with pytest.raises(ParseError, match="UTF-8"):
+            io.read_certificate(str(bad))
+
+
+def _old_writer_text(doc) -> str:
+    """The text the writers produced before their layout function."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _assert_layout(text: str, doc) -> None:
+    """Same document as the old writer, every matrix row on its own line,
+    every vector on one line, one newline at the end."""
+    assert json.loads(text) == json.loads(_old_writer_text(doc))
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    lines = {line.strip().rstrip(",") for line in text.splitlines()}
+
+    def walk(value, key=None):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, k)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for v in value:
+                walk(v)
+        elif isinstance(value, list) and value and isinstance(value[0], list):
+            for row in value:
+                assert json.dumps(row) in lines
+        else:
+            assert f"{json.dumps(key)}: {json.dumps(value)}" in lines
+
+    walk(doc)
+
+
+class TestJsonLayout:
+    """The writers against ``json.dumps(doc, indent=2)``, which they replace."""
+
+    @pytest.fixture(scope="class")
+    def qmp64(self):
+        p = generate(FamilySpec(family="qmp", n=16, k=4, m=3, seed=0))
+        return p, soc_description(build_gamma_data(p).v, p)
+
+    def test_problem(self, tmp_path, qmp64):
+        p, _ = qmp64
+        path = str(tmp_path / "p.json")
+        io.write_problem(path, p)
+        text = open(path, encoding="utf-8").read()
+        _assert_layout(text, io.problem_to_dict(p))
+        q = io.read_problem(path)
+        for name in "Abc":
+            assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+
+    @pytest.mark.parametrize("which", ["example1", "qmp64"])
+    def test_hull(self, tmp_path, ex1_soc, qmp64, which):
+        soc = ex1_soc if which == "example1" else qmp64[1]
+        path = str(tmp_path / "h.json")
+        io.write_soc(path, soc)
+        text = open(path, encoding="utf-8").read()
+        _assert_layout(text, io.soc_to_dict(soc))
+        doc = json.loads(text)
+        assert doc["n"] == soc.dim
+        assert len(doc["epigraph"]) == len(soc.epigraph)
+        rows = doc["epigraph"] + doc["homogeneous"]
+        for name in "Abc":
+            back = np.array([r[name] for r in rows], dtype=float)
+            assert back.tobytes() == getattr(soc, name).tobytes()
+        assert text.count("\n") > soc.A.shape[0] * soc.dim
+
+    def test_certificate(self, tmp_path, ex1, ex1_gd, ex1_soc):
+        pt = EpigraphPoint(np.array([4.0, 2.0]), 33.5)
+        comb = decompose(ex1, ex1_gd, pt, soc=ex1_soc)
+        path = str(tmp_path / "c.json")
+        io.write_certificate(path, pt, comb, 1e-8)
+        text = open(path, encoding="utf-8").read()
+        _assert_layout(text, io.certificate_to_dict(pt, comb, 1e-8))
+        target, back, tol = io.read_certificate(path)
+        assert target.x.tobytes() == pt.x.tobytes() and target.t == pt.t and tol == 1e-8
+        assert np.asarray(back.weights).tobytes() == np.asarray(comb.weights).tobytes()
+        for a, b in zip(back.points, comb.points):
+            assert a.x.tobytes() == b.x.tobytes() and a.t == b.t
+        assert back.trace == comb.trace
+
+    def test_layout_of_edge_values(self):
+        doc = {"e": {}, "l": [], "m": [[1.0]], "s": [["a], [b"]], "v": [0.1, -0.0]}
+        text = io._layout(doc)
+        assert text.splitlines() == [
+            "{",
+            '  "e": {},',
+            '  "l": [],',
+            '  "m": [',
+            "    [1.0]",
+            "  ],",
+            '  "s": [["a], [b"]],',
+            '  "v": [0.1, -0.0]',
+            "}",
+        ]
+        assert json.loads(text) == json.loads(_old_writer_text(doc))
 
 
 class TestCliFlows:
@@ -90,6 +191,16 @@ class TestCliFlows:
         assert "-17.5" in text
         assert "brute-force" in text
 
+    def test_solve_at_three_dimensions(self, tmp_path, capsys):
+        # The default brute-force grid at N = 3 is one slab (54^3 points).
+        f = str(tmp_path / "g3.json")
+        io.write_problem(f, generate(FamilySpec(family="gtrs", n=3, seed=0)))
+        assert run(["solve", f, "--box=-10,10"]) == 0
+        text = capsys.readouterr().out
+        relaxed = float(text.split("relaxed optimum (2t units):")[1].split()[0])
+        brute = float(text.split("brute-force optimum:")[1].split()[0])
+        assert abs(brute - relaxed) <= 1e-3
+
     def test_plot_invariants(self, tmp_path, ex1_file):
         out = str(tmp_path / "p.csv")
         assert run(["plot", ex1_file, "--box", "-5,5", "--resolution", "61", "--out", out]) == 0
@@ -122,6 +233,10 @@ class TestCliFlows:
                 doc["n"] = n
             bad.write_text(json.dumps(doc))
             assert run(["analyze", str(bad)]) == 2
+        # a file that is not UTF-8 is a parse error, not a usage error
+        bad.write_bytes(b"\xff\xfe" + open(ex1_file, "rb").read())
+        assert run(["hull", str(bad)]) == 2
+        assert run(["decompose", str(bad), "--point", "4,2,33.5"]) == 2
         # hull reads no tolerance, so it takes none
         assert run(["hull", ex1_file, "--tol", "1e-6"]) == 1
         # guard: dimension 13 multiplier set
