@@ -3,12 +3,13 @@ rows G z <= h appended in batches and each re-solve warm-started from the
 previous basis.  It drives HiGHS through the binding bundled with
 scipy.optimize (the one its HiGHS LP method calls), so the model is built
 once per loop instead of once per iteration.  It serves the two Kelley
-loops: the definite-multiplier search and the hull solve."""
+loops: the definite-multiplier search and the hull solve.  The binding,
+and with it scipy.optimize, loads with the first LP, not with the
+package."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 _NONE = np.zeros(0, dtype=np.int32)
 
@@ -18,7 +19,10 @@ class CuttingPlaneLP:
     and every row appended with ``add_rows``."""
 
     def __init__(self, cost, lower, upper):
-        self._model = _highs._Highs()
+        from scipy.optimize._highspy import _core
+
+        self._status = _core.HighsModelStatus
+        self._model = _core._Highs()
         self._model.setOptionValue("output_flag", False)
         self._model.setOptionValue("presolve", "off")
         self._model.addCols(len(cost), cost, lower, upper, 0, _NONE, _NONE, np.zeros(0))
@@ -37,8 +41,8 @@ class CuttingPlaneLP:
         other HiGHS outcome."""
         self._model.run()
         status = self._model.getModelStatus()
-        if status == _highs.HighsModelStatus.kOptimal:
+        if status == self._status.kOptimal:
             return "optimal", np.array(self._model.getSolution().col_value)
-        if status == _highs.HighsModelStatus.kInfeasible:
+        if status == self._status.kInfeasible:
             return "infeasible", None
         return "failed", None

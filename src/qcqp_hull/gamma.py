@@ -95,9 +95,9 @@ class PolyhedronV:
 class Face:
     """A face described by the generators of the ambient polyhedron it contains.
 
-    ``generators`` holds the rows ``generator_ids`` of the ambient
-    ``PolyhedronV.generators``, vertices first; ``vertex_ids`` and
-    ``ray_ids`` index the same ones in its ``vertices`` and ``rays``.
+    ``generators`` holds the rows ``generator_ids`` (ascending) of the
+    ambient ``PolyhedronV.generators``, so its vertices come first: their
+    homogenizing column is 1, a ray's is 0.
 
     ``dead`` lists its active eigenvalue rows.  Coordinate j is dead when
     its eigenvalue is zero across the face, so the shared zero eigenspace
@@ -105,8 +105,6 @@ class Face:
     definite when none is dead, and dim V is their count."""
 
     generator_ids: tuple
-    vertex_ids: tuple
-    ray_ids: tuple
     generators: np.ndarray
     active_rows: tuple
     aff_dim: int
@@ -114,11 +112,11 @@ class Face:
 
     @property
     def vertices(self) -> np.ndarray:
-        return self.generators[: len(self.vertex_ids), 1:]
+        return self.generators[: np.count_nonzero(self.generators[:, 0]), 1:]
 
     @property
     def rays(self) -> np.ndarray:
-        return self.generators[len(self.vertex_ids) :, 1:]
+        return self.generators[np.count_nonzero(self.generators[:, 0]) :, 1:]
 
     @property
     def definite(self) -> bool:
@@ -153,10 +151,6 @@ def _ranks(M, tol: float = RANK_TOL) -> np.ndarray:
     return (s > tol * np.maximum(1.0, s[..., :1])).sum(axis=-1)
 
 
-def _rank(M, tol: float = RANK_TOL) -> int:
-    return int(_ranks(np.atleast_2d(M), tol))
-
-
 def _directions(generators: np.ndarray) -> np.ndarray:
     """Homogenized generator rows after the first, a vertex, minus that
     vertex where they are vertices: [0, gamma_e - gamma_0] and [0, gamma_r],
@@ -166,15 +160,12 @@ def _directions(generators: np.ndarray) -> np.ndarray:
     return rest - rest[..., :1] * generators[..., :1, :]
 
 
-def b_aff_dim(face: Face, p: Qcqp) -> int:
-    """Affine dimension of gamma -> b(gamma) = b_0 + sum gamma_i b_i over the face."""
-    return _rank(_directions(face.generators) @ p.b)
-
-
 def _by_size(sizes) -> dict:
-    """Positions of each distinct size: {size: index array}."""
-    sizes = np.asarray(sizes, dtype=int)
-    return {int(n): np.flatnonzero(sizes == n) for n in np.unique(sizes)}
+    """Positions of each distinct size: {size: list of positions}."""
+    groups = {}
+    for j, n in enumerate(sizes):
+        groups.setdefault(n, []).append(j)
+    return groups
 
 
 def _incidence(h: PolyhedronH, generators: np.ndarray) -> np.ndarray:
@@ -213,7 +204,7 @@ def _initial_basis_rows(B: np.ndarray, dim: int):
     chosen = []
     for i in range(B.shape[0]):
         cand = chosen + [i]
-        if _rank(B[cand], tol=1e-10) == len(cand):
+        if _ranks(B[None, cand], tol=1e-10)[0] == len(cand):
             chosen.append(i)
             if len(chosen) == dim:
                 return chosen
@@ -324,25 +315,22 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD) -> PolyhedronV:
 # Optimization and faces
 
 
-def _face(v: PolyhedronV, ids: list, generators: np.ndarray, active: np.ndarray, aff_dim: int,
-          num_eigen: int) -> Face:
-    """The face spanned by the generators of ``v`` with the given ascending
-    ids.  ``generators`` are their rows of ``v.generators``, the mask
-    ``active`` marks the rows active at all of them and ``aff_dim`` is
-    their affine dimension; callers compute the last two for one face or
-    for a stack of faces."""
-    nv = v.vertices.shape[0]
-    k = bisect.bisect_left(ids, nv)
-    active = np.flatnonzero(active).tolist()
-    return Face(
-        generator_ids=tuple(ids),
-        vertex_ids=tuple(ids[:k]),
-        ray_ids=tuple(i - nv for i in ids[k:]),
-        generators=generators,
-        active_rows=tuple(active),
-        aff_dim=aff_dim,
-        dead=tuple(active[: bisect.bisect_left(active, num_eigen)]),
-    )
+def _faces(ids: np.ndarray, generators: np.ndarray, active: np.ndarray, aff_dims: np.ndarray,
+           num_eigen: int) -> list:
+    """The faces of a stack: face f holds the ascending generator ids
+    ``ids[f]``, their rows ``generators[f]`` of the ambient
+    ``PolyhedronV.generators``, the rows the mask ``active[f]`` marks as
+    active at all of them, and the affine dimension ``aff_dims[f]``.  Its
+    dead rows are its active rows below ``num_eigen``."""
+    face_of, rows = np.nonzero(active)
+    counts = np.bincount(face_of, minlength=len(active)).tolist()
+    rows = rows.tolist()
+    faces, start = [], 0
+    for i, g, d, n in zip(ids.tolist(), generators, aff_dims.tolist(), counts):
+        act = tuple(rows[start : start + n])
+        start += n
+        faces.append(Face(tuple(i), g, act, d, act[: bisect.bisect_left(act, num_eigen)]))
+    return faces
 
 
 def _unpack_bitmasks(keys, width: int) -> np.ndarray:
@@ -368,15 +356,15 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
     if np.any(vals[nv:] > tol_abs):
         return None
     # The maximizers: vertices at the sup, rays along which it is flat.
-    ids = np.flatnonzero(np.abs(vals - sup * v.generators[:, 0]) <= tol_abs)
+    ids = np.flatnonzero(np.abs(vals - sup * v.generators[:, 0]) <= tol_abs)[None]
     generators = v.generators[ids]
-    active = _incidence(h, generators).all(axis=0)
-    aff_dim = _rank(_directions(generators))
-    return sup, _face(v, ids.tolist(), generators, active, aff_dim, h.num_eigen)
+    active = _incidence(h, generators).all(axis=1)
+    return sup, _faces(ids, generators, active, _ranks(_directions(generators)), h.num_eigen)[0]
 
 
 def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
-    """All nonempty faces, each once, sorted by (aff_dim, vertex_ids, ray_ids).
+    """All nonempty faces, each once, sorted by affine dimension, then by
+    the ids of their vertices, then by the ids of their rays.
 
     Every face is the polyhedron cut by some set of rows, so the faces are
     the polyhedron itself closed under intersection with one cut at a
@@ -412,23 +400,24 @@ def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
         frontier = fresh
     member = _unpack_bitmasks(seen, num_gen)
     faces = []
-    for size, group in _by_size(member.sum(axis=1)).items():
+    for size, group in _by_size(member.sum(axis=1).tolist()).items():
         I = np.nonzero(member[group])[1].reshape(len(group), size)
         generators = v.generators[I]
-        aff_dims = _ranks(_directions(generators)).tolist()
-        active = act[I].all(axis=1)
-        faces += [
-            _face(v, ids, g, a, d, h.num_eigen)
-            for ids, g, a, d in zip(I.tolist(), generators, active, aff_dims)
-        ]
-    faces.sort(key=lambda f: (f.aff_dim, f.vertex_ids, f.ray_ids))
+        faces += _faces(I, generators, act[I].all(axis=1), _ranks(_directions(generators)), h.num_eigen)
+
+    def order(f):
+        k = bisect.bisect_left(f.generator_ids, nv)
+        return f.aff_dim, f.generator_ids[:k], f.generator_ids[k:]
+
+    faces.sort(key=order)
     return faces
 
 
 def b_aff_dims(faces, p: Qcqp) -> list:
-    """``b_aff_dim`` of each face, from one stacked SVD per generator count."""
+    """Affine dimension of gamma -> b(gamma) = b_0 + sum gamma_i b_i over
+    each face, from one stacked SVD per generator count."""
     dims = np.zeros(len(faces), dtype=int)
-    for group in _by_size([len(f.generator_ids) for f in faces]).values():
+    for group in _by_size(len(f.generator_ids) for f in faces).values():
         generators = np.stack([faces[j].generators for j in group])
         dims[group] = _ranks(_directions(generators) @ p.b)
     return dims.tolist()

@@ -27,7 +27,7 @@ from .core import (
     stack_values,
 )
 from .errors import NoDescentDirection, NotInDsdp, QcqpHullError
-from .gamma import GammaData, b_aff_dim, optimal_face
+from .gamma import GammaData, b_aff_dims, optimal_face
 from .linalg import solve_homogeneous
 
 MEMBERSHIP_TOL = 1e-8
@@ -181,7 +181,7 @@ def _split(p, gd, x, res, depth, tol, trace):
         )
 
     v, s = _flat_direction(face, gd.sd, p)
-    b_dim = b_aff_dim(face, p)
+    b_dim = b_aff_dims([face], p)[0]
     if v is None:
         raise NoDescentDirection(
             "the direction system on the optimal face has only the zero solution "

@@ -79,33 +79,28 @@ def is_definite(M, lam_min: float) -> bool:
 def solve_homogeneous(E) -> np.ndarray | None:
     """A unit-norm kernel vector of E, or None when only x = 0 solves Ex = 0.
 
-    Kernel directions come from the eigendecomposition of E'E; one counts
-    as kernel when ||E v|| is below KERNEL_RTOL * sigma_max.  The vector
-    returned is the projection of the all-ones vector onto that kernel, so it
-    depends on the kernel subspace alone; when the projection vanishes it
-    is the first kernel eigenvector.  The zero matrix returns the first
-    canonical basis vector.
+    The kernel is read from one SVD: the right singular vectors whose
+    singular value is at most KERNEL_RTOL * sigma_max, plus the extra rows
+    of Vt when E has fewer rows than columns.  The vector returned is the
+    projection of the all-ones vector onto that kernel, so it depends on
+    the kernel subspace alone; when the projection vanishes it is the
+    right singular vector of the smallest singular value.  The zero matrix,
+    and E without rows, return the first canonical basis vector.
     """
     E = np.atleast_2d(np.asarray(E, dtype=float))
     q = E.shape[1]
     if q == 0:
         return None
-    if E.shape[0] == 0:
+    if not E.any():  # no rows, or the zero matrix
         return np.eye(q)[:, 0]
-    G = E.T @ E
-    spec = sym_eig(G)
-    smax = float(np.sqrt(max(spec.eigenvalues[-1], 0.0)))
-    if smax == 0.0:
-        return spec.eigenvectors[:, 0]  # zero matrix; sym_eig(0) keeps e_1 first
-    # The Gram eigendecomposition gives the directions; the kernel test uses
-    # ||E v|| directly to dodge the squared-condition noise floor.
-    kernel = spec.eigenvectors[:, np.linalg.norm(E @ spec.eigenvectors, axis=0) <= KERNEL_RTOL * smax]
+    _, s, Vt = np.linalg.svd(E)
+    kernel = Vt[np.r_[s, np.zeros(q - len(s))] <= KERNEL_RTOL * s[0]].T
     if kernel.shape[1] == 0:
         return None
     u = kernel @ kernel.sum(axis=0)
     nu = float(np.linalg.norm(u))
     if nu <= KERNEL_RTOL * np.sqrt(q):
-        return kernel[:, 0]
+        return kernel[:, -1]
     return u / nu
 
 

@@ -15,9 +15,8 @@ from qcqp_hull.gamma import (
     _directions,
     _incidence,
     _initial_basis_rows,
-    _rank,
     _ranks,
-    b_aff_dim,
+    b_aff_dims,
     build_gamma,
     build_gamma_data,
     dd_vrep,
@@ -162,6 +161,14 @@ def lifted_dd_gamma_star(h, cap=1.0):
     mus = lv.vertices[:, m]
     best = float(np.max(mus))
     return best, lv.vertices[mus >= best - 1e-12, :m]
+
+
+def split_ids(face, v):
+    """A face's (vertex ids, ray ids) in ``v.vertices`` and ``v.rays``,
+    read from its ascending generator ids."""
+    nv = v.vertices.shape[0]
+    return (tuple(i for i in face.generator_ids if i < nv),
+            tuple(i - nv for i in face.generator_ids if i >= nv))
 
 
 def row_subset_faces(h, v, tol=FACE_TOL):
@@ -395,7 +402,7 @@ class TestOptimalFace:
         assert res is not None
         got_sup, face = res
         assert got_sup == pytest.approx(sup, abs=1e-9)
-        assert len(face.vertex_ids) == n_verts
+        assert len(split_ids(face, ex1_gd.v)[0]) == n_verts
 
     def test_matches_generator_scan(self, ex1, ex1_gd):
         rng = np.random.default_rng(8)
@@ -407,7 +414,7 @@ class TestOptimalFace:
                 for g in ex1_gd.v.vertices
             ]
             assert res[0] == pytest.approx(max(vals), abs=1e-9)
-            for vid in res[1].vertex_ids:
+            for vid in split_ids(res[1], ex1_gd.v)[0]:
                 assert vals[vid] == pytest.approx(res[0], abs=1e-6)
 
     @pytest.mark.parametrize(
@@ -417,7 +424,7 @@ class TestOptimalFace:
     def test_is_an_enumerated_face(self, make):
         p = make()
         gd = build_gamma_data(p)
-        faces = {(f.vertex_ids, f.ray_ids): f for f in enumerate_faces(gd.h, gd.v)}
+        faces = {f.generator_ids: f for f in enumerate_faces(gd.h, gd.v)}
         rng = np.random.default_rng(5)
         found = 0
         # Integer points tie generators, so faces past single vertices come
@@ -427,8 +434,9 @@ class TestOptimalFace:
             if res is None:
                 continue
             face = res[1]
-            f = faces[(face.vertex_ids, face.ray_ids)]
+            f = faces[face.generator_ids]
             assert (face.active_rows, face.aff_dim, face.dead) == (f.active_rows, f.aff_dim, f.dead)
+            assert np.array_equal(face.generators, f.generators)
             found += 1
             if found == 20:
                 break
@@ -465,7 +473,7 @@ class TestClassifyFace:
         assert not f10.definite
         assert f10.dim_v == 1
         assert np.allclose(np.abs(_dead_basis(ex1_gd, f10)[:, 0]), [0.0, 1.0], atol=1e-9)
-        assert b_aff_dim(f10, ex1) == 0
+        assert b_aff_dims([f10], ex1) == [0]
 
     def test_example1_full_face_definite(self, ex1, ex1_gd):
         faces = enumerate_faces(ex1_gd.h, ex1_gd.v)
@@ -523,12 +531,12 @@ class TestEnumerateFaces:
     def test_example1_has_eight_faces(self, ex1_gd):
         faces = enumerate_faces(ex1_gd.h, ex1_gd.v)
         assert len(faces) == 8
-        sigs = {(f.vertex_ids, f.ray_ids) for f in faces}
+        sigs = {f.generator_ids for f in faces}
         assert len(sigs) == 8
         # the segment between the two non-origin vertices is not a face
         idx = {tuple(np.round(v, 6)): i for i, v in enumerate(ex1_gd.v.vertices)}
         v10, v01 = idx[(1.0, 0.0)], idx[(0.0, 1.0)]
-        assert (tuple(sorted((v10, v01))), ()) not in sigs
+        assert tuple(sorted((v10, v01))) not in sigs
 
     def test_single_point(self):
         h = poly(([1.0], 0.0), ([-1.0], 0.0))
@@ -544,7 +552,7 @@ class TestEnumerateFaces:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_row_subset_oracle(self, case):
         h, v = ORACLE_CASES[case]()
-        got = [(f.aff_dim, f.vertex_ids, f.ray_ids, f.active_rows) for f in enumerate_faces(h, v)]
+        got = [(f.aff_dim, *split_ids(f, v), f.active_rows) for f in enumerate_faces(h, v)]
         assert got == row_subset_faces(h, v)
 
     def test_guard(self):
@@ -661,7 +669,7 @@ class TestStackedRanks:
         assert _ranks(directions).tolist() == [2, 1]
         for stacked, face in zip(directions, faces):
             assert np.array_equal(stacked, _directions(face))
-            assert _rank(stacked) == scalar_rank(_directions(face))
+            assert _ranks(stacked[None]).tolist() == [scalar_rank(_directions(face))]
 
     def test_initial_basis_rows_keeps_its_tolerance(self):
         # Row 1 leaves row 0 by 5e-10: independent under 1e-10, not under RANK_TOL.
@@ -684,20 +692,30 @@ STACKED_FACE_CASES = {
 
 @pytest.mark.parametrize("case", list(STACKED_FACE_CASES))
 def test_stacked_faces_match_per_face_path(case):
-    """Each face's stacked aff_dim, active rows and b_aff_dim equal the
-    one-face computation."""
+    """Each face's stacked fields equal the one-face computation: its
+    active rows are the incidence columns active at all its generators,
+    its dead rows those below ``num_eigen``, and its aff_dim and
+    b_aff_dim the ranks of one direction matrix.  The faces come sorted
+    by (aff_dim, vertex ids, ray ids), and their vertices and rays are the
+    ambient rows their ids name."""
     p = STACKED_FACE_CASES[case]()
     gd = build_gamma_data(p)
-    faces = enumerate_faces(gd.h, gd.v)
+    v = gd.v
+    faces = enumerate_faces(gd.h, v)
     for f in faces:
-        assert np.array_equal(f.generators, gd.v.generators[list(f.generator_ids)])
-        assert f.aff_dim == _rank(_directions(f.generators))
-        active = np.flatnonzero(_incidence(gd.h, f.generators).all(axis=0))
-        assert f.active_rows == tuple(active.tolist())
-        assert f.dead == tuple(i for i in f.active_rows if i < gd.h.num_eigen)
+        assert np.array_equal(f.generators, v.generators[list(f.generator_ids)])
+        active = np.flatnonzero(_incidence(gd.h, f.generators).all(axis=0)).tolist()
+        assert f.active_rows == tuple(active)
+        assert f.dead == tuple(i for i in active if i < gd.h.num_eigen)
+        assert f.aff_dim == _ranks(_directions(f.generators)[None])[0]
+        vertex_ids, ray_ids = split_ids(f, v)
+        assert np.array_equal(f.vertices, v.vertices[list(vertex_ids)])
+        assert np.array_equal(f.rays, v.rays[list(ray_ids)])
+    keys = [(f.aff_dim, *split_ids(f, v)) for f in faces]
+    assert keys == sorted(keys)
     semidef = [f for f in faces if not f.definite]
     records = check_conditions(p, gd).semidefinite_faces
     assert len(records) == len(semidef)
     for r, f in zip(records, semidef):
         assert (r.active_rows, r.aff_dim, r.dim_v) == (f.active_rows, f.aff_dim, f.dim_v)
-        assert r.b_aff_dim == b_aff_dim(f, p)
+        assert r.b_aff_dim == _ranks((_directions(f.generators) @ p.b)[None])[0]

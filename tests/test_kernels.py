@@ -27,7 +27,6 @@ def test_sym_eig_diagonalizes(n):
 
 @pytest.mark.parametrize("n", [1, 3, 64])
 def test_sym_eig_zero_matrix_gives_identity(n):
-    # solve_homogeneous relies on e_1 coming first for the zero matrix.
     spec = sym_eig(np.zeros((n, n)))
     assert np.array_equal(spec.eigenvalues, np.zeros(n))
     assert np.array_equal(spec.eigenvectors, np.eye(n))

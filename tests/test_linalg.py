@@ -7,6 +7,7 @@ from qcqp_hull.errors import NotSimultaneouslyDiagonalizable
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import example1, quadratic_matrix_program
 from qcqp_hull.linalg import (
+    KERNEL_RTOL,
     PSD_TOL,
     is_definite,
     solve_homogeneous,
@@ -76,7 +77,47 @@ class TestIsDefinite:
             assert is_definite(S, sym_eig(S).eigenvalues[0]) == minors_pos
 
 
+def gram_solve_homogeneous(E):
+    """The Gram-matrix rule ``solve_homogeneous`` replaced, kept as its
+    oracle: kernel directions from the eigendecomposition of E'E, one
+    counting as kernel when ||E v|| <= KERNEL_RTOL * sigma_max, and the
+    all-ones vector projected onto them."""
+    E = np.atleast_2d(np.asarray(E, dtype=float))
+    spec = sym_eig(E.T @ E)
+    smax = float(np.sqrt(max(spec.eigenvalues[-1], 0.0)))
+    kernel = spec.eigenvectors[:, np.linalg.norm(E @ spec.eigenvectors, axis=0) <= KERNEL_RTOL * smax]
+    if kernel.shape[1] == 0:
+        return None
+    u = kernel @ kernel.sum(axis=0)
+    return u / np.linalg.norm(u)
+
+
 class TestSolveHomogeneous:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_gram_oracle_on_rank_deficient_matrices(self, seed):
+        # tall, square and wide E of every rank up to full, at scales 1e-3 to 1e3
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 7, size=2)
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        E = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        if rank == 0:
+            E[0, 0] = 1.0  # the zero matrix is a documented edge case, tested below
+        got, want = solve_homogeneous(E), gram_solve_homogeneous(E)
+        if want is None:
+            assert got is None
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-10
+            assert np.max(np.abs(E @ got)) <= 1e-9 * np.max(np.abs(E))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_kernel_cut_at_kernel_rtol(self, scale):
+        # a singular value 1e-7 of the largest is not kernel, 1e-11 is
+        rng = np.random.default_rng(3)
+        U, V = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+        assert solve_homogeneous(scale * U @ np.diag([1.0, 0.5, 1e-7]) @ V.T) is None
+        v = solve_homogeneous(scale * U @ np.diag([1.0, 0.5, 1e-11]) @ V.T)
+        assert abs(abs(v @ V[:, 2]) - 1.0) <= 1e-12
+
     def test_single_row(self):
         v = solve_homogeneous(np.array([[5.0, 0.0]]))
         assert v is not None

@@ -1,10 +1,16 @@
 """The incremental cutting-plane LP against a fresh ``linprog`` solve of the
 same rows: rows appended in batches must give the optimum a rebuilt LP gives."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import qcqp_hull
 from qcqp_hull._lp import CuttingPlaneLP
 
 
@@ -115,3 +121,13 @@ def test_definite_multiplier_shape_maximization(seed):
         lp.add_rows(Gb, hb)
         G, h = np.vstack([G, Gb]), np.r_[h, hb]
         assert_same_optimum(lp.solve(), c, fresh(c, lower, upper, G, h), G, h, lower, upper)
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # The HiGHS binding loads with the first LP, so a run that builds none
+    # never imports scipy.optimize.
+    src = str(Path(qcqp_hull.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qcqp_hull; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
