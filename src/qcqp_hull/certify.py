@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import EpigraphPoint, Qcqp, check_feasible, eval_quadratic
 from .errors import NoInteriorPoint, NotSimultaneouslyDiagonalizable
-from .gamma import GammaData, b_aff_dims, build_gamma_data, enumerate_faces
+from .gamma import GammaData, build_gamma_data, semidefinite_faces
 
 ZERO_B_TOL = 1e-12
 
@@ -55,12 +55,8 @@ def check_conditions(p: Qcqp, gd: GammaData) -> ConditionReport:
     ``gd.sd.multiplicity``; k = N means every Hessian is a multiple of
     A(gamma*), a scaled-identity family after a change of basis."""
     k = gd.sd.multiplicity
-    faces = enumerate_faces(gd.h, gd.v)
-    semidef_faces = [f for f in faces if not f.definite]
-    semidef = [
-        SemidefiniteFaceRecord(active_rows=f.active_rows, aff_dim=f.aff_dim, dim_v=f.dim_v, b_aff_dim=d)
-        for f, d in zip(semidef_faces, b_aff_dims(semidef_faces, p))
-    ]
+    num_faces, records = semidefinite_faces(gd.h, gd.v, p)
+    semidef = [SemidefiniteFaceRecord(*r) for r in records]
     theorem1 = all(r.dim_v >= r.b_aff_dim + 1 for r in semidef)
     theorem2 = all(k >= r.b_aff_dim + 1 for r in semidef)
     corollary_m1 = p.num_constraints == 1
@@ -79,7 +75,7 @@ def check_conditions(p: Qcqp, gd: GammaData) -> ConditionReport:
         theorem1=theorem1,
         theorem2=theorem2,
         semidefinite_faces=tuple(semidef),
-        num_faces=len(faces),
+        num_faces=num_faces,
         corollary_m1=corollary_m1,
         corollary_b0=corollary_b0,
         corollary_scaled_identity=corollary_scaled,

@@ -32,7 +32,7 @@ from .certify import analyze_problem, report_text
 from .gamma import build_gamma_data
 from .generators import FAMILIES, FamilySpec, generate
 from .hull import decompose, soc_description, verify_certificate
-from .solve import brute_force, minimize_soc
+from .solve import _as_box, brute_force, minimize_soc
 
 
 def _parse_box(entries, n: int) -> np.ndarray:
@@ -67,7 +67,7 @@ def plot2d(p: Qcqp, d, box, resolution: int = 201, tol: float = 1e-8):
     and of the hull description; infeasible x gets +inf."""
     if p.dim != 2:
         raise ValueError(f"plot needs a 2-dimensional problem, got N = {p.dim}")
-    box = np.asarray(box, dtype=float)
+    box = _as_box(box, 2)
     ax1 = np.linspace(box[0, 0], box[0, 1], resolution)
     ax2 = np.linspace(box[1, 0], box[1, 1], resolution)
     G1, G2 = np.meshgrid(ax1, ax2, indexing="ij")

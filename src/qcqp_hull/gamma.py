@@ -315,6 +315,24 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD) -> PolyhedronV:
 # Optimization and faces
 
 
+def _row_lists(active: np.ndarray) -> list:
+    """The marked columns of each row of the (F, R) mask, as tuples."""
+    face_of, rows = np.nonzero(active)
+    rows = rows.tolist()
+    lists, start = [], 0
+    for n in np.bincount(face_of, minlength=len(active)).tolist():
+        lists.append(tuple(rows[start : start + n]))
+        start += n
+    return lists
+
+
+def _split_ids(ids: tuple, nv: int) -> tuple:
+    """Ascending generator ids split into (vertex ids, ray ids), given the
+    ambient vertex count ``nv``."""
+    k = bisect.bisect_left(ids, nv)
+    return ids[:k], ids[k:]
+
+
 def _faces(ids: np.ndarray, generators: np.ndarray, active: np.ndarray, aff_dims: np.ndarray,
            num_eigen: int) -> list:
     """The faces of a stack: face f holds the ascending generator ids
@@ -322,15 +340,10 @@ def _faces(ids: np.ndarray, generators: np.ndarray, active: np.ndarray, aff_dims
     ``PolyhedronV.generators``, the rows the mask ``active[f]`` marks as
     active at all of them, and the affine dimension ``aff_dims[f]``.  Its
     dead rows are its active rows below ``num_eigen``."""
-    face_of, rows = np.nonzero(active)
-    counts = np.bincount(face_of, minlength=len(active)).tolist()
-    rows = rows.tolist()
-    faces, start = [], 0
-    for i, g, d, n in zip(ids.tolist(), generators, aff_dims.tolist(), counts):
-        act = tuple(rows[start : start + n])
-        start += n
-        faces.append(Face(tuple(i), g, act, d, act[: bisect.bisect_left(act, num_eigen)]))
-    return faces
+    return [
+        Face(tuple(i), g, act, d, act[: bisect.bisect_left(act, num_eigen)])
+        for i, g, d, act in zip(ids.tolist(), generators, aff_dims.tolist(), _row_lists(active))
+    ]
 
 
 def _unpack_bitmasks(keys, width: int) -> np.ndarray:
@@ -362,9 +375,11 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
     return sup, _faces(ids, generators, active, _ranks(_directions(generators)), h.num_eigen)[0]
 
 
-def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
-    """All nonempty faces, each once, sorted by affine dimension, then by
-    the ids of their vertices, then by the ids of their rays.
+def _closed_faces(h: PolyhedronH, v: PolyhedronV) -> list:
+    """Every nonempty face, each once, as stacks by generator count: one
+    (ids, active) pair per count, ``ids`` the (F, G) array of the faces'
+    ascending generator ids and ``active`` the (F, R) mask of the rows
+    active at all of a face's generators.
 
     Every face is the polyhedron cut by some set of rows, so the faces are
     the polyhedron itself closed under intersection with one cut at a
@@ -372,9 +387,7 @@ def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
     at; rows active at no vertex cut out nothing and are dropped, so the
     guard counts the cuts the closure really runs over.  Faces are
     identified by the ambient generators they contain; a candidate without
-    a vertex is empty.  The faces with the same number of generators get
-    their affine dimensions from one stacked SVD and their active rows
-    from one reduction over the incidences.
+    a vertex is empty.
     """
     if v.is_empty:
         return []
@@ -399,18 +412,52 @@ def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
                     fresh.append(key)
         frontier = fresh
     member = _unpack_bitmasks(seen, num_gen)
+    sizes = member.sum(axis=1)
+    stacks = []
+    for size in np.unique(sizes).tolist():
+        ids = np.nonzero(member[sizes == size])[1].reshape(-1, size)
+        stacks.append((ids, act[ids].all(axis=1)))
+    return stacks
+
+
+def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
+    """All nonempty faces (``_closed_faces``), each once, sorted by affine
+    dimension, then by the ids of their vertices, then by the ids of their
+    rays.  The faces with the same number of generators get their affine
+    dimensions from one stacked SVD.
+    """
     faces = []
-    for size, group in _by_size(member.sum(axis=1).tolist()).items():
-        I = np.nonzero(member[group])[1].reshape(len(group), size)
-        generators = v.generators[I]
-        faces += _faces(I, generators, act[I].all(axis=1), _ranks(_directions(generators)), h.num_eigen)
-
-    def order(f):
-        k = bisect.bisect_left(f.generator_ids, nv)
-        return f.aff_dim, f.generator_ids[:k], f.generator_ids[k:]
-
-    faces.sort(key=order)
+    for ids, active in _closed_faces(h, v):
+        generators = v.generators[ids]
+        faces += _faces(ids, generators, active, _ranks(_directions(generators)), h.num_eigen)
+    nv = v.vertices.shape[0]
+    faces.sort(key=lambda f: (f.aff_dim, *_split_ids(f.generator_ids, nv)))
     return faces
+
+
+def semidefinite_faces(h: PolyhedronH, v: PolyhedronV, p: Qcqp) -> tuple:
+    """The number of nonempty faces, and (active_rows, aff_dim, dim_v,
+    b_aff_dim) of each semidefinite one in ``enumerate_faces``'s order.
+
+    A face is semidefinite when some eigenvalue row is active at all its
+    generators.  The semidefinite faces of each generator count get both
+    dimensions from one stack of directions; a definite face is counted
+    and nothing more.
+    """
+    nv, k = v.vertices.shape[0], h.num_eigen
+    num_faces, keyed = 0, []
+    for ids, active in _closed_faces(h, v):
+        num_faces += len(ids)
+        semidef = active[:, :k].any(axis=1)
+        if not semidef.any():
+            continue
+        ids, active = ids[semidef], active[semidef]
+        D = _directions(v.generators[ids])
+        dim_v = np.count_nonzero(active[:, :k], axis=1)
+        records = zip(_row_lists(active), _ranks(D).tolist(), dim_v.tolist(), _ranks(D @ p.b).tolist())
+        keyed += [((r[1], *_split_ids(tuple(i), nv)), r) for i, r in zip(ids.tolist(), records)]
+    keyed.sort(key=lambda kr: kr[0])
+    return num_faces, [r for _, r in keyed]
 
 
 def b_aff_dims(faces, p: Qcqp) -> list:

@@ -90,16 +90,19 @@ def problem_to_dict(p: Qcqp) -> dict:
     }
 
 
+def _count(d: dict, key: str) -> int:
+    """The JSON integer ``d[key]``; a float, string or bool is refused."""
+    value = d[key]
+    if type(value) is not int:
+        raise ParseError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def problem_from_dict(d: dict) -> Qcqp:
     try:
+        n, mi, me = _count(d, "n"), _count(d, "mi"), _count(d, "me")
         quads = [_quad_from_dict(q) for q in d["quadratics"]]
-        p = Qcqp(
-            objective=quads[0],
-            constraints=tuple(quads[1:]),
-            num_inequalities=int(d["mi"]),
-            num_equalities=int(d["me"]),
-        )
-        n = int(d["n"])
+        p = Qcqp(objective=quads[0], constraints=tuple(quads[1:]), num_inequalities=mi, num_equalities=me)
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ParseError(f"invalid problem document: {e}") from e
     if p.dim != n:

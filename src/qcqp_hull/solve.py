@@ -56,8 +56,8 @@ def _as_box(box, n: int) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     if box.shape == (2,):
         box = np.tile(box, (n, 1))
-    if box.shape != (n, 2) or np.any(box[:, 0] > box[:, 1]):
-        raise ValueError(f"box must be (lo, hi) per axis for dimension {n}")
+    if box.shape != (n, 2) or not np.all(np.isfinite(box)) or np.any(box[:, 0] > box[:, 1]):
+        raise ValueError(f"box must be finite (lo, hi) per axis for dimension {n}")
     return box
 
 

@@ -51,11 +51,20 @@ class TestProblemIo:
         assert set(doc) == {"n", "mi", "me", "quadratics"}
         assert set(doc["quadratics"][0]) == {"A", "b", "c"}
 
-    def test_parse_errors(self, tmp_path):
+    def test_parse_errors(self, tmp_path, ex1):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(ParseError):
             io.read_problem(str(bad))
+        # Counts must be JSON integers: no float, string or bool, even one
+        # that int() would turn into the right count.
+        for key, value in [("n", 2.9), ("n", 2.0), ("n", "2"), ("mi", 2.0), ("me", False), ("me", "0")]:
+            doc = io.problem_to_dict(ex1)
+            doc[key] = value
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(ParseError, match=f"'{key}' must be an integer"):
+                io.read_problem(str(bad))
+            assert run(["analyze", str(bad)]) == 2
         # A UTF-16 byte-order mark is not UTF-8.
         bad.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ParseError, match="UTF-8"):
@@ -190,6 +199,14 @@ class TestCliFlows:
         text = capsys.readouterr().out
         assert "-17.5" in text
         assert "brute-force" in text
+
+    @pytest.mark.parametrize("command", ["solve", "plot"])
+    @pytest.mark.parametrize("box", ["--box=nan,1", "--box=-inf,inf", "--box=-10,nan"])
+    def test_nonfinite_box_exits_1(self, tmp_path, ex1_file, capsys, command, box):
+        out = str(tmp_path / "p.csv")
+        assert run([command, ex1_file, box, *(["--out", out] if command == "plot" else [])]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_solve_at_three_dimensions(self, tmp_path, capsys):
         # The default brute-force grid at N = 3 is one slab (54^3 points).

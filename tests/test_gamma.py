@@ -697,7 +697,11 @@ def test_stacked_faces_match_per_face_path(case):
     its dead rows those below ``num_eigen``, and its aff_dim and
     b_aff_dim the ranks of one direction matrix.  The faces come sorted
     by (aff_dim, vertex ids, ray ids), and their vertices and rays are the
-    ambient rows their ids name."""
+    ambient rows their ids name.
+
+    ``check_conditions`` ranks only the semidefinite faces: its face count
+    and its ordered records equal ``enumerate_faces`` filtered to the
+    semidefinite faces, with ``b_aff_dims`` as the b-affine dimensions."""
     p = STACKED_FACE_CASES[case]()
     gd = build_gamma_data(p)
     v = gd.v
@@ -714,8 +718,9 @@ def test_stacked_faces_match_per_face_path(case):
     keys = [(f.aff_dim, *split_ids(f, v)) for f in faces]
     assert keys == sorted(keys)
     semidef = [f for f in faces if not f.definite]
-    records = check_conditions(p, gd).semidefinite_faces
-    assert len(records) == len(semidef)
-    for r, f in zip(records, semidef):
-        assert (r.active_rows, r.aff_dim, r.dim_v) == (f.active_rows, f.aff_dim, f.dim_v)
-        assert r.b_aff_dim == _ranks((_directions(f.generators) @ p.b)[None])[0]
+    b_dims = b_aff_dims(semidef, p)
+    assert b_dims == [_ranks((_directions(f.generators) @ p.b)[None])[0] for f in semidef]
+    report = check_conditions(p, gd)
+    assert report.num_faces == len(faces)
+    records = [(r.active_rows, r.aff_dim, r.dim_v, r.b_aff_dim) for r in report.semidefinite_faces]
+    assert records == [(f.active_rows, f.aff_dim, f.dim_v, d) for f, d in zip(semidef, b_dims)]

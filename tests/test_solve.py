@@ -120,6 +120,11 @@ class TestMinimizeSoc:
             assert analyze_problem(p)[0].hull_guaranteed
             assert abs(res.value - val) <= 1e-3 * max(1.0, abs(val))
 
+    @pytest.mark.parametrize("box", [(np.nan, 1.0), (-np.inf, np.inf), [(-1.0, 1.0), (0.0, np.inf)]])
+    def test_nonfinite_box_refused(self, ex1_soc, box):
+        with pytest.raises(ValueError, match="finite"):
+            minimize_soc(ex1_soc, box)
+
     def test_infeasible_homogeneous(self):
         g = QuadraticFn(np.eye(1), np.zeros(1), 0.0)
         h = QuadraticFn(np.eye(1), np.zeros(1), 1.0)  # x^2 + 1 <= 0
@@ -230,6 +235,11 @@ class TestBruteForce:
         )
         with pytest.raises(ValueError, match="N <= 3"):
             brute_force(p, (-2.0, 2.0))
+
+    @pytest.mark.parametrize("box", [(np.nan, 1.0), (-np.inf, np.inf), [(-1.0, 1.0), (0.0, np.inf)]])
+    def test_nonfinite_box_refused(self, ex1, box):
+        with pytest.raises(ValueError, match="finite"):
+            brute_force(ex1, box)
 
     def test_three_dimensional_grid_in_bounded_memory(self):
         # 200^3 = 8M grid points: the point array alone would be 192 MB.
