@@ -1,8 +1,9 @@
 """Batched quadratic evaluation.
 
 ``eval_quadratics`` is the package's one evaluator.  ``core.stack_values``
-calls it at single points (feasibility, faces, decomposition, the hull
-solver); the brute-force oracle and the CLI plot call it over point
+calls it at single points (feasibility, faces, decomposition, once per
+iteration of the hull solver, whose Newton polish reads only its active
+rows); the brute-force oracle and the CLI plot call it over point
 grids.  It is plain numpy.  ``backend()`` names the kernel path for
 environment records.
 """

@@ -10,7 +10,8 @@ Conventions fixed here and used everywhere else:
     quadratic; for a Qcqp row 0 is the objective and rows 1..m the
     constraints.  ``aggregate`` is the one rule that combines a stack,
     ``stack_values`` (over ``_kernels.eval_quadratics``) the one evaluator
-    and ``objective_and_violations`` the one violation rule.
+    of a whole stack (the hull solver's Newton polish evaluates only its
+    active rows) and ``objective_and_violations`` the one violation rule.
 """
 
 from __future__ import annotations

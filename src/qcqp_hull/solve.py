@@ -12,7 +12,11 @@ isolated KKT point (nonsingular Newton Jacobian).  An isolated minimizer
 is an extreme point of the optimal set, hence under the convex hull result
 a point of the QCQP epigraph; a KKT point inside a flat optimal face is
 declined and Kelley keeps cutting.  The polish's multipliers give the
-weak-duality bound that certifies the value.  Box-active optima, which the
+weak-duality bound that certifies the value.  The full stack is evaluated
+once per Kelley iteration and once per converged polish, for its accept
+checks; each Newton step touches only the active sub-stack, sliced once
+per polish, through one matrix-vector product A x that gives both the
+active values and their gradients.  Box-active optima, which the
 polish declines, end on the Kelley LP gap.  The rows are assumed convex,
 as the hull description's are.
 """
@@ -61,9 +65,14 @@ def _as_box(box, n: int) -> np.ndarray:
     return box
 
 
-def _grads(d, idx, x) -> np.ndarray:
-    """Gradients 2(A_k x + b_k) at x of the stacked quadratics ``idx``, one per row."""
-    return 2.0 * (d.A[idx] @ x + d.b[idx])
+def _values_grads(A, b, c, x, grads=None):
+    """Values x'A_k x + 2b_k'x + c_k and gradients 2(A_k x + b_k) at x of the
+    stacked quadratics (A, b, c), one per row, from one product A x.  The
+    gradients are written into ``grads`` when it is given."""
+    Ax = A @ x
+    grads = np.add(Ax, b, out=grads)
+    grads *= 2.0
+    return Ax @ x + 2.0 * (b @ x) + c, grads
 
 
 def minimize_soc(
@@ -90,10 +99,11 @@ def minimize_soc(
     def add_cuts(x, vals):
         # The largest epigraph constraint cuts tau; every violated
         # homogeneous constraint cuts x.
-        idx = np.r_[np.argmax(vals[:ne]), ne + np.flatnonzero(vals[ne:] > feas_tol)]
-        grads = _grads(d, idx, x)
-        tau = np.r_[-1.0, np.zeros(len(idx) - 1)]
-        lp.add_rows(np.column_stack([grads, tau]), grads @ x - vals[idx])
+        idx = np.concatenate([[np.argmax(vals[:ne])], ne + np.flatnonzero(vals[ne:] > feas_tol)])
+        rows = np.zeros((len(idx), n + 1))
+        rows[0, n] = -1.0
+        grads = _values_grads(d.A[idx], d.b[idx], d.c[idx], x, rows[:, :n])[1]
+        lp.add_rows(rows, grads @ x - vals[idx])
 
     x0 = box.mean(axis=1)
     add_cuts(x0, stack_values(d, x0))
@@ -118,7 +128,7 @@ def minimize_soc(
         if best_val - lb <= tol:
             status = "converged"
             break
-        polished = _polish(d, box, x, fx, scale)
+        polished = _polish(d, box, x, vals, scale)
         if polished is not None:
             best_x, best_val, dual_bound = polished
             lb = max(lb, dual_bound)
@@ -138,41 +148,48 @@ def minimize_soc(
     )
 
 
-def _polish(d, box, x, fx, scale):
+def _polish(d, box, x, vals, scale):
     """Newton steps on the KKT system of min tau, g_e <= tau, h_r <= 0 for
-    the active set at x.  Returns (x*, value, bound) at an isolated KKT
-    point, where bound is the weak-duality bound of its multipliers, or
-    None when the guess fails or lands on a singular (non-isolated) one."""
+    the active set at x, where ``vals`` is the stack at x.  Returns (x*,
+    value, bound) at an isolated KKT point, where bound is the weak-duality
+    bound of its multipliers, or None when the guess fails or lands on a
+    singular (non-isolated) one.  The steps read only the active rows; the
+    full stack is evaluated at most once, at the converged point."""
     width = np.max(box[:, 1] - box[:, 0])
     if np.any(x - box[:, 0] < 1e-7 * width) or np.any(box[:, 1] - x < 1e-7 * width):
         return None  # box-active optimum: leave to the cutting planes
     ne = len(d.epigraph)
+    fx = float(np.max(vals[:ne]))
     athr = 1e-5 * max(1.0, abs(fx))
-    vals = stack_values(d, x)
     E = np.flatnonzero(vals[:ne] >= fx - athr)
     R = ne + np.flatnonzero(vals[ne:] >= -athr)
-    active = np.r_[E, R]  # multiplier order: lam for E, then mu for R
+    active = np.concatenate([E, R])  # multiplier order: lam for E, then mu for R
+    A, b, c = d.A[active], d.b[active], d.c[active]
     n = len(x)
     nE, nA = len(E), len(active)
+    A_flat = A.reshape(nA, n * n)
     u = np.concatenate([x, [fx], np.full(nE, 1.0 / nE), np.zeros(nA - nE)])
+    F = np.empty(n + 1 + nA)
     J = np.zeros((n + 1 + nA, n + 1 + nA))
     J[n + 1 : n + 1 + nE, n] = -1.0
     J[n, n + 1 : n + 1 + nE] = 1.0
+    grads = J[n + 1 :, :n]  # the active gradients, one per row
     for _ in range(50):
         xc, tau, mult = u[:n], u[n], u[n + 1 :]
-        vals = stack_values(d, xc)
-        grads = _grads(d, active, xc)
-        F = np.concatenate([mult @ grads, [np.sum(mult[:nE]) - 1.0], vals[E] - tau, vals[R]])
-        J[:n, :n] = 2.0 * np.tensordot(mult, d.A[active], 1)
+        act = _values_grads(A, b, c, xc, grads)[0]
+        np.matmul(mult, grads, out=F[:n])
+        F[n] = mult[:nE].sum() - 1.0
+        np.subtract(act[:nE], tau, out=F[n + 1 : n + 1 + nE])
+        F[n + 1 + nE :] = act[nE:]
+        J[:n, :n] = 2.0 * (mult @ A_flat).reshape(n, n)
         J[:n, n + 1 :] = grads.T
-        J[n + 1 :, :n] = grads
-        if np.max(np.abs(F)) <= 1e-11 * scale:
+        if np.abs(F).max() <= 1e-11 * scale:
             break
         try:
-            u = u + np.linalg.solve(J, -F)
+            u += np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             return None
     else:
         return None
@@ -182,6 +199,7 @@ def _polish(d, box, x, fx, scale):
         return None
     if np.any(xc < box[:, 0] - 1e-9) or np.any(xc > box[:, 1] + 1e-9):
         return None
+    vals = stack_values(d, xc)
     fx_all = float(np.max(vals[:ne]))
     if fx_all > tau + 1e-7 * scale:
         return None  # an inactive epigraph constraint took over
@@ -191,10 +209,10 @@ def _polish(d, box, x, fx, scale):
     # (x, tau) has tau >= sum_k w_k q_k(x) >= min over x of that quadratic.
     w = np.maximum(mult, 0.0)
     w[:nE] /= np.sum(w[:nE])
-    Aw, bw = np.tensordot(w, d.A[active], 1), w @ d.b[active]
+    Aw, bw = (w @ A_flat).reshape(n, n), w @ b
     y = np.linalg.lstsq(Aw, -bw, rcond=None)[0]
     solvable = np.max(np.abs(Aw @ y + bw)) <= 1e-9 * scale
-    bound = float(w @ d.c[active] + bw @ y) if solvable else -np.inf
+    bound = float(w @ c + bw @ y) if solvable else -np.inf
     return xc, fx_all, bound
 
 
@@ -205,8 +223,10 @@ def _box_active_improving(d, box, x) -> bool:
     vals = stack_values(d, x)
     fx = float(np.max(vals[:ne]))
     athr = 1e-6 * max(1.0, abs(fx))
-    grads_g = _grads(d, np.flatnonzero(vals[:ne] >= fx - athr), x)
-    grads_h = _grads(d, ne + np.flatnonzero(vals[ne:] >= -athr), x)
+    E = np.flatnonzero(vals[:ne] >= fx - athr)
+    R = ne + np.flatnonzero(vals[ne:] >= -athr)
+    grads_g = _values_grads(d.A[E], d.b[E], d.c[E], x)[1]
+    grads_h = _values_grads(d.A[R], d.b[R], d.c[R], x)[1]
     for i in range(len(x)):
         for sign, bound in ((-1.0, box[i, 0]), (1.0, box[i, 1])):
             if abs(x[i] - bound) > 1e-6 * width[i]:

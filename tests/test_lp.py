@@ -123,11 +123,22 @@ def test_definite_multiplier_shape_maximization(seed):
         assert_same_optimum(lp.solve(), c, fresh(c, lower, upper, G, h), G, h, lower, upper)
 
 
+def _loaded_by_package_import(prefix):
+    """The modules named ``prefix...`` that a fresh ``import qcqp_hull`` loads."""
+    src = str(Path(qcqp_hull.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, qcqp_hull; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_package_import_leaves_scipy_optimize_unloaded():
     # The HiGHS binding loads with the first LP, so a run that builds none
     # never imports scipy.optimize.
-    src = str(Path(qcqp_hull.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, qcqp_hull; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _loaded_by_package_import("scipy.optimize") == "[]"
+
+
+def test_package_import_loads_no_scipy():
+    # scipy loads only inside the calls that use it, so importing the
+    # package (the CLI's start-up) pays for none of it.
+    assert _loaded_by_package_import("scipy") == "[]"

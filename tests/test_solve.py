@@ -87,8 +87,7 @@ class TestMinimizeSoc:
     @staticmethod
     def _polish_from(soc, x):
         x = np.asarray(x, dtype=float)
-        fx = float(np.max(stack_values(soc, x)[: len(soc.epigraph)]))
-        return _polish(soc, _as_box((-10.0, 10.0), soc.dim), x, fx, 1.0)
+        return _polish(soc, _as_box((-10.0, 10.0), soc.dim), x, stack_values(soc, x), 1.0)
 
     def test_polish_declines_flat_face_midpoint(self, ex1_soc):
         # (-2.5, 0) is a KKT point in the middle of example1's optimal
