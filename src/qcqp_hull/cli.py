@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from . import _kernels
-from .core import EpigraphPoint, Qcqp, objective_and_violations
+from .core import EpigraphPoint, Qcqp, violations_in_place
 from .errors import (
     GuardExceeded,
     NoInteriorPoint,
@@ -64,22 +64,23 @@ def _stem(path: str) -> str:
 
 def plot2d(p: Qcqp, d, box, resolution: int = 201, tol: float = 1e-8):
     """Grid-sample the least t making (x, t) a member of the true epigraph
-    and of the hull description; infeasible x gets +inf."""
+    and of the hull description; infeasible x gets +inf.  The grid has
+    ``resolution`` >= 2 points per axis, listed in C order (x1 slowest)."""
     if p.dim != 2:
         raise ValueError(f"plot needs a 2-dimensional problem, got N = {p.dim}")
+    if resolution < 2:
+        raise ValueError(f"plot resolution must be at least 2, got {resolution}")
     box = _as_box(box, 2)
-    ax1 = np.linspace(box[0, 0], box[0, 1], resolution)
-    ax2 = np.linspace(box[1, 0], box[1, 1], resolution)
-    G1, G2 = np.meshgrid(ax1, ax2, indexing="ij")
-    X = np.stack([G1.ravel(), G2.ravel()], axis=1)
+    axes = [np.linspace(box[i, 0], box[i, 1], resolution) for i in range(2)]
 
-    obj, viol = objective_and_violations(p, X)
+    obj, viol = violations_in_place(p, _kernels.eval_quadratics_grid(p.A, p.b, p.c, axes))
     tmin_d = np.where(np.all(viol <= tol, axis=0), 0.5 * obj, np.inf)
 
     ne = len(d.epigraph)
-    svals = _kernels.eval_quadratics(d.A, d.b, d.c, X)
+    svals = _kernels.eval_quadratics_grid(d.A, d.b, d.c, axes)
     tmin_hull = np.where(np.all(svals[ne:] <= tol, axis=0), 0.5 * np.max(svals[:ne], axis=0), np.inf)
-    return X[:, 0], X[:, 1], tmin_d, tmin_hull
+    x1, x2 = np.repeat(axes[0], resolution), np.tile(axes[1], resolution)
+    return x1, x2, tmin_d.ravel(), tmin_hull.ravel()
 
 
 def _cmd_analyze(args) -> int:

@@ -10,8 +10,11 @@ Conventions fixed here and used everywhere else:
     quadratic; for a Qcqp row 0 is the objective and rows 1..m the
     constraints.  ``aggregate`` is the one rule that combines a stack,
     ``stack_values`` (over ``_kernels.eval_quadratics``) the one evaluator
-    of a whole stack (the hull solver's Newton polish evaluates only its
-    active rows) and ``objective_and_violations`` the one violation rule.
+    of a whole stack at a point (the hull solver's Newton polish evaluates
+    only its active rows; grids go through ``_kernels.eval_quadratics_grid``)
+    and ``violations_in_place`` the one violation rule, which
+    ``objective_and_violations`` applies at points and the brute-force
+    oracle and the plot apply over grids.
 """
 
 from __future__ import annotations
@@ -180,15 +183,20 @@ def lagrangian(p: Qcqp, gamma) -> QuadraticFn:
     return QuadraticFn(*aggregate(p, np.concatenate([[1.0], gamma])))
 
 
-def objective_and_violations(p: Qcqp, X):
-    """q_0 at the rows of the point array X (P, N), shape (P,), and the
-    constraint violations there, shape (m, P): the positive part of q_i
-    for inequalities and |q_i| for equalities."""
-    vals = _kernels.eval_quadratics(p.A, p.b, p.c, X)
+def violations_in_place(p: Qcqp, vals):
+    """The violation rule on a (1 + m, ...) stack of p's values: overwrites
+    the constraint rows with the positive part of q_i for inequalities and
+    |q_i| for equalities, and returns (vals[0], vals[1:])."""
     ineq, eq = vals[1 : p.num_inequalities + 1], vals[p.num_inequalities + 1 :]
     np.maximum(ineq, 0.0, out=ineq)
     np.abs(eq, out=eq)
     return vals[0], vals[1:]
+
+
+def objective_and_violations(p: Qcqp, X):
+    """q_0 at the rows of the point array X (P, N), shape (P,), and the
+    constraint violations there, shape (m, P), by ``violations_in_place``."""
+    return violations_in_place(p, _kernels.eval_quadratics(p.A, p.b, p.c, X))
 
 
 def check_feasible(p: Qcqp, pt: EpigraphPoint, tol: float = FEASIBILITY_TOL) -> FeasReport:

@@ -23,12 +23,14 @@ as the hull description's are.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._lp import CuttingPlaneLP
-from .core import Qcqp, objective_and_violations, stack_values
+from .core import Qcqp, objective_and_violations, stack_values, violations_in_place
 from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
 
@@ -249,13 +251,15 @@ def brute_force(p: Qcqp, box, grid_points: int | None = None):
 
     A dense grid with recursive zoom refinement; equality constraints are
     relaxed proportionally to the current grid spacing.  The first grid has
-    ``grid_points`` points per axis, by default min(400,
+    ``grid_points`` points per axis, an integer >= 2, by default min(400,
     floor(BRUTE_SLAB_POINTS^(1/N))): 400 at N <= 2 and 54 at N = 3, so the
     default first grid is one slab.  Each grid is evaluated in slabs of
     whole layers along the first axis, at most BRUTE_SLAB_POINTS points or
-    one layer each, so memory stays bounded at N = 3.  Returns (value, x);
-    raises NoFeasiblePoint when nothing in the box satisfies the
-    constraints.
+    one layer each, so memory stays bounded at N = 3.  A slab goes through
+    ``_kernels.eval_quadratics_grid`` from its axes, without a point array;
+    the first best point in C order of the grid (meshgrid "ij" order) wins.
+    Returns (value, x); raises NoFeasiblePoint when nothing in the box
+    satisfies the constraints.
     """
     n = p.dim
     if n > 3:
@@ -264,6 +268,9 @@ def brute_force(p: Qcqp, box, grid_points: int | None = None):
     if grid_points is None:
         # The 1e-9 keeps the exact square root at N = 2 from rounding down.
         grid_points = min(400, int(BRUTE_SLAB_POINTS ** (1.0 / n) + 1e-9))
+    elif not isinstance(grid_points, numbers.Integral) or grid_points < 2:
+        # One point per axis is the box's lower corner, and zooming keeps it there.
+        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points!r}")
 
     corner = np.linalg.norm(np.max(np.abs(box), axis=1))
     grad_bound = 2.0 * np.linalg.norm(p.A, 2, axis=(1, 2)) * corner + 2.0 * np.linalg.norm(p.b, axis=1)
@@ -272,25 +279,35 @@ def brute_force(p: Qcqp, box, grid_points: int | None = None):
 
     def sweep(lo, hi, pts):
         axes = [np.linspace(lo[i], hi[i], pts) for i in range(n)]
-        h = max(float(ax[1] - ax[0]) if len(ax) > 1 else 0.0 for ax in axes)
+        h = max(float(ax[1] - ax[0]) for ax in axes)
         # Per-row tolerances: the inequality slack, then the equality bands.
         eq_tols = h * grad_bound[mi + 1 :] + 1e-12
-        tols = np.r_[np.full(mi, BRUTE_FEAS_TOL), eq_tols]
+        tols = np.r_[np.full(mi, BRUTE_FEAS_TOL), eq_tols].reshape((-1,) + (1,) * n)
+        # Both evaluators round within a few 1e-16 of this bound on the
+        # objective's terms in the window, so every point within tie_tol of
+        # the grid's best may be the point sweep's minimum.
+        xmax = np.maximum(np.abs(lo), np.abs(hi))
+        tie_tol = 1e-13 * (xmax @ np.abs(p.A[0]) @ xmax + 2.0 * np.abs(p.b[0]) @ xmax + abs(p.c[0]))
         # Slabs of whole first-axis layers; the first best point in grid
         # order wins, as in one sweep of the whole grid.
         step = max(1, BRUTE_SLAB_POINTS // pts ** (n - 1))
         best = None
         for start in range(0, pts, step):
-            mesh = np.meshgrid(axes[0][start : start + step], *axes[1:], indexing="ij")
-            X = np.stack([m.ravel() for m in mesh], axis=1)
-            obj, viol = objective_and_violations(p, X)
-            ok = np.all(viol <= tols[:, None], axis=0)
+            slab = [axes[0][start : start + step], *axes[1:]]
+            obj, viol = violations_in_place(p, _kernels.eval_quadratics_grid(p.A, p.b, p.c, slab))
+            ok = np.all(viol <= tols, axis=0)
             if not np.any(ok):
                 continue
             obj = np.where(ok, obj, np.inf)
-            j = int(np.argmin(obj))
-            if best is None or obj[j] < best[0]:
-                best = float(obj[j]), X[j]
+            # The grid sum rounds differently from the point evaluator, so
+            # every point within rounding of the grid's best is re-read at
+            # its point: ties then break as in a sweep of the point array.
+            near = np.flatnonzero(obj <= obj.min() + tie_tol)
+            X = np.stack([ax[i] for ax, i in zip(slab, np.unravel_index(near, obj.shape))], axis=1)
+            vals = objective_and_violations(p, X)[0]
+            j = int(np.argmin(vals))
+            if best is None or vals[j] < best[0]:
+                best = float(vals[j]), X[j]
         return None if best is None else (*best, h, eq_tols)
 
     first = sweep(box[:, 0], box[:, 1], grid_points)

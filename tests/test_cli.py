@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from qcqp_hull import io
+from qcqp_hull import _kernels, io
 from qcqp_hull.cli import plot2d, run
-from qcqp_hull.core import EpigraphPoint
+from qcqp_hull.core import EpigraphPoint, objective_and_violations
 from qcqp_hull.errors import ParseError
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import FamilySpec, generate
@@ -295,6 +295,13 @@ class TestCliFlows:
         assert run(["analyze", f]) == 3
         assert run(["hull", f]) == 3
 
+    @pytest.mark.parametrize("resolution", ["0", "1"])
+    def test_plot_resolution_below_two_exits_1(self, tmp_path, ex1_file, capsys, resolution):
+        out = str(tmp_path / "p.csv")
+        assert run(["plot", ex1_file, "--resolution", resolution, "--out", out]) == 1
+        assert "resolution" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_plot_wrong_dimension(self, tmp_path):
         p = generate(FamilySpec(family="gtrs", n=3, seed=0))
         f = str(tmp_path / "p3.json")
@@ -314,3 +321,20 @@ class TestPlot2d:
         i1 = at[(1.0, 2.0)]  # strictly feasible: floor is the objective
         assert td[i1] == pytest.approx(0.5 * (1 + 4 + 10))
         assert th[i1] == pytest.approx(td[i1], abs=1e-9)
+
+    def test_grid_matches_point_evaluation(self, ex1, ex1_soc):
+        # The grid kernel against the point kernel over the meshgrid's
+        # points, in the same order, at the CLI's default resolution.
+        x1, x2, td, th = plot2d(ex1, ex1_soc, [(-5.0, 5.0), (-5.0, 5.0)])
+        axis = np.linspace(-5.0, 5.0, 201)
+        X = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        assert np.array_equal(x1, X[:, 0]) and np.array_equal(x2, X[:, 1])
+        obj, viol = objective_and_violations(ex1, X)
+        want_d = np.where(np.all(viol <= 1e-8, axis=0), 0.5 * obj, np.inf)
+        svals = _kernels.eval_quadratics(ex1_soc.A, ex1_soc.b, ex1_soc.c, X)
+        ne = len(ex1_soc.epigraph)
+        want_h = np.where(np.all(svals[ne:] <= 1e-8, axis=0), 0.5 * svals[:ne].max(axis=0), np.inf)
+        for got, want in ((td, want_d), (th, want_h)):
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * np.maximum(1.0, np.abs(want[finite])))

@@ -60,8 +60,8 @@ def test_whiten_simdiag_keeps_coordinate_order(objective, constraints):
 
 @pytest.mark.parametrize("points", ["one", "random", "grid"])
 def test_eval_quadratics_paths_agree(points):
-    # One point is how core.stack_values calls the kernel; grids are how
-    # brute_force and the plot call it.
+    # One point is how core.stack_values calls the kernel; point lists and
+    # grids listed as points exercise the batched path.
     rng = np.random.default_rng(7)
     K, n = 4, 3
     A = rng.normal(size=(K, n, n))
@@ -81,3 +81,25 @@ def test_eval_quadratics_paths_agree(points):
         for p in range(P):
             manual = X[p] @ A[k] @ X[p] + 2 * b[k] @ X[p] + c[k]
             assert abs(got[k, p] - manual) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(7,), (1,), (5, 3), (1, 4), (3, 1), (1, 1), (4, 3, 2), (1, 1, 5), (2, 1, 3), (6, 5, 4)],
+    ids=lambda s: "x".join(map(str, s)),
+)
+def test_eval_quadratics_grid_matches_points(shape):
+    # The grid kernel against the point kernel over the meshgrid's points,
+    # in meshgrid "ij" (C) order, on unequal axes and one-point axes.
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    K, n = 5, len(shape)
+    A = rng.normal(size=(K, n, n)) * 3.0
+    A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+    b = rng.normal(size=(K, n))
+    c = rng.normal(size=K)
+    axes = [np.sort(rng.uniform(-4.0, 4.0, size=m)) for m in shape]
+    got = _kernels.eval_quadratics_grid(A, b, c, axes)
+    assert got.shape == (K, *shape)
+    X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    want = _kernels.eval_quadratics(A, b, c, X)
+    assert np.all(np.abs(got.reshape(K, -1) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

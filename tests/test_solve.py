@@ -240,6 +240,27 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="finite"):
             brute_force(ex1, box)
 
+    @pytest.mark.parametrize("grid_points", [0, 1, -4, 2.5, 41.0, "41"])
+    def test_grid_points_below_two_or_not_integer_refused(self, ex1, grid_points):
+        # A one-point grid is the box's lower corner, and zooming keeps it there.
+        with pytest.raises(ValueError, match="grid_points"):
+            brute_force(ex1, (-10.0, 10.0), grid_points=grid_points)
+
+    def test_two_points_per_axis_accepted(self, ex1):
+        val, x = brute_force(ex1, (-10.0, 10.0), grid_points=np.int64(2))
+        assert np.isfinite(val) and x.shape == (2,)
+
+    def test_default_grid_in_bounded_memory(self, ex1):
+        # 400^2 points: the grid is evaluated from its axes, no point array.
+        tracemalloc.start()
+        try:
+            val, _ = brute_force(ex1, (-10.0, 10.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert val == pytest.approx(-17.5, abs=1e-3)
+
     def test_three_dimensional_grid_in_bounded_memory(self):
         # 200^3 = 8M grid points: the point array alone would be 192 MB.
         p = gtrs(3, 0)
@@ -249,7 +270,7 @@ class TestBruteForce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
         # gtrs is hull-guaranteed, so the converged hull solve is the optimum.
         res = minimize_soc(soc_description(build_gamma_data(p).v, p), (-10.0, 10.0), tol=1e-8)
         assert res.status == "converged"
