@@ -27,7 +27,6 @@ from .gamma import (
     build_gamma,
     build_gamma_data,
     dd_vrep,
-    enumerate_faces,
     optimal_face,
 )
 from .generators import FamilySpec, generate

@@ -5,10 +5,12 @@ polyhedron { gamma : d_j(A_0) + sum_i gamma_i d_j(A_i) >= 0 for all
 coordinates j, gamma_i >= 0 for inequality indices }.  This module builds
 that H-representation as row arrays, converts it to vertices + extreme
 rays with an incremental double description method, optimizes linear
-functionals over it by generator scan, and enumerates its faces.  The
-whitening multiplier is the interior witness: every eigenvalue row is 1
-there, so no search for one is needed.  A face's dead coordinates (its
-active eigenvalue rows) settle whether it is definite and its dim V.
+functionals over it by generator scan, and finds the faces the theorems
+and the decomposition read: the semidefinite faces, ranked, and the
+optimal face of one point.  The whitening multiplier is the interior
+witness: every eigenvalue row is 1 there, so no search for one is
+needed.  A face's dead coordinates (its active eigenvalue rows) settle
+whether it is definite and its dim V.
 """
 
 from __future__ import annotations
@@ -158,14 +160,6 @@ def _directions(generators: np.ndarray) -> np.ndarray:
     Works on a (..., G, m + 1) stack of generator arrays."""
     rest = generators[..., 1:, :]
     return rest - rest[..., :1] * generators[..., :1, :]
-
-
-def _by_size(sizes) -> dict:
-    """Positions of each distinct size: {size: list of positions}."""
-    groups = {}
-    for j, n in enumerate(sizes):
-        groups.setdefault(n, []).append(j)
-    return groups
 
 
 def _incidence(h: PolyhedronH, generators: np.ndarray) -> np.ndarray:
@@ -333,19 +327,6 @@ def _split_ids(ids: tuple, nv: int) -> tuple:
     return ids[:k], ids[k:]
 
 
-def _faces(ids: np.ndarray, generators: np.ndarray, active: np.ndarray, aff_dims: np.ndarray,
-           num_eigen: int) -> list:
-    """The faces of a stack: face f holds the ascending generator ids
-    ``ids[f]``, their rows ``generators[f]`` of the ambient
-    ``PolyhedronV.generators``, the rows the mask ``active[f]`` marks as
-    active at all of them, and the affine dimension ``aff_dims[f]``.  Its
-    dead rows are its active rows below ``num_eigen``."""
-    return [
-        Face(tuple(i), g, act, d, act[: bisect.bisect_left(act, num_eigen)])
-        for i, g, d, act in zip(ids.tolist(), generators, aff_dims.tolist(), _row_lists(active))
-    ]
-
-
 def _unpack_bitmasks(keys, width: int) -> np.ndarray:
     """One boolean row of ``width`` per int key, entry k its bit k."""
     nbytes = (width + 7) // 8
@@ -369,10 +350,11 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
     if np.any(vals[nv:] > tol_abs):
         return None
     # The maximizers: vertices at the sup, rays along which it is flat.
-    ids = np.flatnonzero(np.abs(vals - sup * v.generators[:, 0]) <= tol_abs)[None]
+    ids = np.flatnonzero(np.abs(vals - sup * v.generators[:, 0]) <= tol_abs)
     generators = v.generators[ids]
-    active = _incidence(h, generators).all(axis=1)
-    return sup, _faces(ids, generators, active, _ranks(_directions(generators)), h.num_eigen)[0]
+    active = tuple(np.flatnonzero(_incidence(h, generators).all(axis=0)).tolist())
+    dead = active[: bisect.bisect_left(active, h.num_eigen)]
+    return sup, Face(tuple(ids.tolist()), generators, active, int(_ranks(_directions(generators))), dead)
 
 
 def _closed_faces(h: PolyhedronH, v: PolyhedronV) -> list:
@@ -420,24 +402,10 @@ def _closed_faces(h: PolyhedronH, v: PolyhedronV) -> list:
     return stacks
 
 
-def enumerate_faces(h: PolyhedronH, v: PolyhedronV):
-    """All nonempty faces (``_closed_faces``), each once, sorted by affine
-    dimension, then by the ids of their vertices, then by the ids of their
-    rays.  The faces with the same number of generators get their affine
-    dimensions from one stacked SVD.
-    """
-    faces = []
-    for ids, active in _closed_faces(h, v):
-        generators = v.generators[ids]
-        faces += _faces(ids, generators, active, _ranks(_directions(generators)), h.num_eigen)
-    nv = v.vertices.shape[0]
-    faces.sort(key=lambda f: (f.aff_dim, *_split_ids(f.generator_ids, nv)))
-    return faces
-
-
 def semidefinite_faces(h: PolyhedronH, v: PolyhedronV, p: Qcqp) -> tuple:
-    """The number of nonempty faces, and (active_rows, aff_dim, dim_v,
-    b_aff_dim) of each semidefinite one in ``enumerate_faces``'s order.
+    """The number of nonempty faces (``_closed_faces``), and (active_rows,
+    aff_dim, dim_v, b_aff_dim) of each semidefinite one, sorted by affine
+    dimension, then by the ids of its vertices, then by the ids of its rays.
 
     A face is semidefinite when some eigenvalue row is active at all its
     generators.  The semidefinite faces of each generator count get both
@@ -460,14 +428,10 @@ def semidefinite_faces(h: PolyhedronH, v: PolyhedronV, p: Qcqp) -> tuple:
     return num_faces, [r for _, r in keyed]
 
 
-def b_aff_dims(faces, p: Qcqp) -> list:
+def b_aff_dim(face: Face, p: Qcqp) -> int:
     """Affine dimension of gamma -> b(gamma) = b_0 + sum gamma_i b_i over
-    each face, from one stacked SVD per generator count."""
-    dims = np.zeros(len(faces), dtype=int)
-    for group in _by_size(len(f.generator_ids) for f in faces).values():
-        generators = np.stack([faces[j].generators for j in group])
-        dims[group] = _ranks(_directions(generators) @ p.b)
-    return dims.tolist()
+    the face."""
+    return int(_ranks(_directions(face.generators) @ p.b))
 
 
 # ---------------------------------------------------------------------------

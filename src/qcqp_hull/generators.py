@@ -30,8 +30,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.family == "swisscheese" and self.m1 + self.m2 + self.m3 < 1:
-            raise ValueError("swisscheese needs m1 + m2 + m3 >= 1")
+        if self.family == "swisscheese":
+            _check_swiss_counts(self.m1, self.m2, self.m3)
         if self.n < 1 or self.k < 1 or self.m < 1 or self.num_forms < 1:
             raise ValueError("dimensions and counts must be positive")
 
@@ -106,12 +106,18 @@ def quadratic_matrix_program(n: int, k: int, m: int, seed: int = 0) -> Qcqp:
     )
 
 
+def _check_swiss_counts(m1: int, m2: int, m3: int) -> None:
+    if min(m1, m2, m3) < 0:
+        raise ValueError("swisscheese needs m1, m2, m3 >= 0")
+    if m1 + m2 + m3 < 1:
+        raise ValueError("swisscheese needs m1 + m2 + m3 >= 1")
+
+
 def swiss_cheese(n: int, m1: int, m2: int, m3: int, seed: int = 0) -> Qcqp:
     """Distance-to-origin over a region cut by inside-ball, outside-ball,
     and half-space constraints (Hessians I, -I, 0), built nonempty around
     a random anchor point."""
-    if m1 + m2 + m3 < 1:
-        raise ValueError("swisscheese needs m1 + m2 + m3 >= 1")
+    _check_swiss_counts(m1, m2, m3)
     rng = np.random.default_rng(seed)
     anchor = rng.normal(size=n) * 0.5
     cons = []

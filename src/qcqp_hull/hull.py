@@ -27,7 +27,7 @@ from .core import (
     stack_values,
 )
 from .errors import NoDescentDirection, NotInDsdp, QcqpHullError
-from .gamma import GammaData, b_aff_dims, optimal_face
+from .gamma import GammaData, b_aff_dim, optimal_face
 from .linalg import solve_homogeneous
 
 MEMBERSHIP_TOL = 1e-8
@@ -105,13 +105,14 @@ def dsdp_membership(d: SocDescription, pt: EpigraphPoint, tol: float = MEMBERSHI
 def verify_certificate(
     p: Qcqp, c: ConvexCombination, target: EpigraphPoint, tol: float = MEMBERSHIP_TOL
 ) -> bool:
-    """Independent re-check of a certificate: positive weights summing to
-    one, exact reconstruction of the target, and every point feasible for
-    the original problem.  Uses no decomposition state."""
+    """Independent re-check of a certificate: finite positive weights
+    summing to one, exact reconstruction of the target, and every point
+    feasible for the original problem.  Uses no decomposition state.
+    Each test is written so that a NaN fails it."""
     w = np.asarray(c.weights, dtype=float)
-    if w.size == 0 or np.any(w <= 0.0):
+    if w.size == 0 or not np.all(w > 0.0):
         return False
-    if abs(float(np.sum(w)) - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(float(np.sum(w)) - 1.0) <= WEIGHT_SUM_TOL:
         return False
     if len(c.points) != w.size:
         return False
@@ -119,9 +120,9 @@ def verify_certificate(
     ts = np.array([pt.t for pt in c.points])
     recon_x = w @ xs
     recon_t = float(w @ ts)
-    if np.max(np.abs(recon_x - target.x)) > tol:
+    if not np.max(np.abs(recon_x - target.x)) <= tol:
         return False
-    if abs(recon_t - target.t) > tol:
+    if not abs(recon_t - target.t) <= tol:
         return False
     return all(check_feasible(p, pt, tol).feasible for pt in c.points)
 
@@ -181,7 +182,7 @@ def _split(p, gd, x, res, depth, tol, trace):
         )
 
     v, s = _flat_direction(face, gd.sd, p)
-    b_dim = b_aff_dims([face], p)[0]
+    b_dim = b_aff_dim(face, p)
     if v is None:
         raise NoDescentDirection(
             "the direction system on the optimal face has only the zero solution "

@@ -11,7 +11,7 @@ import pytest
 from oracle2d import oracle_agreement
 from qcqp_hull.certify import analyze_problem, check_conditions
 from qcqp_hull.core import EpigraphPoint
-from qcqp_hull.gamma import build_gamma_data, dd_vrep, enumerate_faces, optimal_face
+from qcqp_hull.gamma import build_gamma_data, dd_vrep, optimal_face
 from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import decompose, soc_description, verify_certificate
 from qcqp_hull.solve import brute_force, minimize_soc
@@ -142,9 +142,8 @@ def test_criterion_6_multiplicity_family():
         rep = check_conditions(p, gd)
         assert rep.k == k
         assert rep.theorem2
-        for f in enumerate_faces(gd.h, gd.v):
-            if not f.definite:
-                assert f.dim_v % k == 0
+        for r in rep.semidefinite_faces:
+            assert r.dim_v % k == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(6, elapsed, f"{QMP_INSTANCES} block-structured instances")

@@ -200,6 +200,15 @@ class TestCliFlows:
         assert "-17.5" in text
         assert "brute-force" in text
 
+    @pytest.mark.parametrize("count", ["--m1", "--m2", "--m3"])
+    def test_generate_negative_count_exits_1(self, tmp_path, capsys, count):
+        out = str(tmp_path / "sc.json")
+        args = ["generate", "swisscheese", "--m1", "2", "--m2", "2", "--m3", "2", "--out", out]
+        args[args.index(count) + 1] = "-2"
+        assert run(args) == 1
+        assert ">= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["solve", "plot"])
     @pytest.mark.parametrize("box", ["--box=nan,1", "--box=-inf,inf", "--box=-10,nan"])
     def test_nonfinite_box_exits_1(self, tmp_path, ex1_file, capsys, command, box):

@@ -11,18 +11,19 @@ from qcqp_hull.errors import GuardExceeded, NoInteriorPoint
 from qcqp_hull.gamma import (
     FACE_TOL,
     RANK_TOL,
+    Face,
     PolyhedronH,
+    _closed_faces,
     _directions,
-    _incidence,
     _initial_basis_rows,
     _ranks,
-    b_aff_dims,
+    b_aff_dim,
     build_gamma,
     build_gamma_data,
     dd_vrep,
-    enumerate_faces,
     find_definite_multiplier,
     optimal_face,
+    semidefinite_faces,
 )
 from qcqp_hull.generators import (
     barvinok_random,
@@ -163,12 +164,12 @@ def lifted_dd_gamma_star(h, cap=1.0):
     return best, lv.vertices[mus >= best - 1e-12, :m]
 
 
-def split_ids(face, v):
-    """A face's (vertex ids, ray ids) in ``v.vertices`` and ``v.rays``,
-    read from its ascending generator ids."""
+def split_ids(generator_ids, v):
+    """Ascending generator ids as (vertex ids, ray ids) in ``v.vertices``
+    and ``v.rays``."""
     nv = v.vertices.shape[0]
-    return (tuple(i for i in face.generator_ids if i < nv),
-            tuple(i - nv for i in face.generator_ids if i >= nv))
+    return (tuple(i for i in generator_ids if i < nv),
+            tuple(i - nv for i in generator_ids if i >= nv))
 
 
 def row_subset_faces(h, v, tol=FACE_TOL):
@@ -197,6 +198,27 @@ def row_subset_faces(h, v, tol=FACE_TOL):
             ids = (tuple(np.flatnonzero(gens[:nv]).tolist()), tuple(np.flatnonzero(gens[nv:]).tolist()))
             faces.add((aff_dim, *ids, active))
     return sorted(faces)
+
+
+def oracle_faces(h, v):
+    """The faces of ``row_subset_faces`` as ``Face``s, in its order."""
+    nv = v.vertices.shape[0]
+    faces = []
+    for aff_dim, vertex_ids, ray_ids, active in row_subset_faces(h, v):
+        ids = vertex_ids + tuple(nv + i for i in ray_ids)
+        dead = tuple(i for i in active if i < h.num_eigen)
+        faces.append(Face(ids, v.generators[list(ids)], active, aff_dim, dead))
+    return faces
+
+
+def closed_faces(h, v):
+    """The (vertex ids, ray ids, active rows) of each face ``_closed_faces``
+    finds."""
+    return [
+        (*split_ids(ids, v), tuple(np.flatnonzero(act).tolist()))
+        for stack, active in _closed_faces(h, v)
+        for ids, act in zip(stack.tolist(), active)
+    ]
 
 
 class TestBuildGamma:
@@ -402,7 +424,7 @@ class TestOptimalFace:
         assert res is not None
         got_sup, face = res
         assert got_sup == pytest.approx(sup, abs=1e-9)
-        assert len(split_ids(face, ex1_gd.v)[0]) == n_verts
+        assert len(split_ids(face.generator_ids, ex1_gd.v)[0]) == n_verts
 
     def test_matches_generator_scan(self, ex1, ex1_gd):
         rng = np.random.default_rng(8)
@@ -414,7 +436,7 @@ class TestOptimalFace:
                 for g in ex1_gd.v.vertices
             ]
             assert res[0] == pytest.approx(max(vals), abs=1e-9)
-            for vid in split_ids(res[1], ex1_gd.v)[0]:
+            for vid in split_ids(res[1].generator_ids, ex1_gd.v)[0]:
                 assert vals[vid] == pytest.approx(res[0], abs=1e-6)
 
     @pytest.mark.parametrize(
@@ -424,7 +446,7 @@ class TestOptimalFace:
     def test_is_an_enumerated_face(self, make):
         p = make()
         gd = build_gamma_data(p)
-        faces = {f.generator_ids: f for f in enumerate_faces(gd.h, gd.v)}
+        faces = {f.generator_ids: f for f in oracle_faces(gd.h, gd.v)}
         rng = np.random.default_rng(5)
         found = 0
         # Integer points tie generators, so faces past single vertices come
@@ -437,6 +459,9 @@ class TestOptimalFace:
             f = faces[face.generator_ids]
             assert (face.active_rows, face.aff_dim, face.dead) == (f.active_rows, f.aff_dim, f.dead)
             assert np.array_equal(face.generators, f.generators)
+            vertex_ids, ray_ids = split_ids(face.generator_ids, gd.v)
+            assert np.array_equal(face.vertices, gd.v.vertices[list(vertex_ids)])
+            assert np.array_equal(face.rays, gd.v.rays[list(ray_ids)])
             found += 1
             if found == 20:
                 break
@@ -473,13 +498,15 @@ class TestClassifyFace:
         assert not f10.definite
         assert f10.dim_v == 1
         assert np.allclose(np.abs(_dead_basis(ex1_gd, f10)[:, 0]), [0.0, 1.0], atol=1e-9)
-        assert b_aff_dims([f10], ex1) == [0]
+        assert b_aff_dim(f10, ex1) == 0
 
     def test_example1_full_face_definite(self, ex1, ex1_gd):
-        faces = enumerate_faces(ex1_gd.h, ex1_gd.v)
+        faces = oracle_faces(ex1_gd.h, ex1_gd.v)
         full = [f for f in faces if f.aff_dim == 2]
         assert len(full) == 1
         assert full[0].definite
+        _, records = semidefinite_faces(ex1_gd.h, ex1_gd.v, ex1)
+        assert all(aff_dim < 2 for _, aff_dim, _, _ in records)
 
     def test_witness_and_nullspace_properties(self):
         # qmp seed 0 has no semidefinite face; seeds 1 and 2 have 3 and 5
@@ -491,7 +518,7 @@ class TestClassifyFace:
         ]
         for p in problems:
             gd = build_gamma_data(p)
-            faces = enumerate_faces(gd.h, gd.v)
+            faces = oracle_faces(gd.h, gd.v)
             assert any(not f.definite for f in faces)
             for f in faces:
                 gamma_bar = f.relint_point()
@@ -513,58 +540,65 @@ class TestClassifyFace:
         for seed in range(4):
             p = gtrs(3, seed)
             gd = build_gamma_data(p)
-            for f in enumerate_faces(gd.h, gd.v):
+            for f in oracle_faces(gd.h, gd.v):
                 if f.aff_dim == p.num_constraints:
                     assert f.definite
+            _, records = semidefinite_faces(gd.h, gd.v, p)
+            assert all(aff_dim < p.num_constraints for _, aff_dim, _, _ in records)
 
     def test_kron_instances_have_thick_nullspaces(self):
         # semidefinite faces of block-structured instances have dim V >= k
         for seed in range(4):
             p = quadratic_matrix_program(2, 3, 2, seed=seed)
             gd = build_gamma_data(p)
-            for f in enumerate_faces(gd.h, gd.v):
+            for f in oracle_faces(gd.h, gd.v):
                 if not f.definite:
                     assert f.dim_v >= 3
+            _, records = semidefinite_faces(gd.h, gd.v, p)
+            assert all(dim_v >= 3 for _, _, dim_v, _ in records)
 
 
 class TestEnumerateFaces:
-    def test_example1_has_eight_faces(self, ex1_gd):
-        faces = enumerate_faces(ex1_gd.h, ex1_gd.v)
+    """``_closed_faces`` finds every nonempty face once."""
+
+    def test_example1_has_eight_faces(self, ex1, ex1_gd):
+        faces = closed_faces(ex1_gd.h, ex1_gd.v)
         assert len(faces) == 8
-        sigs = {f.generator_ids for f in faces}
+        sigs = {(vertex_ids, ray_ids) for vertex_ids, ray_ids, _ in faces}
         assert len(sigs) == 8
         # the segment between the two non-origin vertices is not a face
         idx = {tuple(np.round(v, 6)): i for i, v in enumerate(ex1_gd.v.vertices)}
         v10, v01 = idx[(1.0, 0.0)], idx[(0.0, 1.0)]
-        assert tuple(sorted((v10, v01))) not in sigs
+        assert (tuple(sorted((v10, v01))), ()) not in sigs
+        assert semidefinite_faces(ex1_gd.h, ex1_gd.v, ex1)[0] == 8
 
     def test_single_point(self):
         h = poly(([1.0], 0.0), ([-1.0], 0.0))
-        faces = enumerate_faces(h, dd_vrep(h))
-        assert len(faces) == 1
+        assert closed_faces(h, dd_vrep(h)) == [((0,), (), (0, 1))]
 
     def test_halfline(self):
         h = poly(([1.0], 0.0))
-        faces = enumerate_faces(h, dd_vrep(h))
-        assert len(faces) == 2
-        assert sorted(f.aff_dim for f in faces) == [0, 1]
+        v = dd_vrep(h)
+        # the vertex, on the row, and the half-line itself
+        assert sorted(closed_faces(h, v)) == [((0,), (), (0,)), ((0,), (0,), ())]
+        assert sorted(f.aff_dim for f in oracle_faces(h, v)) == [0, 1]
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_row_subset_oracle(self, case):
         h, v = ORACLE_CASES[case]()
-        got = [(f.aff_dim, *split_ids(f, v), f.active_rows) for f in enumerate_faces(h, v)]
-        assert got == row_subset_faces(h, v)
+        want = [(vertex_ids, ray_ids, active) for _, vertex_ids, ray_ids, active in row_subset_faces(h, v)]
+        assert sorted(closed_faces(h, v)) == sorted(want)
 
     def test_guard(self):
         # 21 rows tangent to the unit circle: 21 facets, so 21 cuts
         angles = 2.0 * np.pi * np.arange(21) / 21
         h = poly(*(((np.cos(t), np.sin(t)), 1.0) for t in angles))
         with pytest.raises(GuardExceeded):
-            enumerate_faces(h, dd_vrep(h))
+            _closed_faces(h, dd_vrep(h))
         # 21 random rows with only 6 facets pass: 6 vertices, 6 edges, the polygon
         rng = np.random.default_rng(0)
         h = poly(*((rng.normal(size=2), 1.0) for _ in range(21)))
-        assert len(enumerate_faces(h, dd_vrep(h))) == 13
+        assert len(closed_faces(h, dd_vrep(h))) == 13
 
 
 class TestDefiniteMultiplier:
@@ -692,35 +726,19 @@ STACKED_FACE_CASES = {
 
 @pytest.mark.parametrize("case", list(STACKED_FACE_CASES))
 def test_stacked_faces_match_per_face_path(case):
-    """Each face's stacked fields equal the one-face computation: its
-    active rows are the incidence columns active at all its generators,
-    its dead rows those below ``num_eigen``, and its aff_dim and
-    b_aff_dim the ranks of one direction matrix.  The faces come sorted
-    by (aff_dim, vertex ids, ray ids), and their vertices and rays are the
-    ambient rows their ids name.
-
-    ``check_conditions`` ranks only the semidefinite faces: its face count
-    and its ordered records equal ``enumerate_faces`` filtered to the
-    semidefinite faces, with ``b_aff_dims`` as the b-affine dimensions."""
+    """``check_conditions`` ranks only the semidefinite faces: its face
+    count is the oracle's, and its ordered records are the oracle's faces
+    with an active eigenvalue row, each ranked on its own: aff_dim and
+    b_aff_dim are the ranks of one direction matrix, dim_v the count of
+    its active eigenvalue rows."""
     p = STACKED_FACE_CASES[case]()
     gd = build_gamma_data(p)
-    v = gd.v
-    faces = enumerate_faces(gd.h, v)
-    for f in faces:
-        assert np.array_equal(f.generators, v.generators[list(f.generator_ids)])
-        active = np.flatnonzero(_incidence(gd.h, f.generators).all(axis=0)).tolist()
-        assert f.active_rows == tuple(active)
-        assert f.dead == tuple(i for i in active if i < gd.h.num_eigen)
-        assert f.aff_dim == _ranks(_directions(f.generators)[None])[0]
-        vertex_ids, ray_ids = split_ids(f, v)
-        assert np.array_equal(f.vertices, v.vertices[list(vertex_ids)])
-        assert np.array_equal(f.rays, v.rays[list(ray_ids)])
-    keys = [(f.aff_dim, *split_ids(f, v)) for f in faces]
-    assert keys == sorted(keys)
+    faces = oracle_faces(gd.h, gd.v)
     semidef = [f for f in faces if not f.definite]
-    b_dims = b_aff_dims(semidef, p)
-    assert b_dims == [_ranks((_directions(f.generators) @ p.b)[None])[0] for f in semidef]
+    for f in semidef:
+        assert f.aff_dim == scalar_rank(_directions(f.generators))
+        assert b_aff_dim(f, p) == scalar_rank(_directions(f.generators) @ p.b)
     report = check_conditions(p, gd)
     assert report.num_faces == len(faces)
     records = [(r.active_rows, r.aff_dim, r.dim_v, r.b_aff_dim) for r in report.semidefinite_faces]
-    assert records == [(f.active_rows, f.aff_dim, f.dim_v, d) for f, d in zip(semidef, b_dims)]
+    assert records == [(f.active_rows, f.aff_dim, f.dim_v, b_aff_dim(f, p)) for f in semidef]

@@ -33,6 +33,12 @@ def test_generate_dispatch_and_validation():
         FamilySpec(family="nope")
     with pytest.raises(ValueError):
         FamilySpec(family="swisscheese", m1=0, m2=0, m3=0)
+    assert generate(FamilySpec(family="swisscheese", n=2, m1=0, m2=0, m3=1)).num_constraints == 1
+    for counts in ((-2, 2, 2), (2, -1, 2), (2, 2, -1)):
+        with pytest.raises(ValueError, match=">= 0"):
+            FamilySpec(family="swisscheese", m1=counts[0], m2=counts[1], m3=counts[2])
+        with pytest.raises(ValueError, match=">= 0"):
+            swiss_cheese(2, *counts)
 
 
 def test_determinism_identical_bytes():

@@ -5,6 +5,7 @@ import pytest
 
 from oracle2d import oracle_agreement
 from test_core import STACKED
+from qcqp_hull import io
 from qcqp_hull.core import (
     EpigraphPoint,
     Qcqp,
@@ -256,6 +257,18 @@ class TestVerifyCertificate:
         target = EpigraphPoint([4.0, 2.0], 33.5)
         comb = decompose(ex1, ex1_gd, target)
         assert not verify_certificate(ex1, comb, EpigraphPoint([4.0, 2.1], 33.5))
+
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_nonfinite_weights_fail(self, tmp_path, ex1, ex1_gd, weights):
+        # NaN passes no comparison, so NaN weights once verified against any target
+        comb = decompose(ex1, ex1_gd, EpigraphPoint([4.0, 2.0], 33.5))
+        bad = ConvexCombination(points=comb.points, weights=np.array(weights), trace=comb.trace)
+        target = EpigraphPoint([-3.0, 1.0], 100.0)
+        assert not verify_certificate(ex1, bad, target)
+        path = str(tmp_path / "cert.json")
+        io.write_certificate(path, target, bad, 1e-8)
+        target, comb, tol = io.read_certificate(path)
+        assert not verify_certificate(ex1, comb, target, tol)
 
 
 def test_hull_oracle_example1(ex1, ex1_soc):

@@ -23,7 +23,9 @@ BENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
 # Traced functions the library no longer has; their spans read 0 until the
 # benchmark's TARGETS drops them.
-GONE_TARGETS = {"jacobi_eigh", "find_gamma_star", "classify_face", "psd_status", "kron_multiplicity"}
+GONE_TARGETS = {
+    "jacobi_eigh", "find_gamma_star", "classify_face", "psd_status", "kron_multiplicity", "enumerate_faces",
+}
 
 
 def _load(name):
