@@ -6,12 +6,14 @@ file), ``decompose`` (verified convex-combination certificate), ``solve``
 families), ``plot`` (2D membership-boundary CSV).
 
 Exit codes: 0 success, 1 usage, 2 parse, 3 assumption failure, 4 guard
-exceeded, 5 verification failure.
+exceeded, 5 verification failure, 141 standard output closed early (as
+under SIGPIPE, 128 + 13).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -279,7 +281,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so the
+        # interpreter's flush at exit does not fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcqp_hull
 from qcqp_hull import _kernels, io
 from qcqp_hull.cli import plot2d, run
 from qcqp_hull.core import EpigraphPoint, objective_and_violations
@@ -226,6 +230,24 @@ class TestCliFlows:
         relaxed = float(text.split("relaxed optimum (2t units):")[1].split()[0])
         brute = float(text.split("brute-force optimum:")[1].split()[0])
         assert abs(brute - relaxed) <= 1e-3
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # The report (about 100 kB) outgrows the pipe buffer, so the writer
+        # is still printing when the reader hangs up after one line.
+        f = str(tmp_path / "sc20.json")
+        io.write_problem(f, generate(FamilySpec(family="swisscheese", n=20, m1=4, m2=3, m3=3)))
+        src = str(Path(qcqp_hull.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        entry = "from qcqp_hull.cli import main; main()"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", entry, "analyze", f],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"assumption1")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_plot_invariants(self, tmp_path, ex1_file):
         out = str(tmp_path / "p.csv")

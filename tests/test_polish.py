@@ -1,6 +1,8 @@
 """Differential tests of the hull solver's KKT polish against the slow
 oracle in ``polish_oracle``: call by call on the polishes that real solves
-make, and end to end on whole solves."""
+make, and end to end on whole solves.  The oracle runs every Newton run to
+the 50-step cap, so these tests also show that ``solve._polish``'s stall
+exit only cuts off runs that would have been declined."""
 
 import functools
 
@@ -10,7 +12,13 @@ import pytest
 import polish_oracle
 from qcqp_hull import solve
 from qcqp_hull.gamma import build_gamma_data
-from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss_cheese
+from qcqp_hull.generators import (
+    barvinok_random,
+    example1,
+    gtrs,
+    quadratic_matrix_program,
+    swiss_cheese,
+)
 from qcqp_hull.hull import soc_description
 
 BOX = (-10.0, 10.0)
@@ -25,6 +33,25 @@ INSTANCES = {
         for n in (3, 4, 5)
         for s in (3, 4, 5)
     },
+}
+
+# More whole solves for the differential, seeds 0-9 of each family.  The
+# accepted polish of barvinok-2-1-32 goes three Newton steps in a row
+# without a new best residual, so a stall exit at 3 steps would decline it
+# and change its solve.
+POOL = {
+    **{f"gtrs-{n}-{s}": (lambda n=n, s=s: gtrs(n, s)) for n in (2, 3, 4, 5, 6) for s in range(10)},
+    **{
+        f"qmp-{n}-{k}-{m}-{s}": (lambda n=n, k=k, m=m, s=s: quadratic_matrix_program(n, k, m, s))
+        for n, k, m in ((1, 2, 2), (2, 3, 2))
+        for s in range(10)
+    },
+    **{
+        f"swisscheese-{n}-{s}": (lambda n=n, s=s: swiss_cheese(n, 1, 1, 1, s))
+        for n in (3, 4, 5)
+        for s in range(10)
+    },
+    **{f"barvinok-2-1-{s}": (lambda s=s: barvinok_random(2, 1, s)) for s in (*range(10), 32)},
 }
 
 # The longest solves of the set, with the most polishes each.
@@ -46,7 +73,7 @@ def _oracle_polish(d, box, x, vals, scale):
 
 @functools.cache
 def _soc(name):
-    p = INSTANCES[name]()
+    p = {**INSTANCES, **POOL}[name]()
     return soc_description(build_gamma_data(p).v, p)
 
 
@@ -54,6 +81,22 @@ def _solve(name, polish):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solve, "_polish", polish)
         return solve.minimize_soc(_soc(name), BOX, tol=1e-8, max_iter=200)
+
+
+def _newton_steps(polish, call):
+    """The Newton steps (linear solves) ``polish`` takes on ``call``."""
+    steps = 0
+    linear_solve = np.linalg.solve
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return linear_solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", counting)
+        polish(*call)
+    return steps
 
 
 @functools.cache
@@ -90,7 +133,7 @@ def test_calls_cover_accepts_and_declines():
     assert any(outcomes) and not all(outcomes)
 
 
-@pytest.mark.parametrize("name", END_TO_END)
+@pytest.mark.parametrize("name", dict.fromkeys([*END_TO_END, *POOL]))
 def test_solve_unchanged_under_oracle_polish(name):
     new = _shipped(name)[0]
     old = _solve(name, _oracle_polish)
@@ -99,3 +142,13 @@ def test_solve_unchanged_under_oracle_polish(name):
     assert _close(new.value, old.value)
     assert _close(new.lower_bound, old.lower_bound)
     assert _close(new.minimizer, old.minimizer)
+
+
+def test_stall_exit_ends_runs_short_of_the_cap():
+    # The oracle runs 4 and 11 of these polishes to the 50-step cap.
+    calls = [call for name in ("qmp-2-3-2-4", "swisscheese-5-5") for call in _shipped(name)[1]]
+    new = [_newton_steps(solve._polish, call) for call in calls]
+    old = [_newton_steps(_oracle_polish, call) for call in calls]
+    assert max(old) == 50
+    assert max(new) < 50
+    assert sum(new) <= 0.7 * sum(old)
