@@ -106,8 +106,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_hull(args) -> int:
     p = io.read_problem(args.problem)
-    gd = build_gamma_data(p)
-    soc = soc_description(gd.v, p)
+    soc = soc_description(build_gamma_data(p).v, p)
     out = args.out or _stem(args.problem) + ".hull.json"
     io.write_soc(out, soc)
     print(f"wrote {out}: {len(soc.epigraph)} epigraph + {len(soc.homogeneous)} homogeneous constraints")
@@ -132,8 +131,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_solve(args) -> int:
     p = io.read_problem(args.problem)
     box = _parse_box(args.box, p.dim)
-    gd = build_gamma_data(p)
-    soc = soc_description(gd.v, p)
+    soc = soc_description(build_gamma_data(p).v, p)
     res = minimize_soc(soc, box, tol=args.tol)
     print(f"relaxed optimum (2t units): {res.value:.10g}")
     print(f"minimizer: {np.array2string(res.minimizer, precision=8)}")
@@ -170,8 +168,7 @@ def _cmd_plot(args) -> int:
         print(f"error: plot needs N = 2, problem has N = {p.dim}", file=sys.stderr)
         return 1
     box = _parse_box(args.box or ["-5,5"], 2)
-    gd = build_gamma_data(p)
-    soc = soc_description(gd.v, p)
+    soc = soc_description(build_gamma_data(p).v, p)
     x1, x2, tmin_d, tmin_hull = plot2d(p, soc, box, resolution=args.resolution, tol=args.tol)
     out = args.out or _stem(args.problem) + ".plot.csv"
     io.atomic_write_text(out, io.plot_csv_text(x1, x2, tmin_d, tmin_hull))
@@ -259,6 +256,8 @@ def run(argv) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
+        if not 0.0 < getattr(args, "tol", 1.0) < np.inf:  # NaN fails too
+            raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -201,7 +201,7 @@ def objective_and_violations(p: Qcqp, X):
 
 def check_feasible(p: Qcqp, pt: EpigraphPoint, tol: float = FEASIBILITY_TOL) -> FeasReport:
     """Report constraint violations of an epigraph point; never raises."""
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     obj, viol = objective_and_violations(p, pt.x.reshape(1, -1))
     viol = viol[:, 0]

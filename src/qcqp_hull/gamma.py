@@ -181,16 +181,16 @@ def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
 # Double description
 
 
+def _round_key(X: np.ndarray) -> np.ndarray:
+    """X rounded to 10 decimals: the key that rows are compared and sorted by."""
+    return np.round(X, 10)
+
+
 def _dedup_rows(h: PolyhedronH) -> np.ndarray:
     """Indices of the first of each distinct nonconstant normalized row."""
-    seen = set()
-    order = []
-    for i in np.flatnonzero(h.nontrivial):
-        key = tuple(np.round(np.concatenate([h.A[i], [h.beta[i]]]), 10))
-        if key not in seen:
-            seen.add(key)
-            order.append(i)
-    return np.array(order, dtype=int)
+    rows = np.flatnonzero(h.nontrivial)
+    key = _round_key(np.column_stack([h.A[rows], h.beta[rows]]))
+    return rows[np.sort(np.unique(key, axis=0, return_index=True)[1])]
 
 
 def _initial_basis_rows(B: np.ndarray, dim: int):
@@ -215,7 +215,7 @@ def _dd_cone(B: np.ndarray) -> np.ndarray:
     first = _initial_basis_rows(B, dim)
     if first is None:
         raise AssertionError("cone is not pointed: rows do not span")
-    B = B[first + [i for i in range(B.shape[0]) if i not in first]]
+    B = np.vstack([B[first], np.delete(B, first, axis=0)])
     rays = np.linalg.inv(B[:dim]).T  # row k: ray with B[:dim] @ ray = e_k
     rays /= np.linalg.norm(rays, axis=1)[:, None]
     for k in range(dim, B.shape[0]):
@@ -242,32 +242,24 @@ def _dd_cone(B: np.ndarray) -> np.ndarray:
 
 
 def _canonical_order(points: np.ndarray) -> np.ndarray:
-    if points.shape[0] <= 1:
-        return points
-    keys = [tuple(np.round(p, 10)) for p in points]
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    return points[order]
+    """The rows sorted lexicographically by ``_round_key``, ties kept in order."""
+    return points[np.lexsort(_round_key(points).T[::-1])]
 
 
-def _dedup_points(points: np.ndarray, tol: float) -> np.ndarray:
-    out = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= tol for q in out):
-            out.append(p)
-    return np.array(out) if out else np.zeros((0, points.shape[1]))
-
-
-def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD) -> PolyhedronV:
+def dd_vrep(h: PolyhedronH) -> PolyhedronV:
     """Minimal vertex/ray representation by the incremental double
     description method on the homogenization cone.
 
-    Lineality is split off first (quotient by the kernel of the row
-    directions) and returned as opposite ray pairs.  An empty result
-    signals an empty polyhedron.  A row is tight within ``DD_TOL``.
+    Rows equal under ``_round_key`` count once.  Lineality is split off
+    first (quotient by the kernel of the row directions) and returned as
+    opposite ray pairs.  Distinct extreme rays of the pointed cone give
+    distinct generators, so none is deduplicated; each list is in
+    ``_canonical_order``.  An empty result signals an empty polyhedron.
+    A row is tight within ``DD_TOL``.
     """
     m = h.dim
-    if m > guard:
-        raise GuardExceeded(f"double description guard: dimension {m} > {guard}")
+    if m > DD_GUARD:
+        raise GuardExceeded(f"double description guard: dimension {m} > {DD_GUARD}")
     empty = PolyhedronV(vertices=np.zeros((0, m)), rays=np.zeros((0, m)))
 
     if np.any(h.beta[~h.nontrivial] < -DD_TOL):
@@ -275,34 +267,24 @@ def dd_vrep(h: PolyhedronH, guard: int = DD_GUARD) -> PolyhedronV:
     keep = _dedup_rows(h)
     A, beta = h.A[keep], h.beta[keep]
 
-    if A.shape[0] == 0:
-        # No nonconstant row: the polyhedron is the whole space.
-        rays = np.vstack([np.eye(m), -np.eye(m)])
-        return PolyhedronV(vertices=np.zeros((1, m)), rays=_canonical_order(rays))
-    # Lineality = kernel of the row directions.
+    # Lineality = kernel of the row directions (the whole space when no
+    # row is left: one vertex at 0 and the rays +-e_i).
     _, s, Vt = np.linalg.svd(A)
-    d = int(np.sum(s > RANK_TOL * max(1.0, s[0])))
+    d = int(np.sum(s > RANK_TOL * np.max(s, initial=1.0)))
     Qperp, lin = Vt[:d].T, Vt[d:].T
 
-    Aq = A @ Qperp  # rows in quotient coordinates
-    B = np.hstack([Aq, beta[:, None]])
-    B = np.vstack([B, np.concatenate([np.zeros(d), [1.0]])])  # w >= 0
+    B = np.vstack([np.column_stack([A @ Qperp, beta]), np.eye(d + 1)[d]])  # quotient rows, w >= 0
     B /= np.linalg.norm(B, axis=1)[:, None]
 
     cone_rays = _dd_cone(B)
-    if cone_rays.shape[0] == 0:
-        return empty
     w = cone_rays[:, d]
     vert_mask = w > DD_TOL
     if not np.any(vert_mask):
         return empty
     vertices_q = cone_rays[vert_mask, :d] / w[vert_mask, None]
-    rays_q = cone_rays[~vert_mask, :d]
-
-    rays = np.vstack([rays_q @ Qperp.T, lin.T, -lin.T])
-    rays = _dedup_points(rays / np.linalg.norm(rays, axis=1)[:, None], 1e-9)
-    vertices = _dedup_points(vertices_q @ Qperp.T, 1e-9)
-    return PolyhedronV(vertices=_canonical_order(vertices), rays=_canonical_order(rays))
+    rays = np.vstack([cone_rays[~vert_mask, :d] @ Qperp.T, lin.T, -lin.T])
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    return PolyhedronV(vertices=_canonical_order(vertices_q @ Qperp.T), rays=_canonical_order(rays))
 
 
 # ---------------------------------------------------------------------------

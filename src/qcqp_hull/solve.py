@@ -12,17 +12,17 @@ isolated KKT point (nonsingular Newton Jacobian).  A Newton run whose
 KKT residual sets no new minimum for POLISH_STALL_STEPS steps in a row is
 declined at once: such runs mostly diverge, and on every solve tested
 they were declined anyway, at the 50-step cap or at a negative
-multiplier.  An isolated minimizer
-is an extreme point of the optimal set, hence under the convex hull result
-a point of the QCQP epigraph; a KKT point inside a flat optimal face is
-declined and Kelley keeps cutting.  The polish's multipliers give the
-weak-duality bound that certifies the value.  The full stack is evaluated
-once per Kelley iteration and once per converged polish, for its accept
-checks; each Newton step touches only the active sub-stack, sliced once
-per polish, through one matrix-vector product A x that gives both the
-active values and their gradients.  Box-active optima, which the
-polish declines, end on the Kelley LP gap.  The rows are assumed convex,
-as the hull description's are.
+multiplier.  An isolated minimizer is an extreme point of the optimal set,
+hence under the convex hull result a point of the QCQP epigraph; a KKT
+point inside a flat optimal face is declined and Kelley keeps cutting.
+The polish's multipliers give the weak-duality bound that certifies the
+value; a linear equality's rows h <= 0 and -h <= 0 enter as one row h = 0.
+The full stack is evaluated once per Kelley iteration and once per
+converged polish, for its accept checks; each Newton step touches only the
+active sub-stack, sliced once per polish, through one matrix-vector
+product A x that gives both the active values and their gradients.
+Box-active optima, which the polish declines, end on the Kelley LP gap.
+The rows are assumed convex, as the hull description's are.
 """
 
 from __future__ import annotations
@@ -167,9 +167,10 @@ def _polish(d, box, x, vals, scale):
     bound of its multipliers, or None when the guess fails or lands on a
     singular (non-isolated) one.  A run that is not converged after 50
     steps, or whose residual max|F| sets no new minimum for
-    POLISH_STALL_STEPS steps in a row, is declined.  The steps read only the
-    active rows; the full stack is evaluated at most once, at the converged
-    point."""
+    POLISH_STALL_STEPS steps in a row, is declined.  An active pair of
+    ``d.opposite_pairs`` enters as its first row, placed last, an equality
+    with a free-sign multiplier.  The steps read only the active rows; the
+    full stack is evaluated at most once, at the converged point."""
     width = np.max(box[:, 1] - box[:, 0])
     if np.any(x - box[:, 0] < 1e-7 * width) or np.any(box[:, 1] - x < 1e-7 * width):
         return None  # box-active optimum: leave to the cutting planes
@@ -178,7 +179,12 @@ def _polish(d, box, x, vals, scale):
     athr = 1e-5 * max(1.0, abs(fx))
     E = np.flatnonzero(vals[:ne] >= fx - athr)
     R = ne + np.flatnonzero(vals[ne:] >= -athr)
-    active = np.concatenate([E, R])  # multiplier order: lam for E, then mu for R
+    pairs, nF = d.opposite_pairs, 0
+    if len(pairs):
+        # h <= 0 and -h <= 0 would make J singular: keep h = 0, as a last row.
+        pairs = pairs[np.isin(pairs, R).all(axis=1)]
+        R, nF = np.r_[np.setdiff1d(R, pairs), pairs[:, 0]], len(pairs)
+    active = np.concatenate([E, R])  # multiplier order: lam for E, mu for R, free last nF
     A, b, c = d.A[active], d.b[active], d.c[active]
     n = len(x)
     nE, nA = len(E), len(active)
@@ -218,7 +224,7 @@ def _polish(d, box, x, vals, scale):
         return None
     # A singular Jacobian marks a KKT point that is not isolated, e.g. one
     # inside a flat optimal face: not an extreme point, so keep cutting.
-    if np.any(mult < -1e-8) or np.linalg.cond(J) > 1e10:
+    if np.any(mult[: nA - nF] < -1e-8) or np.linalg.cond(J) > 1e10:
         return None
     if np.any(xc < box[:, 0] - 1e-9) or np.any(xc > box[:, 1] + 1e-9):
         return None
@@ -228,9 +234,10 @@ def _polish(d, box, x, vals, scale):
         return None  # an inactive epigraph constraint took over
     if np.any(vals[ne:] > 1e-7 * scale):
         return None
-    # Weak duality: for lam >= 0 summing to 1 and mu >= 0, every feasible
-    # (x, tau) has tau >= sum_k w_k q_k(x) >= min over x of that quadratic.
+    # Weak duality: for lam >= 0 summing to 1 and mu >= 0 (of any sign on an
+    # equality), feasible (x, tau) have tau >= sum_k w_k q_k(x) >= its min.
     w = np.maximum(mult, 0.0)
+    w[nA - nF :] = mult[nA - nF :]
     w[:nE] /= np.sum(w[:nE])
     Aw, bw = (w @ A_flat).reshape(n, n), w @ b
     y = np.linalg.lstsq(Aw, -bw, rcond=None)[0]

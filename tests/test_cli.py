@@ -221,6 +221,20 @@ class TestCliFlows:
         assert "finite" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "solve", "plot"])
+    @pytest.mark.parametrize("tol", ["inf", "-1", "0", "nan"])
+    def test_tol_not_positive_finite_exits_1(self, tmp_path, ex1_file, capsys, command, tol):
+        extra = {
+            "analyze": ["--feasible-point=0,0"],
+            "decompose": ["--point", "4,2,33.5"],
+            "solve": ["--box=-10,10"],
+            "plot": [],
+        }[command]
+        out = str(tmp_path / "out")
+        assert run([command, ex1_file, "--tol", tol, "--out", out, *extra]) == 1
+        assert "--tol must be a positive finite number" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_solve_at_three_dimensions(self, tmp_path, capsys):
         # The default brute-force grid at N = 3 is one slab (54^3 points).
         f = str(tmp_path / "g3.json")

@@ -100,6 +100,12 @@ def test_check_feasible_examples(ex1):
     assert rep.feasible
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_check_feasible_refuses_nonpositive_tol(ex1, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        check_feasible(ex1, EpigraphPoint([0.0, 0.0], 0.0), tol=tol)
+
+
 def test_affine_transform_identity(ex1):
     same = affine_transform(ex1, np.eye(2), np.zeros(2))
     for q1, q2 in zip(same.quadratics(), ex1.quadratics()):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import dd_oracle
 from conftest import SMALL_INSTANCES
 from qcqp_hull.certify import check_conditions
 from qcqp_hull.core import Qcqp, QuadraticFn, eval_quadratic, stack_values
@@ -13,7 +14,9 @@ from qcqp_hull.gamma import (
     RANK_TOL,
     Face,
     PolyhedronH,
+    _canonical_order,
     _closed_faces,
+    _dedup_rows,
     _directions,
     _initial_basis_rows,
     _ranks,
@@ -109,6 +112,13 @@ def _random_hv(m, seed):
     return h, dd_vrep(h)
 
 
+# (m, seed, variant) of TestDdVrep.test_roundtrip_random
+ROUNDTRIP_CASES = [
+    *((m, seed, None) for m, seed in [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)]),
+    (3, 5, "zero_column"),
+    (4, 6, "duplicate"),
+]
+
 ORACLE_CASES = {
     "example1": lambda: _problem_hv(example1()),
     "gtrs3": lambda: _problem_hv(gtrs(3, 2)),
@@ -151,14 +161,20 @@ GAMMA_STAR_CASES = {
 }
 
 
-def lifted_dd_gamma_star(h, cap=1.0):
-    """Slow oracle: the lifted double description over (gamma, mu) with
-    every eigenvalue row >= mu and mu <= cap.  Returns the largest mu and
-    the gamma part of every lifted vertex that reaches it."""
-    m = h.dim
+def lifted(h, cap=1.0):
+    """The polyhedron over (gamma, mu) with every eigenvalue row of ``h``
+    >= mu and mu <= cap."""
     eigen = (np.arange(len(h.b)) < h.num_eigen).astype(float)
-    a = np.vstack([np.column_stack([h.a, -eigen]), np.r_[np.zeros(m), -1.0]])
-    lv = dd_vrep(PolyhedronH(a=a, b=np.r_[h.b, cap], num_eigen=0), guard=m + 1)
+    a = np.vstack([np.column_stack([h.a, -eigen]), np.r_[np.zeros(h.dim), -1.0]])
+    return PolyhedronH(a=a, b=np.r_[h.b, cap], num_eigen=0)
+
+
+def lifted_dd_gamma_star(h, cap=1.0):
+    """Slow oracle: the lifted double description of ``lifted(h, cap)``.
+    Returns the largest mu and the gamma part of every lifted vertex that
+    reaches it."""
+    m = h.dim
+    lv = dd_vrep(lifted(h, cap))
     mus = lv.vertices[:, m]
     best = float(np.max(mus))
     return best, lv.vertices[mus >= best - 1e-12, :m]
@@ -279,12 +295,7 @@ class TestDdVrep:
 
     @pytest.mark.parametrize(
         "m,seed,variant",
-        [
-            *(pytest.param(m, seed, None, id=f"{m}-{seed}")
-              for m, seed in [(2, 0), (3, 1), (4, 2), (3, 3), (4, 4)]),
-            pytest.param(3, 5, "zero_column", id="3-5-zero_column"),
-            pytest.param(4, 6, "duplicate", id="4-6-duplicate"),
-        ],
+        [pytest.param(*case, id="-".join(str(v) for v in case if v is not None)) for case in ROUNDTRIP_CASES],
     )
     def test_roundtrip_random(self, m, seed, variant):
         rng = np.random.default_rng(seed)
@@ -373,6 +384,56 @@ class TestDdVrep:
                 method="highs",
             )
             assert not res.success
+
+
+# The multiplier sets of the small instances and the gamma* problems, the
+# lifted polyhedra of the gamma* oracle, the random roundtrip polyhedra, and
+# rows that leave the whole plane or nothing.
+DD_CASES = {
+    "whole-plane": lambda: poly(([0.0, 0.0], 1.0), ([0.0, 0.0], 0.0)),
+    "empty": lambda: poly(([0.0, 0.0], -1.0), ([1.0, 0.0], 0.0)),
+    **{f"small-{k}": (lambda f=f: build_gamma_data(f()).h) for k, f in SMALL_INSTANCES.items()},
+    **{f"gamma-star-{k}": (lambda f=f: build_gamma_data(f()).h) for k, f in GAMMA_STAR_CASES.items()},
+    **{f"lifted-{k}": (lambda f=f: lifted(build_gamma_data(f()).h)) for k, f in GAMMA_STAR_CASES.items()},
+    **{
+        f"roundtrip-{m}-{seed}-{variant}": (
+            lambda m=m, seed=seed, variant=variant: with_variant(random_poly(np.random.default_rng(seed), m), variant)
+        )
+        for m, seed, variant in ROUNDTRIP_CASES
+    },
+}
+
+
+class TestDdBookkeeping:
+    """``dd_vrep``'s one rounding key, without a point-dedup pass, against
+    the loops of ``dd_oracle``."""
+
+    @pytest.mark.parametrize("case", list(DD_CASES))
+    def test_vrep_matches_loop_oracle_byte_for_byte(self, case):
+        h = DD_CASES[case]()
+        new, old = dd_vrep(h), dd_oracle.dd_vrep(h)
+        for got, want in ((new.vertices, old.vertices), (new.rays, old.rays)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # no two generators of a kind within 1e-9 of each other
+            gaps = np.abs(got[:, None] - got[None]).max(axis=2, initial=0.0)
+            assert np.all(gaps[np.triu_indices(len(got), 1)] > 1e-9)
+
+    def test_order_treats_negative_zero_as_zero_and_is_stable(self):
+        # Rows 0-2 share one key ([0, 1]: -0.0 equals 0.0 and 1e-12 rounds
+        # to 0) and keep their given order; row 3 sorts on its second entry.
+        points = np.array([[0.0, 1.0], [-0.0, 1.0], [1e-12, 1.0], [-0.0, 0.5], [-1.0, 3.0]])
+        got = _canonical_order(points)
+        assert got.tobytes() == points[[4, 3, 0, 1, 2]].tobytes()
+        assert got.tobytes() == dd_oracle._canonical_order(points).tobytes()
+
+    def test_row_dedup_keeps_first_of_equal_keys(self):
+        # Rows 1 and 3 repeat row 0 up to the sign of a zero and a 1e-12
+        # offset; row 4 is constant.
+        a = [[1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [1.0, 1e-12], [0.0, 0.0]]
+        h = PolyhedronH(a=a, b=[0.0, -0.0, 1.0, 0.0, 1.0], num_eigen=5)
+        assert _dedup_rows(h).tolist() == [0, 2]
+        assert dd_oracle._dedup_rows(h).tolist() == [0, 2]
 
 
 class TestFindGammaStar:

@@ -152,3 +152,9 @@ def test_stall_exit_ends_runs_short_of_the_cap():
     assert max(old) == 50
     assert max(new) < 50
     assert sum(new) <= 0.7 * sum(old)
+
+
+def test_pools_have_no_opposite_pairs():
+    # The oracle polish has no equality rows; these tests compare it with
+    # the shipped one only where none arises.
+    assert not any(len(_soc(name).opposite_pairs) for name in {**INSTANCES, **POOL})

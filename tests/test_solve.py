@@ -124,6 +124,35 @@ class TestMinimizeSoc:
         with pytest.raises(ValueError, match="finite"):
             minimize_soc(ex1_soc, box)
 
+    @pytest.mark.parametrize("seed", [None, *range(5)])
+    def test_linear_equality_polished_as_one_equality_row(self, seed):
+        # A linear equality gives the multiplier set a lineality line, so
+        # the description holds h <= 0 and -h <= 0.  With both rows active
+        # the Newton Jacobian would be singular and every polish declined.
+        if seed is None:  # min x'x subject to x'x <= 4 and x1 + x2 = 1
+            n, b0, b1, eq = 2, np.zeros(2), np.zeros(2), (np.array([0.5, 0.5]), -1.0)
+        else:
+            n, rng = 3, np.random.default_rng(seed)
+            b0, b1, eq = rng.normal(size=n), rng.normal(size=n), (rng.normal(size=n), rng.normal())
+        I = np.eye(n)
+        p = Qcqp(
+            QuadraticFn(I, b0, 0.0),
+            (QuadraticFn(I, b1, -4.0), QuadraticFn(np.zeros((n, n)), *eq)),
+            num_inequalities=1,
+            num_equalities=1,
+        )
+        soc = _soc(p)
+        assert len(soc.opposite_pairs) == 1
+        res = minimize_soc(soc, (-3.0, 3.0), max_iter=200)
+        assert res.status == "converged"
+        assert res.iterations <= 10
+        assert res.gap <= 1e-9
+        assert abs(2.0 * eq[0] @ res.minimizer + eq[1]) <= 1e-9
+        if seed is None:
+            assert res.iterations == 2
+            assert res.value == pytest.approx(0.5, abs=1e-12)
+            assert np.allclose(res.minimizer, [0.5, 0.5], atol=1e-12)
+
     def test_infeasible_homogeneous(self):
         g = QuadraticFn(np.eye(1), np.zeros(1), 0.0)
         h = QuadraticFn(np.eye(1), np.zeros(1), 1.0)  # x^2 + 1 <= 0
