@@ -30,7 +30,6 @@ class SemidefiniteFaceRecord:
 class ConditionReport:
     assumption1: bool
     gamma_star: np.ndarray | None
-    margin: float | None
     assumption2: str  # "pass" | "unknown"
     k: int | None  # quadratic eigenvalue multiplicity; None when Gamma was not built
     theorem1: bool | None
@@ -69,7 +68,6 @@ def check_conditions(p: Qcqp, gd: GammaData) -> ConditionReport:
     return ConditionReport(
         assumption1=True,
         gamma_star=gd.gamma_star,
-        margin=gd.margin,
         assumption2="pass",
         k=k,
         theorem1=theorem1,
@@ -91,7 +89,6 @@ def _unknown_report(assumption1: bool, m1: bool, notes):
     return ConditionReport(
         assumption1=assumption1,
         gamma_star=None,
-        margin=None,
         assumption2="unknown",
         k=None,
         theorem1=None,
@@ -157,7 +154,7 @@ def report_text(r: ConditionReport) -> str:
     lines = []
     if r.assumption1 and r.gamma_star is not None:
         gs = np.array2string(np.asarray(r.gamma_star), precision=6)
-        lines.append(f"assumption1 (interior multiplier): PASS  gamma* = {gs}  margin = {r.margin:.6g}")
+        lines.append(f"assumption1 (interior multiplier): PASS  gamma* = {gs}")
     else:
         lines.append(f"assumption1 (interior multiplier): {pf(r.assumption1)}")
     lines.append(f"assumption2 (polyhedral multiplier set): {r.assumption2.upper()}")

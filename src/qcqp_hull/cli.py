@@ -139,7 +139,7 @@ def _cmd_solve(args) -> int:
     if p.dim <= 3:
         val, x = brute_force(p, box)
         print(f"brute-force optimum: {val:.10g} at {np.array2string(x, precision=8)}")
-        print(f"difference (relaxation <= brute force): {val - res.value:.3g}")
+        print(f"brute force - relaxation: {val - res.value:.3g}")
     return 0
 
 

@@ -10,7 +10,8 @@ class ParseError(QcqpHullError):
 
 
 class NotSimultaneouslyDiagonalizable(QcqpHullError):
-    """The whitened quadratic forms fail the pairwise commutation test.
+    """The whitened quadratic forms do not commute: a joint eigenbasis
+    leaves a form off its diagonal, or spread inside a joint eigenspace.
 
     Polyhedrality of the dual multiplier set is then not certified and the
     hull machinery stops.

@@ -140,7 +140,6 @@ class GammaData:
     h: PolyhedronH
     v: PolyhedronV
     gamma_star: np.ndarray
-    margin: float
 
 
 def _ranks(M, tol: float = RANK_TOL) -> np.ndarray:
@@ -484,9 +483,9 @@ def build_gamma_data(p: Qcqp) -> GammaData:
     multiplier-set representations plus an interior witness.
 
     The witness gamma* is the whitening multiplier gamma0: whitening makes
-    P' A(gamma0) P = I, so every eigenvalue row is 1 at gamma0, which is
-    the margin cap.  Whitening's eigendecomposition of A(gamma0) is the
-    one definiteness check on the witness.
+    P' A(gamma0) P = I, so every eigenvalue row is 1 at gamma0.
+    Whitening's eigendecomposition of A(gamma0) is the one definiteness
+    check on the witness.
 
     Raises NoInteriorPoint when no definite aggregation exists and
     NotSimultaneouslyDiagonalizable when polyhedrality is not certified.
@@ -496,7 +495,4 @@ def build_gamma_data(p: Qcqp) -> GammaData:
         raise NoInteriorPoint("no multiplier gives a positive definite aggregated Hessian")
     sd = whiten_simdiag(p, gamma0)
     h = build_gamma(p, sd)
-    v = dd_vrep(h)
-    k = h.num_eigen
-    margin = float(np.min(h.a[:k] @ gamma0 + h.b[:k], initial=1.0))
-    return GammaData(sd=sd, h=h, v=v, gamma_star=gamma0, margin=margin)
+    return GammaData(sd=sd, h=h, v=dd_vrep(h), gamma_star=gamma0)

@@ -17,7 +17,6 @@ from .errors import NotSimultaneouslyDiagonalizable
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-9
-COMMUTE_TOL = 1e-8
 OFFDIAG_TOL = 1e-7
 
 
@@ -35,9 +34,10 @@ class SimultaneousDiagonalization:
 
     ``multiplicity`` is the quadratic eigenvalue multiplicity k: the gcd
     of the joint eigenspace dimensions.  Coordinates of one joint
-    eigenspace share the tuple (diagonals[0, j], ..., diagonals[m, j]),
-    so after reordering the columns of P every A_i is I_k (x) F_i, and k
-    is the largest such k over all bases.  k = N exactly when every A_i
+    eigenspace share the tuple (diagonals[0, j], ..., diagonals[m, j])
+    exactly, bit for bit, so after reordering the columns of P every A_i
+    is I_k (x) F_i up to the certified residual, and k is the largest such
+    k over all bases.  k = N exactly when every A_i
     is a multiple of A(gamma*).
     """
 
@@ -109,9 +109,13 @@ def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
 
     Requires A(gamma*) positive definite by ``is_definite``.  After
     whitening, the family is simultaneously diagonalizable by an
-    orthogonal basis exactly when it commutes pairwise (commutators within
-    COMMUTE_TOL); raises NotSimultaneouslyDiagonalizable otherwise, or
-    when the joint basis leaves an off-diagonal entry above OFFDIAG_TOL.
+    orthogonal basis exactly when it commutes.  Every coordinate of a
+    joint eigenspace gets the same tuple: each form's trace on that
+    eigenspace divided by its dimension.  The one certificate is the
+    residual of that diagonal, the off-diagonal entries plus the spread of
+    the diagonal inside each eigenspace: it raises
+    NotSimultaneouslyDiagonalizable when some form's residual is above
+    OFFDIAG_TOL * max(1, its largest entry).
     """
     agg = lagrangian(p, gamma_star)
     spec = sym_eig(agg.A)
@@ -119,39 +123,30 @@ def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
         raise ValueError("aggregated Hessian at gamma_star is not positive definite")
     W = spec.eigenvectors @ np.diag(1.0 / np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.T
 
-    mats = W @ p.A @ W
-    scale = max(1.0, float(np.max(np.abs(mats)))) ** 2
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if np.max(np.abs(comm)) > COMMUTE_TOL * scale:
-                raise NotSimultaneouslyDiagonalizable(
-                    f"whitened forms {i} and {j} do not commute "
-                    f"(max commutator entry {np.max(np.abs(comm)):.3e})"
-                )
-
-    Q, sizes = _common_eigenbasis(mats)
+    Q, space = _common_eigenbasis(W @ p.A @ W)
     P = W @ Q
     D = P.T @ p.A @ P
-    diags = np.diagonal(D, axis1=1, axis2=2).copy()
-    off = np.max(np.abs(D - diags[:, :, None] * np.eye(p.dim)), axis=(1, 2))
-    si = np.maximum(1.0, np.max(np.abs(D), axis=(1, 2)))
-    bad = np.flatnonzero(off > OFFDIAG_TOL * si)
+    sizes = np.bincount(space)
+    traces = np.stack([np.bincount(space, weights=d) for d in np.diagonal(D, axis1=1, axis2=2)])
+    diags = (traces / sizes)[:, space]
+    resid = np.max(np.abs(D - diags[:, :, None] * np.eye(p.dim)), axis=(1, 2))
+    bad = np.flatnonzero(resid > OFFDIAG_TOL * np.maximum(1.0, np.max(np.abs(D), axis=(1, 2))))
     if bad.size:
         raise NotSimultaneouslyDiagonalizable(
-            f"residual off-diagonal {off[bad[0]]:.3e} for form {bad[0]} after joint diagonalization"
+            f"whitened forms do not commute: form {bad[0]} keeps residual {resid[bad[0]]:.3e} "
+            "after joint diagonalization"
         )
-    return SimultaneousDiagonalization(basis=P, diagonals=diags, multiplicity=gcd(*sizes))
+    return SimultaneousDiagonalization(basis=P, diagonals=diags, multiplicity=gcd(*sizes.tolist()))
 
 
 def _common_eigenbasis(mats):
     """Orthogonal basis diagonalizing a commuting symmetric family, and
-    the sizes of its joint eigenspaces.
+    the joint eigenspace of each of its columns, numbered from 0.
 
     Refines invariant blocks matrix by matrix, splitting a block where
     adjacent eigenvalues of B differ by more than 1e-7 * max|B|, a bound
-    that scales with B so the sizes do not depend on how the forms are
-    scaled.  Then reorders columns by their dominant row so
+    that scales with B so the eigenspaces do not depend on how the forms
+    are scaled.  Then reorders columns by their dominant row so
     already-diagonal families come back in the original coordinate order.
     """
     n = mats[0].shape[0]
@@ -170,5 +165,8 @@ def _common_eigenbasis(mats):
             Q[:, blk] = Qb @ spec.eigenvectors
             new_blocks.extend(np.split(blk, np.flatnonzero(np.diff(spec.eigenvalues) > split_tol) + 1))
         blocks = new_blocks
+    space = np.empty(n, dtype=int)
+    for i, blk in enumerate(blocks):
+        space[blk] = i
     order = np.argsort(np.argmax(np.abs(Q), axis=0), kind="stable")
-    return _fix_signs(Q[:, order]), [len(blk) for blk in blocks]
+    return _fix_signs(Q[:, order]), space[order]

@@ -204,6 +204,45 @@ class TestCliFlows:
         assert "-17.5" in text
         assert "brute-force" in text
 
+    def test_solve_difference_label_claims_no_order(self, tmp_path, capsys):
+        # The grid relaxes x1 + x2 = 1 by a band, so its value falls below
+        # the exact 0.5 and the difference comes out negative.
+        from qcqp_hull.core import Qcqp, QuadraticFn
+
+        eye = np.eye(2)
+        p = Qcqp(
+            QuadraticFn(eye, np.zeros(2), 0.0),
+            (QuadraticFn(eye, np.zeros(2), -4.0), QuadraticFn(np.zeros((2, 2)), np.array([0.5, 0.5]), -1.0)),
+            1,
+            1,
+        )
+        f = str(tmp_path / "lineq.json")
+        io.write_problem(f, p)
+        assert run(["solve", f, "--box=-3,3"]) == 0
+        text = capsys.readouterr().out
+        assert "<=" not in text
+        diff = float(text.split("brute force - relaxation:")[1].split()[0])
+        relaxed = float(text.split("relaxed optimum (2t units):")[1].split()[0])
+        brute = float(text.split("brute-force optimum:")[1].split()[0])
+        assert diff < 0.0
+        assert diff == pytest.approx(brute - relaxed, abs=1e-8)
+
+    def test_analyze_conditioned_qmp(self, tmp_path, capsys):
+        # Under this cond-1e4 map the rows of one joint eigenspace used to
+        # differ in their last bits, and the double description stopped.
+        from conftest import conditioned_map
+        from qcqp_hull.core import affine_transform
+        from qcqp_hull.generators import quadratic_matrix_program
+
+        p = quadratic_matrix_program(2, 3, 2, seed=1)
+        f = str(tmp_path / "qmp1c.json")
+        io.write_problem(f, affine_transform(p, conditioned_map(np.random.default_rng(107), 6, 1e4), np.zeros(6)))
+        assert run(["analyze", f]) == 0
+        text = capsys.readouterr().out
+        assert "quadratic eigenvalue multiplicity: k = 3" in text
+        assert "[3 semidefinite of 7 faces]" in text
+        assert "hull_guaranteed: TRUE" in text
+
     @pytest.mark.parametrize("count", ["--m1", "--m2", "--m3"])
     def test_generate_negative_count_exits_1(self, tmp_path, capsys, count):
         out = str(tmp_path / "sc.json")

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_INSTANCES, TINY_DISTINCT, all_scaled_identities, conditioned_map, kron_oracle, random_spd
-from qcqp_hull.core import Qcqp, QuadraticFn, affine_transform
+from qcqp_hull.core import Qcqp, QuadraticFn, affine_transform, lagrangian
 from qcqp_hull.errors import NotSimultaneouslyDiagonalizable
-from qcqp_hull.gamma import build_gamma_data
-from qcqp_hull.generators import example1, quadratic_matrix_program
+from qcqp_hull.gamma import build_gamma_data, find_definite_multiplier
+from qcqp_hull.generators import barvinok_random, example1, quadratic_matrix_program
 from qcqp_hull.linalg import (
     KERNEL_RTOL,
     PSD_TOL,
@@ -151,6 +151,20 @@ class TestSolveHomogeneous:
             assert min(np.max(np.abs(w - v)), np.max(np.abs(w + v))) <= 1e-8
 
 
+def commutator_sweep(p, gamma, tol=1e-8) -> bool:
+    """Whether the forms whitened by A(gamma)^(-1/2) commute pairwise:
+    every commutator entry within tol * max(1, largest whitened entry)^2."""
+    w, V = np.linalg.eigh(lagrangian(p, gamma).A)
+    W = V @ np.diag(w**-0.5) @ V.T
+    mats = W @ p.A @ W
+    scale = max(1.0, float(np.max(np.abs(mats)))) ** 2
+    return all(
+        np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) <= tol * scale
+        for i in range(len(mats))
+        for j in range(i + 1, len(mats))
+    )
+
+
 class TestWhitenSimdiag:
     def test_already_diagonal_family(self):
         p = example1()
@@ -195,6 +209,33 @@ class TestWhitenSimdiag:
         )
         with pytest.raises(NotSimultaneouslyDiagonalizable):
             whiten_simdiag(p, np.zeros(2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("num_forms", [1, 2])
+    def test_refuses_what_the_commutator_sweep_flags(self, n, num_forms):
+        for seed in range(40):
+            p = barvinok_random(n, num_forms, seed)
+            gamma = find_definite_multiplier(p)
+            try:
+                whiten_simdiag(p, gamma)
+                accepted = True
+            except NotSimultaneouslyDiagonalizable as e:
+                assert "do not commute" in str(e)
+                accepted = False
+            assert accepted == commutator_sweep(p, gamma), seed
+
+    @pytest.mark.parametrize("seed", range(100, 110))
+    def test_eigenspaces_share_their_tuple_exactly(self, seed):
+        # Under a cond-1e4 map each joint eigenspace of dimension k still
+        # gives one diagonal tuple, bit for bit, so Gamma gets one
+        # eigenvalue row per eigenspace.
+        for n, k, m, s in ((1, 2, 2, 0), (1, 2, 2, 1), (2, 3, 2, 0), (2, 3, 2, 1), (2, 3, 2, 2)):
+            p = quadratic_matrix_program(n, k, m, seed=s)
+            U = conditioned_map(np.random.default_rng(seed), p.dim, 1e4)
+            sd = build_gamma_data(affine_transform(p, U, np.zeros(p.dim))).sd
+            assert sd.multiplicity == k
+            _, counts = np.unique(sd.diagonals.T, axis=0, return_counts=True)
+            assert counts.tolist() == [k] * n, (n, k, m, s)
 
     def test_requires_definite_aggregate(self):
         p = Qcqp(
