@@ -2,12 +2,12 @@
 
 Two evaluators share the convention q(x) = x'Ax + 2b'x + c over a stack
 of K quadratics.  ``eval_quadratics`` takes a point array: ``core``
-calls it at single points (feasibility, faces, decomposition, once per
-iteration of the hull solver, whose Newton polish reads only its active
-rows) and on point lists.  ``eval_quadratics_grid`` takes the axes of a
-tensor grid and never builds the grid's points: the brute-force oracle
-and the CLI plot call it.  Both are plain numpy.  ``backend()`` names
-the kernel path for environment records.
+calls it at single points (feasibility, faces, decomposition, each
+constraint evaluation of the hull solver) and on point lists.
+``eval_quadratics_grid`` takes the axes of a tensor grid and never
+builds the grid's points: the brute-force oracle and the CLI plot call
+it.  Both are plain numpy.  ``backend()`` names the kernel path for
+environment records.
 """
 
 from __future__ import annotations

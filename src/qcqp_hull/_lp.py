@@ -1,11 +1,10 @@
-"""One growing LP for the cutting-plane loops: min c'z over a box, with
-rows G z <= h appended in batches and each re-solve warm-started from the
+"""One growing LP for a cutting-plane loop: min c'z over a box, with rows
+G z <= h appended in batches and each re-solve warm-started from the
 previous basis.  It drives HiGHS through the binding bundled with
 scipy.optimize (the one its HiGHS LP method calls), so the model is built
-once per loop instead of once per iteration.  It serves the two Kelley
-loops: the definite-multiplier search and the hull solve.  The binding,
-and with it scipy.optimize, loads with the first LP, not with the
-package."""
+once per loop instead of once per iteration.  It serves the one Kelley
+loop, the definite-multiplier search.  The binding, and with it
+scipy.optimize, loads with the first LP, not with the package."""
 
 from __future__ import annotations
 

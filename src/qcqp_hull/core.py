@@ -10,11 +10,10 @@ Conventions fixed here and used everywhere else:
     quadratic; for a Qcqp row 0 is the objective and rows 1..m the
     constraints.  ``aggregate`` is the one rule that combines a stack,
     ``stack_values`` (over ``_kernels.eval_quadratics``) the one evaluator
-    of a whole stack at a point (the hull solver's Newton polish evaluates
-    only its active rows; grids go through ``_kernels.eval_quadratics_grid``)
-    and ``violations_in_place`` the one violation rule, which
-    ``objective_and_violations`` applies at points and the brute-force
-    oracle and the plot apply over grids.
+    of a whole stack at a point (grids go through
+    ``_kernels.eval_quadratics_grid``) and ``violations_in_place`` the
+    one violation rule, which ``objective_and_violations`` applies at
+    points and the brute-force oracle and the plot apply over grids.
 """
 
 from __future__ import annotations

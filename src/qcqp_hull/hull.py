@@ -14,7 +14,6 @@ generator rows [1, gamma_e] and [0, gamma_r] weighting (q_0, ..., q_m).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,16 +60,6 @@ class SocDescription:
     @property
     def dim(self) -> int:
         return self.epigraph[0].dim if self.epigraph else self.homogeneous[0].dim
-
-    @cached_property
-    def opposite_pairs(self) -> np.ndarray:
-        """Stack indices (k, l), k < l, of homogeneous rows with q_l = -q_k within
-        1e-9 of max|q_k|, which together say q_k(x) = 0: one per lineality line."""
-        ne = len(self.epigraph)
-        H = np.column_stack([self.A.reshape(len(self.c), -1), self.b, self.c])[ne:]
-        tol = 1e-9 * np.maximum(1.0, np.abs(H).max(axis=1))
-        close = [np.abs(H + row).max(axis=1) <= t for row, t in zip(H, tol)]
-        return ne + np.argwhere(np.triu(np.reshape(close, (len(H), len(H))), 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,28 +1,15 @@
 """Minimize the relaxed objective over the SOC hull description, plus an
 independent brute-force grid oracle on the original problem at N <= 3.
 
-The hull solver is a Kelley cutting-plane loop on f(x) = max_e g_e(x)
-subject to the homogeneous constraints and a user box, on one HiGHS LP in
-(x, tau) per solve: each iteration appends its cuts as rows and re-solves
-warm by dual simplex, through the binding bundled with scipy.optimize.
-Pure cutting planes stall well short of the 1e-4 minimizer accuracy this
-package promises, so every LP iterate seeds an active-set Newton polish on
-the KKT system, and the solve stops at the first polish that lands on an
-isolated KKT point (nonsingular Newton Jacobian).  A Newton run whose
-KKT residual sets no new minimum for POLISH_STALL_STEPS steps in a row is
-declined at once: such runs mostly diverge, and on every solve tested
-they were declined anyway, at the 50-step cap or at a negative
-multiplier.  An isolated minimizer is an extreme point of the optimal set,
-hence under the convex hull result a point of the QCQP epigraph; a KKT
-point inside a flat optimal face is declined and Kelley keeps cutting.
-The polish's multipliers give the weak-duality bound that certifies the
-value; a linear equality's rows h <= 0 and -h <= 0 enter as one row h = 0.
-The full stack is evaluated once per Kelley iteration and once per
-converged polish, for its accept checks; each Newton step touches only the
-active sub-stack, sliced once per polish, through one matrix-vector
-product A x that gives both the active values and their gradients.
-Box-active optima, which the polish declines, end on the Kelley LP gap.
-The rows are assumed convex, as the hull description's are.
+The hull solver is one SLSQP solve (Kraft 1988, scipy.optimize.minimize)
+of min tau subject to g_e(x) <= tau, h_r(x) <= 0 and the user box, whose
+bounds enter as constraint rows so that they get multipliers too.  The
+multipliers give the weak-duality bound that certifies the value (and a
+phase-I solve's bound proves the homogeneous rows infeasible), so SLSQP's
+own exit status decides nothing.  A walk then moves the minimizer to an
+extreme point of the optimal set, which under the convex hull result is a
+point of the QCQP epigraph.  The rows are assumed convex, as the hull
+description's are.
 """
 
 from __future__ import annotations
@@ -33,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._lp import CuttingPlaneLP
-from .core import Qcqp, objective_and_violations, stack_values, violations_in_place
+from .core import Qcqp, aggregate, objective_and_violations, stack_values, violations_in_place
 from .errors import InfeasibleRegion, NoFeasiblePoint
 from .hull import SocDescription
+from .linalg import solve_homogeneous
 
 # brute_force: zoom levels and points per axis after the first grid,
 # inequality slack, and the most grid points evaluated at once
@@ -45,25 +32,21 @@ BRUTE_REFINE_POINTS = 81
 BRUTE_FEAS_TOL = 1e-9
 BRUTE_SLAB_POINTS = 400**2
 
-# _polish declines a Newton run whose KKT residual max|F| sets no new
-# minimum for this many steps in a row.  The accepted runs of the benchmark
-# solves go at most one step without a new minimum, but the one of
-# barvinok_random(2, 1, seed=32) goes three, so this must stay above 3.
-POLISH_STALL_STEPS = 5
-
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     value: float  # min 2t over the hull description
     minimizer: np.ndarray
-    iterations: int
-    # "converged" | "iteration_limit" | "unbounded".  "iteration_limit"
-    # with value inf: the budget ran out (or an LP failed) before any LP
-    # iterate met the homogeneous constraints; that is no proof of
-    # infeasibility, which only an infeasible LP gives.
+    iterations: int  # SLSQP iterations
+    # "converged" | "iteration_limit" | "unbounded".  "iteration_limit":
+    # no certified gap, with value inf when the solve ended outside the
+    # homogeneous constraints; that is no proof of infeasibility, which
+    # only raises InfeasibleRegion.  "unbounded": certified only by a bound
+    # with box multipliers, so a box bound binds and a larger box lowers
+    # the value.
     status: str
-    # A lower bound on min 2t over the description in the box: the larger
-    # of the Kelley LP bound and the polish's weak-duality bound.
+    # A lower bound on min 2t over the description in the box, at most
+    # value: the weak-duality bound of the solve's multipliers.
     lower_bound: float
     gap: float  # value - lower_bound
 
@@ -77,196 +60,137 @@ def _as_box(box, n: int) -> np.ndarray:
     return box
 
 
-def _values_grads(A, b, c, x, grads=None):
-    """Values x'A_k x + 2b_k'x + c_k and gradients 2(A_k x + b_k) at x of the
-    stacked quadratics (A, b, c), one per row, from one product A x.  The
-    gradients are written into ``grads`` when it is given."""
-    Ax = A @ x
-    grads = np.add(Ax, b, out=grads)
-    grads *= 2.0
-    return Ax @ x + 2.0 * (b @ x) + c, grads
-
-
 def minimize_soc(
     d: SocDescription, box, tol: float = 1e-8, max_iter: int = 10_000
 ) -> SolveResult:
     """Minimize 2t subject to the hull description inside the box.
 
-    Raises InfeasibleRegion when a Kelley LP is infeasible, which proves
-    the homogeneous constraints infeasible inside the box."""
+    Raises InfeasibleRegion when the homogeneous constraints are proved
+    infeasible inside the box."""
+    from scipy.optimize import minimize  # loads with the first solve, not the package
+
     if not d.epigraph:
         raise ValueError("hull description has no epigraph constraints")
     n = d.dim
     box = _as_box(box, n)
-    ne = len(d.epigraph)  # stack rows: epigraph, then homogeneous
+    ne, K = len(d.epigraph), len(d.c)  # stack rows: epigraph, then homogeneous
     a_max = np.abs(d.A[:ne]).max(axis=(1, 2))
     scale = max(1.0, float(np.max(a_max + np.abs(d.b[:ne]).max(axis=1) + np.abs(d.c[:ne]))))
     feas_tol = 1e-9 * scale
 
-    # Columns (x, tau): x in the box, tau free, minimize tau.
-    lp = CuttingPlaneLP(
-        np.r_[np.zeros(n), 1.0], np.r_[box[:, 0], -np.inf], np.r_[box[:, 1], np.inf]
-    )
+    # Rows r(z) >= 0 in z = (x, tau): tau - g_e(x), -h_r(x), x - lo, hi - x.
+    jac = np.zeros((K + 2 * n, n + 1))
+    jac[:ne, n] = 1.0
+    jac[K:, :n] = np.vstack([np.eye(n), -np.eye(n)])
 
-    def add_cuts(x, vals):
-        # The largest epigraph constraint cuts tau; every violated
-        # homogeneous constraint cuts x.
-        idx = np.concatenate([[np.argmax(vals[:ne])], ne + np.flatnonzero(vals[ne:] > feas_tol)])
-        rows = np.zeros((len(idx), n + 1))
-        rows[0, n] = -1.0
-        grads = _values_grads(d.A[idx], d.b[idx], d.c[idx], x, rows[:, :n])[1]
-        lp.add_rows(rows, grads @ x - vals[idx])
+    def rows(z):
+        v = stack_values(d, z[:n])
+        v[:ne] -= z[n]
+        return np.concatenate([-v, z[:n] - box[:, 0], box[:, 1] - z[:n]])
+
+    def rows_jac(z):
+        jac[:K, :n] = -2.0 * (d.A @ z[:n] + d.b)
+        return jac
 
     x0 = box.mean(axis=1)
-    add_cuts(x0, stack_values(d, x0))
-
-    best_val = np.inf
-    best_x = x0.copy()
-    lb = -np.inf
-    status = "iteration_limit"
-    it = 0
-    for it in range(1, max_iter + 1):
-        lp_status, z = lp.solve()
-        if lp_status == "infeasible":
+    e_tau = np.eye(n + 1)[n]
+    res = minimize(
+        lambda z: z[n],
+        np.r_[x0, np.max(stack_values(d, x0)[:ne])],
+        jac=lambda z: e_tau,
+        method="SLSQP",
+        constraints={"type": "ineq", "fun": rows, "jac": rows_jac},
+        # SLSQP's stopping tests compare changes and residuals against ftol.
+        options={"maxiter": max_iter, "ftol": 1e-14 * scale},
+    )
+    # SLSQP's own status is no verdict: it often ends on "positive
+    # directional derivative" at the optimum.  The certificate decides.
+    w = np.maximum(res.multipliers, 0.0)
+    x = np.clip(res.x[:n], box[:, 0], box[:, 1])
+    vals = stack_values(d, x)
+    if np.any(vals[ne:] > feas_tol):
+        # Phase I, min s subject to h_r(x) <= s in the box: a certified
+        # bound above feas_tol proves that no x of the box meets the rows.
+        phase1 = minimize_soc(SocDescription(d.homogeneous, ()), box, tol, max_iter)
+        if phase1.lower_bound > feas_tol:
             raise InfeasibleRegion("homogeneous hull constraints are infeasible inside the box")
-        if lp_status != "optimal":
-            break
-        x = z[:n]
-        lb = max(lb, float(z[n]))
-        vals = stack_values(d, x)
-        fx = float(np.max(vals[:ne]))
-        if np.all(vals[ne:] <= feas_tol) and fx < best_val:
-            best_val, best_x = fx, x.copy()
-        if best_val - lb <= tol:
-            status = "converged"
-            break
-        polished = _polish(d, box, x, vals, scale)
-        if polished is not None:
-            best_x, best_val, dual_bound = polished
-            lb = max(lb, dual_bound)
-            status = "converged"
-            break
-        add_cuts(x, vals)
-
-    if status == "converged" and _box_active_improving(d, box, best_x):
-        status = "unbounded"
+        value, lb, status = np.inf, -np.inf, "iteration_limit"
+    else:
+        x = _extreme_point(d, box, x, float(np.max(vals[:ne])), feas_tol)
+        value = float(np.max(stack_values(d, x)[:ne]))
+        # The bound without the box terms bounds the problem without the
+        # box too: when it certifies the value, a larger box cannot lower it.
+        status, lb = "converged", _dual_bound(d, box, np.r_[w[:K], np.zeros(2 * n)], scale)
+        if value - lb > tol * scale:
+            status, lb = "unbounded", max(lb, _dual_bound(d, box, w, scale))
+        # The bounds hold on the exact rows; x meets them within feas_tol,
+        # so value may sit below them, and min(value, bound) is a bound too.
+        lb = min(value, lb)
+        if value - lb > tol * scale:
+            status = "iteration_limit"
     return SolveResult(
-        value=float(best_val),
-        minimizer=best_x,
-        iterations=it,
-        status=status,
-        lower_bound=float(lb),
-        gap=float(best_val - lb),
+        value=value, minimizer=x, iterations=int(res.nit), status=status,
+        lower_bound=float(lb), gap=float(value - lb),
     )
 
 
-def _polish(d, box, x, vals, scale):
-    """Newton steps on the KKT system of min tau, g_e <= tau, h_r <= 0 for
-    the active set at x, where ``vals`` is the stack at x.  Returns (x*,
-    value, bound) at an isolated KKT point, where bound is the weak-duality
-    bound of its multipliers, or None when the guess fails or lands on a
-    singular (non-isolated) one.  A run that is not converged after 50
-    steps, or whose residual max|F| sets no new minimum for
-    POLISH_STALL_STEPS steps in a row, is declined.  An active pair of
-    ``d.opposite_pairs`` enters as its first row, placed last, an equality
-    with a free-sign multiplier.  The steps read only the active rows; the
-    full stack is evaluated at most once, at the converged point."""
-    width = np.max(box[:, 1] - box[:, 0])
-    if np.any(x - box[:, 0] < 1e-7 * width) or np.any(box[:, 1] - x < 1e-7 * width):
-        return None  # box-active optimum: leave to the cutting planes
-    ne = len(d.epigraph)
-    fx = float(np.max(vals[:ne]))
-    athr = 1e-5 * max(1.0, abs(fx))
-    E = np.flatnonzero(vals[:ne] >= fx - athr)
-    R = ne + np.flatnonzero(vals[ne:] >= -athr)
-    pairs, nF = d.opposite_pairs, 0
-    if len(pairs):
-        # h <= 0 and -h <= 0 would make J singular: keep h = 0, as a last row.
-        pairs = pairs[np.isin(pairs, R).all(axis=1)]
-        R, nF = np.r_[np.setdiff1d(R, pairs), pairs[:, 0]], len(pairs)
-    active = np.concatenate([E, R])  # multiplier order: lam for E, mu for R, free last nF
-    A, b, c = d.A[active], d.b[active], d.c[active]
-    n = len(x)
-    nE, nA = len(E), len(active)
-    A_flat = A.reshape(nA, n * n)
-    u = np.concatenate([x, [fx], np.full(nE, 1.0 / nE), np.zeros(nA - nE)])
-    F = np.empty(n + 1 + nA)
-    J = np.zeros((n + 1 + nA, n + 1 + nA))
-    J[n + 1 : n + 1 + nE, n] = -1.0
-    J[n, n + 1 : n + 1 + nE] = 1.0
-    grads = J[n + 1 :, :n]  # the active gradients, one per row
-    best, stalled = np.inf, 0
-    for _ in range(50):
-        xc, tau, mult = u[:n], u[n], u[n + 1 :]
-        act = _values_grads(A, b, c, xc, grads)[0]
-        np.matmul(mult, grads, out=F[:n])
-        F[n] = mult[:nE].sum() - 1.0
-        np.subtract(act[:nE], tau, out=F[n + 1 : n + 1 + nE])
-        F[n + 1 + nE :] = act[nE:]
-        J[:n, :n] = 2.0 * (mult @ A_flat).reshape(n, n)
-        J[:n, n + 1 :] = grads.T
-        res = np.abs(F).max()
-        if res <= 1e-11 * scale:
+def _dual_bound(d, box, w, scale) -> float:
+    """The weak-duality bound of multipliers w >= 0 on the stack rows, then
+    the lower and upper box rows, scaled so the epigraph weights sum to 1:
+    every feasible (x, tau) of the box has tau >= sum_k w_k q_k(x) +
+    w_lo'(lo - x) + w_hi'(x - hi), so tau >= its minimum over x.  -inf when
+    that is unbounded below or the epigraph weights are all 0."""
+    n, K, ne = d.dim, len(d.c), len(d.epigraph)
+    weight = w[:ne].sum()
+    if weight <= 0.0:
+        return -np.inf
+    A, b, c = aggregate(d, w[:K] / weight)
+    lo, hi = w[K : K + n] / weight, w[K + n :] / weight
+    b = b + 0.5 * (hi - lo)
+    y = np.linalg.lstsq(A, -b, rcond=None)[0]
+    if np.max(np.abs(A @ y + b)) > 1e-9 * scale:
+        return -np.inf
+    return float(c + lo @ box[:, 0] - hi @ box[:, 1] + b @ y)
+
+
+def _extreme_point(d, box, x, level, athr):
+    """Walk from x, a point of the optimal set {g_e <= level, h_r <= 0, box},
+    to an extreme point of it.  A row within ``athr`` of its bound is
+    active; each step goes along a kernel vector u of the active rows'
+    Hessians and gradients (each pair scaled by the row's largest
+    coefficient) and the active bounds, which keeps every active row
+    constant, to the nearest root of an inactive row.  Each step adds the
+    hit row, so the kernel shrinks, and at most N steps end where only
+    u = 0 is left."""
+    n, ne, K = len(x), len(d.epigraph), len(d.c)
+    I = np.eye(n)
+    row_scale = np.maximum(np.abs(d.A).max(axis=(1, 2)), np.abs(d.b).max(axis=1))
+    for _ in range(n):
+        q = stack_values(d, x)
+        q[:ne] -= level
+        # The rows as q(x) <= 0: the stack, then x - hi <= 0 and lo - x <= 0.
+        c = np.minimum(np.concatenate([q, x - box[:, 1], box[:, 0] - x]), 0.0)
+        grads = d.A @ x + d.b
+        act = c >= -athr
+        k = np.flatnonzero(act[:K])
+        s = np.maximum(row_scale[k], 1e-300)[:, None, None]
+        E = np.vstack([
+            (d.A[k] / s).reshape(-1, n),
+            grads[k] / s[:, 0],
+            I[act[K : K + n] | act[K + n :]],
+        ])
+        u = solve_homogeneous(E)
+        if u is None:
             break
-        if res < best:
-            best, stalled = res, 0
-        else:
-            stalled += 1
-            if stalled == POLISH_STALL_STEPS:
-                return None  # diverging or stuck
-        try:
-            u += np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(u).all():
-            return None
-    else:
-        return None
-    # A singular Jacobian marks a KKT point that is not isolated, e.g. one
-    # inside a flat optimal face: not an extreme point, so keep cutting.
-    if np.any(mult[: nA - nF] < -1e-8) or np.linalg.cond(J) > 1e10:
-        return None
-    if np.any(xc < box[:, 0] - 1e-9) or np.any(xc > box[:, 1] + 1e-9):
-        return None
-    vals = stack_values(d, xc)
-    fx_all = float(np.max(vals[:ne]))
-    if fx_all > tau + 1e-7 * scale:
-        return None  # an inactive epigraph constraint took over
-    if np.any(vals[ne:] > 1e-7 * scale):
-        return None
-    # Weak duality: for lam >= 0 summing to 1 and mu >= 0 (of any sign on an
-    # equality), feasible (x, tau) have tau >= sum_k w_k q_k(x) >= its min.
-    w = np.maximum(mult, 0.0)
-    w[nA - nF :] = mult[nA - nF :]
-    w[:nE] /= np.sum(w[:nE])
-    Aw, bw = (w @ A_flat).reshape(n, n), w @ b
-    y = np.linalg.lstsq(Aw, -bw, rcond=None)[0]
-    solvable = np.max(np.abs(Aw @ y + bw)) <= 1e-9 * scale
-    bound = float(w @ c + bw @ y) if solvable else -np.inf
-    return xc, fx_all, bound
-
-
-def _box_active_improving(d, box, x) -> bool:
-    """True when a box bound binds at x and relaxing it improves the max."""
-    ne = len(d.epigraph)
-    width = np.maximum(box[:, 1] - box[:, 0], 1.0)
-    vals = stack_values(d, x)
-    fx = float(np.max(vals[:ne]))
-    athr = 1e-6 * max(1.0, abs(fx))
-    E = np.flatnonzero(vals[:ne] >= fx - athr)
-    R = ne + np.flatnonzero(vals[ne:] >= -athr)
-    grads_g = _values_grads(d.A[E], d.b[E], d.c[E], x)[1]
-    grads_h = _values_grads(d.A[R], d.b[R], d.c[R], x)[1]
-    for i in range(len(x)):
-        for sign, bound in ((-1.0, box[i, 0]), (1.0, box[i, 1])):
-            if abs(x[i] - bound) > 1e-6 * width[i]:
-                continue
-            # Directional derivatives along the outward axis direction.
-            df = np.max(sign * grads_g[:, i])
-            blocked = np.any(sign * grads_h[:, i] > 1e-8)
-            if df < -1e-8 and not blocked:
-                return True
-    return False
+        # Along x + a u each row is a2 a^2 + a1 a + c; the positive root of
+        # an inactive one is -2c / (a1 + sqrt(a1^2 - 4 a2 c)), finite when
+        # the denominator is positive.
+        a2 = np.concatenate([np.einsum("i,kij,j->k", u, d.A, u), np.zeros(2 * n)])
+        a1 = np.concatenate([2.0 * grads @ u, u, -u])
+        den = a1 + np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * c, 0.0))
+        ok = ~act & (den > 0.0)
+        x = x + float(np.min(-2.0 * c[ok] / den[ok])) * u
+    return np.clip(x, box[:, 0], box[:, 1])
 
 
 # ---------------------------------------------------------------------------
