@@ -131,8 +131,8 @@ def analyze_problem(p: Qcqp, feasible_point=None, tol: float = 1e-8):
         notes = primal_notes + [f"no interior multiplier: {e}"]
         return _unknown_report(False, False, notes), None
     except NotSimultaneouslyDiagonalizable as e:
-        # Only whiten_simdiag raises this, and build_gamma_data calls it
-        # after a definite multiplier was found: assumption 1 holds.
+        # Only whitening raises this, and build_gamma_data whitens after
+        # a definite multiplier was found: assumption 1 holds.
         notes = [
             "polyhedrality of the multiplier set not certified: " + str(e),
             "zero-linear-term condition needs a certified polyhedral multiplier set",

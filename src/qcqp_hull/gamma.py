@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lp import CuttingPlaneLP
-from .core import Qcqp, lagrangian, stack_values
-from .errors import GuardExceeded, NoInteriorPoint
-from .linalg import SimultaneousDiagonalization, is_definite, sym_eig, whiten_simdiag
+from .core import Qcqp, stack_values
+from .errors import GuardExceeded, NoInteriorPoint, QcqpHullError
+from .linalg import SimultaneousDiagonalization, _aggregate_spectrum, _whiten, is_definite
 
 DD_GUARD = 12
 FACE_GUARD = 20
@@ -83,7 +83,7 @@ class PolyhedronV:
     generators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lead = np.r_[np.ones(len(self.vertices)), np.zeros(len(self.rays))]
+        lead = np.concatenate([np.ones(len(self.vertices)), np.zeros(len(self.rays))])
         generators = np.column_stack([lead, np.vstack([self.vertices, self.rays])])
         generators.setflags(write=False)
         object.__setattr__(self, "generators", generators)
@@ -172,7 +172,7 @@ def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
     one eigenvalue row per coordinate, then one sign row per inequality."""
     m = p.num_constraints
     a = np.vstack([sd.diagonals[1:].T, np.eye(m)[: p.num_inequalities]])
-    b = np.r_[sd.diagonals[0], np.zeros(p.num_inequalities)]
+    b = np.concatenate([sd.diagonals[0], np.zeros(p.num_inequalities)])
     return PolyhedronH(a=a, b=b, num_eigen=p.dim)
 
 
@@ -189,11 +189,17 @@ def _dedup_rows(h: PolyhedronH) -> np.ndarray:
     """Indices of the first of each distinct nonconstant normalized row."""
     rows = np.flatnonzero(h.nontrivial)
     key = _round_key(np.column_stack([h.A[rows], h.beta[rows]]))
-    return rows[np.sort(np.unique(key, axis=0, return_index=True)[1])]
+    first = {}
+    for i, k in zip(rows.tolist(), map(tuple, key.tolist())):
+        first.setdefault(k, i)
+    return np.array(list(first.values()), dtype=int)
 
 
 def _initial_basis_rows(B: np.ndarray, dim: int):
-    """Greedy selection of ``dim`` linearly independent rows of B."""
+    """Greedy selection of ``dim`` linearly independent rows of B: the
+    leading ``dim`` rows when they are independent, else a scan."""
+    if B.shape[0] >= dim and _ranks(B[None, :dim], tol=1e-10)[0] == dim:
+        return list(range(dim))
     chosen = []
     for i in range(B.shape[0]):
         cand = chosen + [i]
@@ -204,24 +210,42 @@ def _initial_basis_rows(B: np.ndarray, dim: int):
     return None
 
 
+def _violated_row(rays: np.ndarray, B: np.ndarray, start: int):
+    """The first row k >= start that some ray violates, as (k, rays @ B[k],
+    the violating rays), or None.  One product over the rows left screens
+    them; the row it names keeps the values of ``rays @ B[k]``, whose
+    rounding the screen's product does not share."""
+    # Rays and rows are unit vectors, so the screen differs from
+    # rays @ B[k] by far less than its margin of DD_TOL / 2.
+    for j in np.flatnonzero((rays @ B[start:].T < -0.5 * DD_TOL).any(axis=0)).tolist():
+        vals = rays @ B[start + j]
+        neg = np.flatnonzero(vals < -DD_TOL)
+        if neg.size:
+            return start + j, vals, neg
+    return None
+
+
 def _dd_cone(B: np.ndarray) -> np.ndarray:
     """Extreme rays of the pointed cone {x : Bx >= 0} (B full column rank).
 
     The rows are reordered basis-first, so the rows processed before row
-    k are the prefix B[:k].  Two rays are adjacent when they are the only
-    rays active on every processed row that both are active on."""
+    k are the prefix B[:k]; rows that no ray violates are skipped.  Two
+    rays are adjacent when they are the only rays active on every
+    processed row that both are active on.  Raises QcqpHullError when the
+    rows do not span."""
     dim = B.shape[1]
     first = _initial_basis_rows(B, dim)
     if first is None:
-        raise AssertionError("cone is not pointed: rows do not span")
-    B = np.vstack([B[first], np.delete(B, first, axis=0)])
+        raise QcqpHullError(
+            f"double description: the cone is not pointed ({B.shape[0]} rows do not span {dim} dimensions)"
+        )
+    if first != list(range(dim)):
+        B = np.vstack([B[first], np.delete(B, first, axis=0)])
     rays = np.linalg.inv(B[:dim]).T  # row k: ray with B[:dim] @ ray = e_k
     rays /= np.linalg.norm(rays, axis=1)[:, None]
-    for k in range(dim, B.shape[0]):
-        vals = rays @ B[k]
-        neg = np.flatnonzero(vals < -DD_TOL)
-        if neg.size == 0:
-            continue
+    k = dim - 1
+    while (hit := _violated_row(rays, B, k + 1)) is not None:
+        k, vals, neg = hit
         pos = np.flatnonzero(vals > DD_TOL)
         act = np.abs(rays @ B[:k].T) <= DD_TOL
         new_rays = []
@@ -235,14 +259,16 @@ def _dd_cone(B: np.ndarray) -> np.ndarray:
                 if nrm > DD_TOL:
                     new_rays.append(r / nrm)
         rays = np.vstack([rays[pos], rays[np.abs(vals) <= DD_TOL], *new_rays])
-        if rays.shape[0] == 0:
-            return rays
     return rays
 
 
 def _canonical_order(points: np.ndarray) -> np.ndarray:
     """The rows sorted lexicographically by ``_round_key``, ties kept in order."""
     return points[np.lexsort(_round_key(points).T[::-1])]
+
+
+def _empty_vrep(m: int) -> PolyhedronV:
+    return PolyhedronV(vertices=np.zeros((0, m)), rays=np.zeros((0, m)))
 
 
 def dd_vrep(h: PolyhedronH) -> PolyhedronV:
@@ -259,10 +285,8 @@ def dd_vrep(h: PolyhedronH) -> PolyhedronV:
     m = h.dim
     if m > DD_GUARD:
         raise GuardExceeded(f"double description guard: dimension {m} > {DD_GUARD}")
-    empty = PolyhedronV(vertices=np.zeros((0, m)), rays=np.zeros((0, m)))
-
     if np.any(h.beta[~h.nontrivial] < -DD_TOL):
-        return empty
+        return _empty_vrep(m)
     keep = _dedup_rows(h)
     A, beta = h.A[keep], h.beta[keep]
 
@@ -279,7 +303,7 @@ def dd_vrep(h: PolyhedronH) -> PolyhedronV:
     w = cone_rays[:, d]
     vert_mask = w > DD_TOL
     if not np.any(vert_mask):
-        return empty
+        return _empty_vrep(m)
     vertices_q = cone_rays[vert_mask, :d] / w[vert_mask, None]
     rays = np.vstack([cone_rays[~vert_mask, :d] @ Qperp.T, lin.T, -lin.T])
     rays /= np.linalg.norm(rays, axis=1)[:, None]
@@ -429,16 +453,20 @@ def find_definite_multiplier(p: Qcqp):
     the best multiplier fails ``is_definite``, the rule whitening applies
     (no definite aggregation exists in the box).
     """
+    found = _definite_multiplier(p)
+    return None if found is None else found[0]
+
+
+def _definite_multiplier(p: Qcqp):
+    """``find_definite_multiplier``'s gamma with the spectrum of A(gamma)
+    that decided it, or None."""
     m = p.num_constraints
     scale = max(1.0, float(np.max(np.abs(p.A))))
 
-    def min_eig(gamma):
-        spec = sym_eig(lagrangian(p, gamma).A)
-        return spec.eigenvalues[0], spec.eigenvectors[:, 0]
-
-    lam0, v0 = min_eig(np.zeros(m))
+    A, spec = _aggregate_spectrum(p, np.zeros(m))
+    lam0 = spec.eigenvalues[0]
     if lam0 > 1e-8 * scale:
-        return np.zeros(m)
+        return np.zeros(m), spec
 
     # Columns (gamma, mu) in the multiplier box, gamma >= 0 on inequalities,
     # mu <= scale; maximize mu.
@@ -449,33 +477,35 @@ def find_definite_multiplier(p: Qcqp):
     c = np.zeros(m + 1)
     c[m] = -1.0
     lp = CuttingPlaneLP(c, lower, upper)
-    best_gamma, best_lam = np.zeros(m), lam0
+    best_gamma, best_lam, best = np.zeros(m), lam0, (A, spec)
 
     def add_cut(v):
         # mu - sum_i gamma_i (v'A_i v) <= v'A_0 v
         vAv = (p.A @ v) @ v
         lp.add_rows(np.r_[-vAv[1:], 1.0], vAv[:1])
 
-    add_cut(v0)
+    add_cut(spec.eigenvectors[:, 0])
     for _ in range(DEFINITE_MAX_ITER):
         lp_status, z = lp.solve()
         if lp_status != "optimal":
             break
         gamma_k = z[:m]
         mu_k = z[m]
-        lam, v = min_eig(gamma_k)
+        A, spec = _aggregate_spectrum(p, gamma_k)
+        lam = spec.eigenvalues[0]
         if lam > best_lam:
-            best_lam, best_gamma = lam, gamma_k.copy()
+            best_lam, best_gamma, best = lam, gamma_k.copy(), (A, spec)
         if mu_k - best_lam <= DEFINITE_TOL * scale:
             break
-        add_cut(v)
+        add_cut(spec.eigenvectors[:, 0])
     if best_lam > scale:
         # The capped LP optimum is a whole face, and its vertex can lie far
         # out.  lambda_min(A(t gamma)) is concave in t, so it is still >=
         # scale at this t, where the chord from (0, lam0) reaches scale.
         best_gamma *= (scale - lam0) / (best_lam - lam0)
-    A = lagrangian(p, best_gamma).A
-    return best_gamma if is_definite(A, sym_eig(A).eigenvalues[0]) else None
+        best = _aggregate_spectrum(p, best_gamma)
+    A, spec = best
+    return (best_gamma, spec) if is_definite(A, spec.eigenvalues[0]) else None
 
 
 def build_gamma_data(p: Qcqp) -> GammaData:
@@ -483,16 +513,17 @@ def build_gamma_data(p: Qcqp) -> GammaData:
     multiplier-set representations plus an interior witness.
 
     The witness gamma* is the whitening multiplier gamma0: whitening makes
-    P' A(gamma0) P = I, so every eigenvalue row is 1 at gamma0.
-    Whitening's eigendecomposition of A(gamma0) is the one definiteness
-    check on the witness.
+    P' A(gamma0) P = I, so every eigenvalue row is 1 at gamma0.  The
+    multiplier search's eigendecomposition of A(gamma0), which decided
+    that it is definite, is the one whitening uses.
 
     Raises NoInteriorPoint when no definite aggregation exists and
     NotSimultaneouslyDiagonalizable when polyhedrality is not certified.
     """
-    gamma0 = find_definite_multiplier(p)
-    if gamma0 is None:
+    found = _definite_multiplier(p)
+    if found is None:
         raise NoInteriorPoint("no multiplier gives a positive definite aggregated Hessian")
-    sd = whiten_simdiag(p, gamma0)
+    gamma0, spec = found
+    sd = _whiten(p, spec)
     h = build_gamma(p, sd)
     return GammaData(sd=sd, h=h, v=dd_vrep(h), gamma_star=gamma0)

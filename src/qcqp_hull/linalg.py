@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra used by the hull machinery.
 
-Every eigenproblem goes through ``sym_eig``, a thin wrapper over LAPACK's
+Every eigenproblem goes through one rule, a thin wrapper over LAPACK's
 symmetric eigensolver (``np.linalg.eigh``) that fixes the order and sign
-of the eigenvectors so results are deterministic.
+of the eigenvectors so results are deterministic: ``sym_eig`` checks its
+argument, and the package's own calls use ``_eig``, which does not.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import Qcqp, lagrangian
+from .core import Qcqp, aggregate, lagrangian
 from .errors import NotSimultaneouslyDiagonalizable
 
 PSD_TOL = 1e-9
@@ -46,19 +47,21 @@ class SimultaneousDiagonalization:
     multiplicity: int
 
 
-def _check_symmetric(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return 0.5 * (M + M.T)
-
-
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Flip columns so the largest-magnitude entry of each (the first, on ties) is >= 0."""
+    """Flip columns so the largest-magnitude entry of each (the first, on
+    ties) is >= 0, in a matrix or in each matrix of an (S, n, n) stack."""
     if V.size == 0:
         return V
-    lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    rows, cols = np.abs(V).argmax(axis=-2), np.arange(V.shape[-1])
+    lead = V[rows, cols] if V.ndim == 2 else V[np.arange(len(V))[:, None], rows, cols][:, None, :]
     return V * np.where(lead < 0, -1.0, 1.0)
+
+
+def _eig(M: np.ndarray):
+    """``sym_eig`` without its checks, on a square float matrix or an
+    (S, n, n) stack of them: (eigenvalues, eigenvectors) of 0.5 (M + M')."""
+    w, V = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
+    return w, _fix_signs(V)
 
 
 def sym_eig(M) -> Spectrum:
@@ -67,8 +70,18 @@ def sym_eig(M) -> Spectrum:
     Eigenvalues come back ascending.  In each eigenvector the entry of
     largest magnitude is >= 0, and the zero matrix yields the identity.
     """
-    w, V = np.linalg.eigh(_check_symmetric(M))
-    return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(V))
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    return Spectrum(*_eig(M))
+
+
+def _aggregate_spectrum(p: Qcqp, gamma):
+    """``lagrangian(p, gamma).A`` and its ``sym_eig`` spectrum, for a float
+    multiplier of length m, without building the quadratic."""
+    A = aggregate(p, np.concatenate([[1.0], gamma]))[0]
+    A = 0.5 * (A + A.T)
+    return A, Spectrum(*_eig(A))
 
 
 def is_definite(M, lam_min: float) -> bool:
@@ -121,6 +134,11 @@ def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
     spec = sym_eig(agg.A)
     if not is_definite(agg.A, spec.eigenvalues[0]):
         raise ValueError("aggregated Hessian at gamma_star is not positive definite")
+    return _whiten(p, spec)
+
+
+def _whiten(p: Qcqp, spec: Spectrum) -> SimultaneousDiagonalization:
+    """``whiten_simdiag`` from the spectrum of a definite A(gamma*)."""
     W = spec.eigenvectors @ np.diag(1.0 / np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.T
 
     Q, space = _common_eigenbasis(W @ p.A @ W)
@@ -146,24 +164,33 @@ def _common_eigenbasis(mats):
     Refines invariant blocks matrix by matrix, splitting a block where
     adjacent eigenvalues of B differ by more than 1e-7 * max|B|, a bound
     that scales with B so the eigenspaces do not depend on how the forms
-    are scaled.  Then reorders columns by their dominant row so
-    already-diagonal families come back in the original coordinate order.
+    are scaled; it stops once every block is one column.  Then reorders
+    columns by their dominant row so already-diagonal families come back
+    in the original coordinate order.
     """
     n = mats[0].shape[0]
     Q = np.eye(n)
     blocks = [np.arange(n)]
     for B in mats:
+        big = [blk for blk in blocks if len(blk) > 1]
+        if not big:
+            break
         split_tol = 1e-7 * float(np.max(np.abs(B)))
+        Qbs = [Q[:, blk] for blk in big]
+        Rs = [Qb.T @ B @ Qb for Qb in Qbs]
+        # blocks that all have one size: one stacked eigh
+        same = len(Rs) > 1 and len({len(blk) for blk in big}) == 1
+        spectra = iter(zip(Qbs, zip(*_eig(np.stack(Rs))) if same else map(_eig, Rs)))
         new_blocks = []
         for blk in blocks:
-            if len(blk) == 1:
-                new_blocks.append(blk)
-                continue
-            Qb = Q[:, blk]
-            R = Qb.T @ B @ Qb
-            spec = sym_eig(R)
-            Q[:, blk] = Qb @ spec.eigenvectors
-            new_blocks.extend(np.split(blk, np.flatnonzero(np.diff(spec.eigenvalues) > split_tol) + 1))
+            if len(blk) > 1:
+                Qb, (w, V) = next(spectra)
+                Q[:, blk] = Qb @ V
+                cut = np.flatnonzero(np.diff(w) > split_tol) + 1
+                if cut.size:
+                    new_blocks.extend(np.split(blk, cut))
+                    continue
+            new_blocks.append(blk)
         blocks = new_blocks
     space = np.empty(n, dtype=int)
     for i, blk in enumerate(blocks):

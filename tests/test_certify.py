@@ -126,17 +126,18 @@ def test_barvinok_noncommuting_reports_unknown_polyhedrality():
 
 def test_non_sd_branch_finds_the_multiplier_once(monkeypatch):
     # build_gamma_data finds a definite multiplier before whitening can
-    # fail, so the report must not search for one again.
+    # fail, so the report must not search for one again.  Every search,
+    # find_definite_multiplier's too, runs through _definite_multiplier.
     calls = []
-    original = gamma.find_definite_multiplier
+    original = gamma._definite_multiplier
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
     for mod in (gamma, certify):
-        if getattr(mod, "find_definite_multiplier", None) is original:
-            monkeypatch.setattr(mod, "find_definite_multiplier", counted)
+        if getattr(mod, "_definite_multiplier", None) is original:
+            monkeypatch.setattr(mod, "_definite_multiplier", counted)
     report, gd = analyze_problem(barvinok_random(3, 2, seed=3))
     assert gd is None and report.assumption2 == "unknown"
     assert report.assumption1

@@ -9,6 +9,8 @@ from qcqp_hull.generators import barvinok_random, example1, quadratic_matrix_pro
 from qcqp_hull.linalg import (
     KERNEL_RTOL,
     PSD_TOL,
+    _aggregate_spectrum,
+    _eig,
     is_definite,
     solve_homogeneous,
     sym_eig,
@@ -49,6 +51,26 @@ class TestSymEig:
         a, b = sym_eig(S), sym_eig(S)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 16])
+    def test_stack_matches_each_matrix_bit_for_bit(self, n):
+        # The joint eigenbasis decomposes blocks of one size as one stack.
+        S = np.random.default_rng(n).normal(size=(5, n, n))
+        w, V = _eig(S)
+        for k in range(5):
+            spec = sym_eig(S[k])
+            assert w[k].tobytes() == spec.eigenvalues.tobytes()
+            assert V[k].tobytes() == spec.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SMALL_INSTANCES))
+    def test_aggregate_spectrum_is_the_lagrangian_spectrum(self, name):
+        p = SMALL_INSTANCES[name]()
+        gamma = np.random.default_rng(0).uniform(0.0, 2.0, size=p.num_constraints)
+        A, spec = _aggregate_spectrum(p, gamma)
+        want = lagrangian(p, gamma).A
+        assert A.tobytes() == want.tobytes()
+        assert spec.eigenvalues.tobytes() == sym_eig(want).eigenvalues.tobytes()
+        assert spec.eigenvectors.tobytes() == sym_eig(want).eigenvectors.tobytes()
 
 
 class TestIsDefinite:
