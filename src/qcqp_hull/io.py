@@ -3,22 +3,25 @@
 Problem files are UTF-8 JSON with keys ``n``, ``mi``, ``me`` and
 ``quadratics`` (a list of ``{A, b, c}`` objects, index 0 the objective).
 Values round-trip losslessly: Python's float repr is shortest-exact.
-All writes are atomic (temp file + rename).
+All writes are atomic (temp file + rename), and a written file gets the
+mode ``open`` would give a new one (0o666 less the umask).
 
 Every JSON file is laid out by ``_layout``, two spaces per level: an
 object puts each key on its own line, a list of objects each object, and a
-matrix (a list of lists of numbers) each row.  Vectors and scalars stay on
-one line.  All numbers go through ``json.dumps`` without ``indent``, which
-runs json's C encoder (``indent`` would switch it to the pure-Python one);
-a matrix is encoded in one call and then broken at its rows.  The file
-ends with a newline, and ``json.load`` reads it as the same document.
+matrix each row.  Vectors and scalars stay on one line.  The writers hand
+a document's arrays to ``_number_texts``, which encodes each distinct bit
+pattern among them once, in one ``json.dumps`` call without ``indent``
+(json's C encoder; ``indent`` would switch it to the pure-Python one), and
+gives every entry its value's text.  So a value repeated across rows and
+matrices costs one float repr, and the bytes are those of encoding every
+entry: -0.0 and 0.0 are distinct patterns.  The file ends with a newline,
+and ``json.load`` reads it as the same document.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -29,9 +32,17 @@ from .hull import ConvexCombination, SocDescription
 
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    # Created as open() creates a file: mode 0o666 less the umask (mkstemp
+    # would make it 0o600); O_EXCL never takes over an existing file.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        try:
+            f = os.fdopen(fd, "w", encoding="utf-8")
+        except BaseException:
+            os.close(fd)
+            raise
+        with f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -40,8 +51,39 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _number_texts(*arrays) -> list:
+    """``json.dumps``'s text of each entry of each float array, as object
+    arrays of their shapes.  Each distinct bit pattern among them is
+    encoded once."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    bits = np.concatenate([a.ravel() for a in arrays]).view(np.int64)
+    # The same keys and inverse as np.unique(bits, return_inverse=True),
+    # whose argsort took twice as long on qmp N=64's 57k entries (2.6 vs
+    # 1.3 ms, numpy 2.4 on a Xeon with AVX-512) and on 40 entries (8 vs
+    # 4 us).
+    keys = np.sort(bits)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    # A float's text holds no ", ", so the list splits at its items.
+    texts = np.array(json.dumps(keys.view(float).tolist())[1:-1].split(", "), dtype=object)
+    texts = texts[np.searchsorted(keys, bits)]
+    out, end = [], 0
+    for a in arrays:
+        out.append(texts[end:end + a.size].reshape(a.shape))
+        end += a.size
+    return out
+
+
+def _lists(*arrays) -> list:
+    """Each array as nested lists, the documents' plain form."""
+    return [np.asarray(a).tolist() for a in arrays]
+
+
 def _layout(value, pad: str = "") -> str:
-    """JSON text of ``value`` in the layout of the module docstring."""
+    """JSON text of ``value`` in the layout of the module docstring; an
+    ndarray holds number texts from ``_number_texts``."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         items = [f"{inner}{json.dumps(k)}: {_layout(v, inner)}" for k, v in value.items()]
@@ -49,11 +91,12 @@ def _layout(value, pad: str = "") -> str:
     if isinstance(value, list) and value and isinstance(value[0], dict):
         items = [inner + _layout(v, inner) for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    text = json.dumps(value)
-    if isinstance(value, list) and value and isinstance(value[0], list) and '"' not in text:
-        # A matrix: with no strings in it, "], [" only separates its rows.
-        return "[\n" + inner + text[1:-1].replace("], [", "],\n" + inner + "[") + "\n" + pad + "]"
-    return text
+    if isinstance(value, np.ndarray) and value.ndim == 2:
+        rows = [f"[{', '.join(row)}]" for row in value.tolist()]
+        return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
+    if isinstance(value, np.ndarray):
+        return f"[{', '.join(value.tolist())}]"
+    return json.dumps(value)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -72,22 +115,28 @@ def _read_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {e}") from e
 
 
-def _stack_to_dicts(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> list:
-    """One ``{A, b, c}`` object per row of a quadratic stack."""
-    return [{"A": Ak, "b": bk, "c": ck} for Ak, bk, ck in zip(A.tolist(), b.tolist(), c.tolist())]
+def _stack_to_dicts(A: np.ndarray, b: np.ndarray, c: np.ndarray, numbers) -> list:
+    """One ``{A, b, c}`` object per row of a quadratic stack, its arrays
+    turned by ``numbers`` (``_lists`` or ``_number_texts``)."""
+    A, b = numbers(A, b)
+    return [{"A": Ak, "b": bk, "c": ck} for Ak, bk, ck in zip(A, b, c.tolist())]
 
 
 def _quad_from_dict(d: dict) -> QuadraticFn:
     return QuadraticFn(np.array(d["A"], dtype=float), np.array(d["b"], dtype=float), float(d["c"]))
 
 
-def problem_to_dict(p: Qcqp) -> dict:
+def _problem_doc(p: Qcqp, numbers) -> dict:
     return {
         "n": p.dim,
         "mi": p.num_inequalities,
         "me": p.num_equalities,
-        "quadratics": _stack_to_dicts(p.A, p.b, p.c),
+        "quadratics": _stack_to_dicts(p.A, p.b, p.c, numbers),
     }
+
+
+def problem_to_dict(p: Qcqp) -> dict:
+    return _problem_doc(p, _lists)
 
 
 def _count(d: dict, key: str) -> int:
@@ -111,21 +160,26 @@ def problem_from_dict(d: dict) -> Qcqp:
 
 
 def write_problem(path: str, p: Qcqp) -> None:
-    _write_json(path, problem_to_dict(p))
+    _write_json(path, _problem_doc(p, _number_texts))
 
 
 def read_problem(path: str) -> Qcqp:
     return problem_from_dict(_read_json(path))
 
 
-def certificate_to_dict(target: EpigraphPoint, comb: ConvexCombination, tol: float) -> dict:
+def _certificate_doc(target: EpigraphPoint, comb: ConvexCombination, tol: float, numbers) -> dict:
+    x, weights, xs = numbers(target.x, comb.weights, np.array([pt.x for pt in comb.points]))
     return {
-        "point": {"x": target.x.tolist(), "t": target.t},
-        "weights": np.asarray(comb.weights).tolist(),
-        "points": [{"x": pt.x.tolist(), "t": pt.t} for pt in comb.points],
+        "point": {"x": x, "t": target.t},
+        "weights": weights,
+        "points": [{"x": xk, "t": pt.t} for xk, pt in zip(xs, comb.points)],
         "trace": list(comb.trace),
         "tol": tol,
     }
+
+
+def certificate_to_dict(target: EpigraphPoint, comb: ConvexCombination, tol: float) -> dict:
+    return _certificate_doc(target, comb, tol, _lists)
 
 
 def certificate_from_dict(d: dict):
@@ -146,21 +200,25 @@ def certificate_from_dict(d: dict):
 
 
 def write_certificate(path: str, target: EpigraphPoint, comb: ConvexCombination, tol: float) -> None:
-    _write_json(path, certificate_to_dict(target, comb, tol))
+    _write_json(path, _certificate_doc(target, comb, tol, _number_texts))
 
 
 def read_certificate(path: str):
     return certificate_from_dict(_read_json(path))
 
 
-def soc_to_dict(d: SocDescription) -> dict:
-    rows = _stack_to_dicts(d.A, d.b, d.c)
+def _soc_doc(d: SocDescription, numbers) -> dict:
+    rows = _stack_to_dicts(d.A, d.b, d.c, numbers)
     ne = len(d.epigraph)
     return {"n": d.dim, "epigraph": rows[:ne], "homogeneous": rows[ne:]}
 
 
+def soc_to_dict(d: SocDescription) -> dict:
+    return _soc_doc(d, _lists)
+
+
 def write_soc(path: str, d: SocDescription) -> None:
-    _write_json(path, soc_to_dict(d))
+    _write_json(path, _soc_doc(d, _number_texts))
 
 
 def plot_csv_text(x1, x2, tmin_d, tmin_hull) -> str:

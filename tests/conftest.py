@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,18 @@ from qcqp_hull.core import Qcqp, QuadraticFn
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import barvinok_random, example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import soc_description
+
+BENCH = Path(__file__).resolve().parent.parent / "pipebench"
+
+
+def load_pipebench(name):
+    """The module ``pipebench/<name>.py``, loaded from its file unedited."""
+    spec = importlib.util.spec_from_file_location(f"pipebench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
 
 # Small instances of every family, each with a certified multiplier set
 # (barvinok seeds 0-3 commute).

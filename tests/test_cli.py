@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import io_oracle
 import qcqp_hull
+from conftest import SMALL_INSTANCES, load_pipebench
 from qcqp_hull import _kernels, io
 from qcqp_hull.cli import plot2d, run
-from qcqp_hull.core import EpigraphPoint, objective_and_violations
+from qcqp_hull.core import EpigraphPoint, Qcqp, QuadraticFn, objective_and_violations
 from qcqp_hull.errors import ParseError
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import FamilySpec, generate
-from qcqp_hull.hull import decompose, soc_description, verify_certificate
+from qcqp_hull.hull import ConvexCombination, SocDescription, decompose, soc_description, verify_certificate
 
 
 @pytest.fixture
@@ -77,6 +80,51 @@ class TestProblemIo:
             io.read_certificate(str(bad))
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_mode_follows_umask(self, tmp_path, ex1_file, umask, mode):
+        """A new file and an overwritten one both get 0o666 less the umask,
+        as ``open`` gives a new file.  The umask is set in a subprocess, so
+        this process keeps its own."""
+        old = tmp_path / "old.json"
+        old.write_text("{}")
+        os.chmod(old, 0o400)
+        src = str(Path(qcqp_hull.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import os, sys; from qcqp_hull import io; "
+            f"os.umask({umask}); p = io.read_problem(sys.argv[1]); "
+            "io.write_problem(sys.argv[2], p); io.write_problem(sys.argv[3], p)"
+        )
+        new = tmp_path / "new.json"
+        subprocess.run([sys.executable, "-c", code, ex1_file, str(new), str(old)], env=env, check=True)
+        assert stat.S_IMODE(new.stat().st_mode) == mode
+        assert stat.S_IMODE(old.stat().st_mode) == mode
+        assert old.read_bytes() == new.read_bytes() == Path(ex1_file).read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["ex1.json", "new.json", "old.json"]
+
+    def test_fdopen_failure_closes_and_removes_temp_file(self, tmp_path, monkeypatch):
+        opened = []
+
+        def os_open(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        def fdopen(*args, **kwargs):
+            raise MemoryError
+
+        real_open = os.open
+        monkeypatch.setattr(io.os, "open", os_open)
+        monkeypatch.setattr(io.os, "fdopen", fdopen)
+        with pytest.raises(MemoryError):
+            io.atomic_write_text(str(tmp_path / "f.json"), "{}")
+        monkeypatch.undo()
+        (fd,) = opened
+        with pytest.raises(OSError):
+            os.fstat(fd)
+        assert list(tmp_path.iterdir()) == []
+
+
 def _old_writer_text(doc) -> str:
     """The text the writers produced before their layout function."""
     return json.dumps(doc, indent=2) + "\n"
@@ -105,8 +153,45 @@ def _assert_layout(text: str, doc) -> None:
     walk(doc)
 
 
+# Stacks of (A, b, c) whose numbers stress the encoder: signed zeros, the
+# smallest subnormal, the points where repr switches to exponent form and
+# back, integers past 2**53, values repeated across rows and matrices, N = 1.
+EDGE_STACKS = {
+    "signed-zeros": [
+        ([[-0.0, 0.0], [0.0, 0.0]], [-0.0, 0.0], -0.0),
+        ([[0.0, -0.0], [-0.0, -0.0]], [0.0, -0.0], 0.0),
+    ],
+    "repr-forms": [
+        ([[5e-324, 1e16], [1e16, 1e-5]], [1e15, 1e-4], 2.0**53 + 2),
+        ([[9999999999999998.0, -1e-5], [-1e-5, -5e-324]], [1e22, 1e-7], -(2.0**53) - 2),
+    ],
+    "shared": [
+        ([[0.1, 0.2, 0.1], [0.2, 0.1, 0.2], [0.1, 0.2, 0.1]], [0.1, 0.2, 0.1], 0.2),
+        ([[0.2, 0.1, 0.2], [0.1, 0.2, 0.1], [0.2, 0.1, 0.2]], [0.2, 0.2, 0.2], 0.1),
+        ([[0.1, 0.2, 0.1], [0.2, 0.1, 0.2], [0.1, 0.2, 0.1]], [0.1, 0.1, 0.1], 0.1),
+    ],
+    "n1": [([[2.5]], [-0.0], 1e16), ([[-1e-5]], [5e-324], 0.0), ([[2.5]], [1.0], -1.0)],
+}
+
+
+def _assert_files_match_oracle(tmp_path, key, p, socs, certs) -> None:
+    """Each file the writers produce is byte for byte the oracle's text."""
+    files = [(io.write_problem, (p,), io_oracle.problem_to_dict(p))]
+    files += [(io.write_soc, (soc,), io_oracle.soc_to_dict(soc)) for soc in socs]
+    files += [
+        (io.write_certificate, (pt, comb, 1e-8), io_oracle.certificate_to_dict(pt, comb, 1e-8))
+        for pt, comb in certs
+    ]
+    path = tmp_path / "f.json"
+    for write, args, doc in files:
+        write(str(path), *args)
+        assert path.read_bytes() == io_oracle.file_text(doc).encode(), (key, write.__name__)
+
+
 class TestJsonLayout:
-    """The writers against ``json.dumps(doc, indent=2)``, which they replace."""
+    """The writers against ``json.dumps(doc, indent=2)``, and byte for byte
+    against ``io_oracle``, the writers before numbers were encoded once per
+    distinct value."""
 
     @pytest.fixture(scope="class")
     def qmp64(self):
@@ -155,7 +240,8 @@ class TestJsonLayout:
 
     def test_layout_of_edge_values(self):
         doc = {"e": {}, "l": [], "m": [[1.0]], "s": [["a], [b"]], "v": [0.1, -0.0]}
-        text = io._layout(doc)
+        m, v = io._number_texts(doc["m"], doc["v"])
+        text = io._layout({**doc, "m": m, "v": v})
         assert text.splitlines() == [
             "{",
             '  "e": {},',
@@ -168,6 +254,62 @@ class TestJsonLayout:
             "}",
         ]
         assert json.loads(text) == json.loads(_old_writer_text(doc))
+        assert text == io_oracle._layout(doc)
+
+    @pytest.fixture(scope="class", params=["small", "dense", "lattice", "solve-certify", "control"])
+    def instances(self, request):
+        """(key, problem, hull description, certificates) of each instance of
+        conftest's small set or of a pipebench pool or its control set."""
+        pl = load_pipebench("pipeline")
+        if request.param == "small":
+            problems = {key: make() for key, make in SMALL_INSTANCES.items()}
+        else:
+            pool = pl.CONTROL if request.param == "control" else pl.WORKLOADS[request.param].pool
+            problems = {inst.key: generate(inst.spec) for inst in pool}
+        out = []
+        for key, p in problems.items():
+            gd = build_gamma_data(p)
+            soc = soc_description(gd.v, p)
+            # A real certificate where the benchmark's sampler finds a point
+            # (none on swisscheese N = 20), and one made of the stack's rows.
+            certs = [(pt, decompose(p, gd, pt, soc=soc)) for pt in pl.sample_targets(p, gd, np.random.default_rng(0))[:1]]
+            rows = ConvexCombination(points=tuple(map(EpigraphPoint, soc.b, soc.c)), weights=soc.c, trace=())
+            certs.append((EpigraphPoint(p.b[0], p.c[0]), rows))
+            out.append((key, p, [soc], certs))
+        return out
+
+    def test_files_match_oracle(self, tmp_path, instances):
+        for case in instances:
+            _assert_files_match_oracle(tmp_path, *case)
+
+    def test_roundtrip(self, tmp_path, instances):
+        """The problem file reads back byte-equal, and the hull file's rows
+        are byte-equal to the stacks of ``soc_description``."""
+        path = str(tmp_path / "f.json")
+        for key, p, (soc,), _ in instances:
+            io.write_problem(path, p)
+            q = io.read_problem(path)
+            for name in "Abc":
+                assert getattr(q, name).tobytes() == getattr(p, name).tobytes(), (key, name)
+            io.write_soc(path, soc)
+            doc = json.loads(open(path, encoding="utf-8").read())
+            assert len(doc["epigraph"]) == len(soc.epigraph)
+            rows = doc["epigraph"] + doc["homogeneous"]
+            for name in "Abc":
+                back = np.array([r[name] for r in rows], dtype=float)
+                assert back.tobytes() == getattr(soc, name).tobytes(), (key, name)
+
+    @pytest.mark.parametrize("case", EDGE_STACKS)
+    def test_edge_arrays_match_oracle(self, tmp_path, case):
+        quads = [QuadraticFn(np.array(A, dtype=float), np.array(b, dtype=float), c) for A, b, c in EDGE_STACKS[case]]
+        p = Qcqp(quads[0], tuple(quads[1:]), len(quads) - 1, 0)
+        # Every stack once whole, once split at its first row, and its first
+        # row alone: an empty list, and a stack of one row.
+        socs = [SocDescription(tuple(quads), ()), SocDescription(tuple(quads[:1]), tuple(quads[1:]))]
+        socs.append(SocDescription(tuple(quads[:1]), ()))
+        trace = ({"depth": 0, "v": p.b[0].tolist(), "s": float(p.c[-1]), "child_aff_dims": []},)
+        comb = ConvexCombination(points=tuple(map(EpigraphPoint, p.b, p.c)), weights=p.c, trace=trace)
+        _assert_files_match_oracle(tmp_path, case, p, socs, [(EpigraphPoint(p.b[-1], p.c[0]), comb)])
 
 
 class TestCliFlows:

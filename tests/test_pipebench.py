@@ -9,16 +9,12 @@ from their files, unedited.
 """
 
 import importlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import BENCH, load_pipebench
 from qcqp_hull import _kernels
-
-BENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
 
 # Traced functions the library no longer has; their spans read 0 until the
@@ -28,25 +24,17 @@ GONE_TARGETS = {
 }
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"pipebench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_functions_exist():
     missing = {
         attr
-        for mod_name, attr, _ in _load("tracing").TARGETS
+        for mod_name, attr, _ in load_pipebench("tracing").TARGETS
         if not callable(getattr(importlib.import_module(mod_name), attr, None))
     }
     assert missing <= GONE_TARGETS, f"traced but absent from the library: {sorted(missing - GONE_TARGETS)}"
 
 
 def test_jobs_on_example1_match_reference(tmp_path):
-    pl = _load("pipeline")
+    pl = load_pipebench("pipeline")
     reference = json.loads((BENCH / "reference.json").read_text())
     kinds = ("hull", "analyze", "solve", "decompose")
     workload = pl.Workload("smoke", pool=(pl.EXAMPLE1,), kinds=kinds, control=())
@@ -70,7 +58,7 @@ def test_jobs_on_example1_match_reference(tmp_path):
 def test_pool_instance_matches_reference(tmp_path, workload, pool):
     """One pool instance per workload runs hull and analyze through the
     unedited check, so a change that moves a reference count fails here."""
-    pl = _load("pipeline")
+    pl = load_pipebench("pipeline")
     reference = json.loads((BENCH / "reference.json").read_text())
     w = pl.Workload(workload, pool=tuple(pool(pl)), kinds=("hull", "analyze"), control=())
     jobs = pl.job_list(pl.prepare(w, 0, str(tmp_path)), 0)
