@@ -5,9 +5,9 @@ file), ``decompose`` (verified convex-combination certificate), ``solve``
 (hull minimization + brute-force comparison), ``generate`` (instance
 families), ``plot`` (2D membership-boundary CSV).
 
-Exit codes: 0 success, 1 usage, 2 parse, 3 assumption failure, 4 guard
-exceeded, 5 verification failure, 141 standard output closed early (as
-under SIGPIPE, 128 + 13).
+Exit codes: 0 success, 1 usage or an output that cannot be written,
+2 parse, 3 assumption failure, 4 guard exceeded, 5 verification failure,
+141 standard output closed early (as under SIGPIPE, 128 + 13).
 """
 
 from __future__ import annotations
@@ -78,11 +78,26 @@ def plot2d(p: Qcqp, d, box, resolution: int = 201, tol: float = 1e-8):
     obj, viol = violations_in_place(p, _kernels.eval_quadratics_grid(p.A, p.b, p.c, axes))
     tmin_d = np.where(np.all(viol <= tol, axis=0), 0.5 * obj, np.inf)
 
-    ne = len(d.epigraph)
+    ne = d.num_epigraph
     svals = _kernels.eval_quadratics_grid(d.A, d.b, d.c, axes)
     tmin_hull = np.where(np.all(svals[ne:] <= tol, axis=0), 0.5 * np.max(svals[:ne], axis=0), np.inf)
     x1, x2 = np.repeat(axes[0], resolution), np.tile(axes[1], resolution)
     return x1, x2, tmin_d.ravel(), tmin_hull.ravel()
+
+
+def _say(text: str | None = None) -> None:
+    """Print ``text`` (if any) and flush stdout.  If that fails, point stdout
+    at devnull, so its unwritten text cannot fail again at exit, and exit:
+    141 if the reader went away (``| head``), else 1 with one error line."""
+    try:
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except OSError as e:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write standard output: {e.strerror}", file=sys.stderr)
+        sys.exit(141 if isinstance(e, BrokenPipeError) else 1)
 
 
 def _cmd_analyze(args) -> int:
@@ -94,7 +109,7 @@ def _cmd_analyze(args) -> int:
             raise ValueError(f"--feasible-point needs {p.dim} comma-separated values")
     report, _ = analyze_problem(p, feasible_point=point, tol=args.tol)
     text = report_text(report)
-    print(text)
+    _say(text)
     if args.out:
         io.atomic_write_text(args.out, text + "\n")
     if not report.assumption1:
@@ -109,7 +124,7 @@ def _cmd_hull(args) -> int:
     soc = soc_description(build_gamma_data(p).v, p)
     out = args.out or _stem(args.problem) + ".hull.json"
     io.write_soc(out, soc)
-    print(f"wrote {out}: {len(soc.epigraph)} epigraph + {len(soc.homogeneous)} homogeneous constraints")
+    _say(f"wrote {out}: {len(soc.epigraph)} epigraph + {len(soc.homogeneous)} homogeneous constraints")
     return 0
 
 
@@ -123,8 +138,8 @@ def _cmd_decompose(args) -> int:
         raise VerificationError("decomposition produced an invalid certificate; nothing written")
     out = args.out or _stem(args.problem) + ".cert.json"
     io.write_certificate(out, pt, comb, args.tol)
-    print(f"wrote {out}: {len(comb.points)} points, weights "
-          + np.array2string(np.asarray(comb.weights), precision=6))
+    _say(f"wrote {out}: {len(comb.points)} points, weights "
+         + np.array2string(np.asarray(comb.weights), precision=6))
     return 0
 
 
@@ -133,13 +148,13 @@ def _cmd_solve(args) -> int:
     box = _parse_box(args.box, p.dim)
     soc = soc_description(build_gamma_data(p).v, p)
     res = minimize_soc(soc, box, tol=args.tol)
-    print(f"relaxed optimum (2t units): {res.value:.10g}")
-    print(f"minimizer: {np.array2string(res.minimizer, precision=8)}")
-    print(f"status: {res.status}  iterations: {res.iterations}  gap: {res.gap:.3g}")
+    _say(f"relaxed optimum (2t units): {res.value:.10g}")
+    _say(f"minimizer: {np.array2string(res.minimizer, precision=8)}")
+    _say(f"status: {res.status}  iterations: {res.iterations}  gap: {res.gap:.3g}")
     if p.dim <= 3:
         val, x = brute_force(p, box)
-        print(f"brute-force optimum: {val:.10g} at {np.array2string(x, precision=8)}")
-        print(f"brute force - relaxation: {val - res.value:.3g}")
+        _say(f"brute-force optimum: {val:.10g} at {np.array2string(x, precision=8)}")
+        _say(f"brute force - relaxation: {val - res.value:.3g}")
     return 0
 
 
@@ -158,7 +173,7 @@ def _cmd_generate(args) -> int:
     p = generate(spec)
     out = args.out or f"{args.family}.json"
     io.write_problem(out, p)
-    print(f"wrote {out}: N={p.dim}, mi={p.num_inequalities}, me={p.num_equalities}")
+    _say(f"wrote {out}: N={p.dim}, mi={p.num_inequalities}, me={p.num_equalities}")
     return 0
 
 
@@ -172,7 +187,7 @@ def _cmd_plot(args) -> int:
     x1, x2, tmin_d, tmin_hull = plot2d(p, soc, box, resolution=args.resolution, tol=args.tol)
     out = args.out or _stem(args.problem) + ".plot.csv"
     io.atomic_write_text(out, io.plot_csv_text(x1, x2, tmin_d, tmin_hull))
-    print(f"wrote {out}: {len(x1)} grid samples")
+    _say(f"wrote {out}: {len(x1)} grid samples")
     return 0
 
 
@@ -280,14 +295,8 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    try:
-        code = run(sys.argv[1:])
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away (``| head``).  Point stdout at devnull so the
-        # interpreter's flush at exit does not fail again, and exit quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
+    code = run(sys.argv[1:])
+    _say()  # argparse's --help text
     sys.exit(code)
 
 

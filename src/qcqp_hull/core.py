@@ -8,12 +8,14 @@ Conventions fixed here and used everywhere else:
   * a family of quadratics is stacked once, when its object is built, as
     read-only arrays A (K, N, N), b (K, N) and c (K,) with row k the k-th
     quadratic; for a Qcqp row 0 is the objective and rows 1..m the
-    constraints.  ``aggregate`` is the one rule that combines a stack,
-    ``stack_values`` (over ``_kernels.eval_quadratics``) the one evaluator
-    of a whole stack at a point (grids go through
-    ``_kernels.eval_quadratics_grid``) and ``violations_in_place`` the
-    one violation rule, which ``objective_and_violations`` applies at
-    points and the brute-force oracle and the plot apply over grids.
+    constraints, and a ``hull.SocDescription`` is its stack itself, the
+    epigraph rows first, with no quadratic built per row.  ``aggregate``
+    is the one rule that combines a stack, ``stack_values`` (over
+    ``_kernels.eval_quadratics``) the one evaluator of a whole stack at a
+    point (grids go through ``_kernels.eval_quadratics_grid``) and
+    ``violations_in_place`` the one violation rule, which
+    ``objective_and_violations`` applies at points and the brute-force
+    oracle and the plot apply over grids.
 """
 
 from __future__ import annotations
@@ -174,12 +176,18 @@ def stack_values(s, x) -> np.ndarray:
     return _kernels.eval_quadratics(s.A, s.b, s.c, x)[:, 0]
 
 
-def lagrangian(p: Qcqp, gamma) -> QuadraticFn:
-    """Aggregate q_0 + sum_i gamma_i q_i into a single quadratic."""
+def _lagrangian_weights(p: Qcqp, gamma) -> np.ndarray:
+    """(1, gamma), the weights of p's stack in q_0 + sum_i gamma_i q_i;
+    ValueError unless gamma has one entry per constraint."""
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
     if gamma.shape[0] != p.num_constraints:
         raise ValueError(f"gamma has length {gamma.shape[0]}, expected {p.num_constraints}")
-    return QuadraticFn(*aggregate(p, np.concatenate([[1.0], gamma])))
+    return np.concatenate([[1.0], gamma])
+
+
+def lagrangian(p: Qcqp, gamma) -> QuadraticFn:
+    """Aggregate q_0 + sum_i gamma_i q_i into a single quadratic."""
+    return QuadraticFn(*aggregate(p, _lagrangian_weights(p, gamma)))
 
 
 def violations_in_place(p: Qcqp, vals):

@@ -13,19 +13,12 @@ generator rows [1, gamma_e] and [0, gamma_r] weighting (q_0, ..., q_m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EpigraphPoint,
-    Qcqp,
-    QuadraticFn,
-    aggregate,
-    check_feasible,
-    stack_quadratics,
-    stack_values,
-)
+from .core import EpigraphPoint, Qcqp, aggregate, check_feasible, stack_values
 from .errors import NoDescentDirection, NotInDsdp, QcqpHullError
 from .gamma import GammaData, b_aff_dim, optimal_face
 from .linalg import solve_homogeneous
@@ -38,28 +31,46 @@ DROP_TOL = 1e-12  # ray constraints with every coefficient below this are droppe
 
 @dataclass(frozen=True, eq=False)
 class SocDescription:
-    """Finite convex-quadratic description of the relaxed epigraph.
+    """Finite convex-quadratic description of the relaxed epigraph, one
+    read-only stack: row k is q_k(x) = x'A[k]x + 2b[k]'x + c[k].
 
-    ``epigraph[k](x) <= 2t`` for each multiplier-set vertex and
-    ``homogeneous[k](x) <= 0`` for each extreme ray.  Ray constraints that
-    reduce to a nonpositive constant are dropped as identically true.
-    ``A``, ``b`` and ``c`` stack the epigraph rows, then the homogeneous
-    rows.
+    ``q_k(x) <= 2t`` for the rows ``epigraph``, the first
+    ``num_epigraph``, one per multiplier-set vertex, and ``q_k(x) <= 0``
+    for the rows ``homogeneous``, one per extreme ray.  Ray constraints
+    that reduce to a nonpositive constant are dropped as identically true.
+    The stack gets ``QuadraticFn``'s rules once: float entries, finite or
+    ValueError, and each A[k] symmetrized as 0.5 (A[k] + A[k]').
     """
 
-    epigraph: tuple
-    homogeneous: tuple
-    A: np.ndarray = field(init=False, repr=False)
-    b: np.ndarray = field(init=False, repr=False)
-    c: np.ndarray = field(init=False, repr=False)
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    num_epigraph: int
 
     def __post_init__(self):
-        for name, arr in zip("Abc", stack_quadratics(self.epigraph + self.homogeneous)):
+        A, b, c = (np.array(a, dtype=float) for a in (self.A, self.b, self.c))
+        if A.ndim != 3 or A.shape[1] != A.shape[2] or b.shape != A.shape[:2] or c.shape != A.shape[:1]:
+            raise ValueError(f"stack shapes {A.shape}, {b.shape}, {c.shape} are not (K, N, N), (K, N), (K,)")
+        if not 0 <= operator.index(self.num_epigraph) <= len(c):  # 1.5 is a TypeError
+            raise ValueError(f"num_epigraph {self.num_epigraph} is not within the {len(c)} rows")
+        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+            raise ValueError("A, b and c must be finite")
+        A = 0.5 * (A + np.swapaxes(A, 1, 2))
+        for name, arr in zip("Abc", (A, b, c)):
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
+    def epigraph(self) -> range:
+        return range(self.num_epigraph)
+
+    @property
+    def homogeneous(self) -> range:
+        return range(self.num_epigraph, len(self.c))
+
+    @property
     def dim(self) -> int:
-        return self.epigraph[0].dim if self.epigraph else self.homogeneous[0].dim
+        return self.A.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +97,7 @@ def soc_description(v, p: Qcqp) -> SocDescription:
     if bad.size:
         label = "epigraph" if bad[0] < nv else "homogeneous"
         raise QcqpHullError(f"{label} hull constraint has an indefinite Hessian")
-    quads = tuple(QuadraticFn(A[k], b[k], c[k]) for k in keep)
-    return SocDescription(epigraph=quads[:nv], homogeneous=quads[nv:])
+    return SocDescription(A[keep], b[keep], c[keep], nv)
 
 
 def dsdp_membership(d: SocDescription, pt: EpigraphPoint, tol: float = MEMBERSHIP_TOL):
@@ -97,7 +107,7 @@ def dsdp_membership(d: SocDescription, pt: EpigraphPoint, tol: float = MEMBERSHI
     negative strictly inside and ~0 on the boundary.
     """
     residuals = stack_values(d, pt.x)
-    residuals[: len(d.epigraph)] -= 2.0 * pt.t
+    residuals[: d.num_epigraph] -= 2.0 * pt.t
     worst = float(np.max(residuals))
     return worst <= tol, worst
 
@@ -118,11 +128,9 @@ def verify_certificate(
         return False
     xs = np.array([pt.x for pt in c.points])
     ts = np.array([pt.t for pt in c.points])
-    recon_x = w @ xs
-    recon_t = float(w @ ts)
-    if not np.max(np.abs(recon_x - target.x)) <= tol:
+    if not np.max(np.abs(w @ xs - target.x)) <= tol:
         return False
-    if not abs(recon_t - target.t) <= tol:
+    if not abs(float(w @ ts) - target.t) <= tol:
         return False
     return all(check_feasible(p, pt, tol).feasible for pt in c.points)
 
@@ -234,13 +242,10 @@ def _flat_direction(face, sd, p):
     nv = float(np.linalg.norm(v))
     if nv <= 1e-12:
         return None, None
-    v /= nv
-    s /= nv
-    for vi in v:
-        if abs(vi) > 1e-10:
-            if vi < 0:
-                v, s = -v, -s
-            break
+    v, s = v / nv, s / nv
+    lead = np.flatnonzero(np.abs(v) > 1e-10)  # the sign makes the first clear entry positive
+    if lead.size and v[lead[0]] < 0:
+        v, s = -v, -s
     return v, s
 
 

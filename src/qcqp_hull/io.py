@@ -26,29 +26,35 @@ import os
 import numpy as np
 
 from .core import EpigraphPoint, Qcqp, QuadraticFn
-from .errors import ParseError
+from .errors import ParseError, QcqpHullError
 from .hull import ConvexCombination, SocDescription
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it and a
+    rename.  A failure leaves no temp file; an OSError is raised as
+    QcqpHullError("cannot write <path>: <reason>")."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     # Created as open() creates a file: mode 0o666 less the umask (mkstemp
     # would make it 0o600); O_EXCL never takes over an existing file.
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            f = os.fdopen(fd, "w", encoding="utf-8")
+            try:
+                f = os.fdopen(fd, "w", encoding="utf-8")
+            except BaseException:
+                os.close(fd)
+                raise
+            with f:
+                f.write(text)
+            os.replace(tmp, path)
         except BaseException:
-            os.close(fd)
+            if os.path.exists(tmp):
+                os.unlink(tmp)
             raise
-        with f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    except OSError as e:
+        raise QcqpHullError(f"cannot write {path}: {e.strerror}") from e
 
 
 def _number_texts(*arrays) -> list:
@@ -74,11 +80,6 @@ def _number_texts(*arrays) -> list:
         out.append(texts[end:end + a.size].reshape(a.shape))
         end += a.size
     return out
-
-
-def _lists(*arrays) -> list:
-    """Each array as nested lists, the documents' plain form."""
-    return [np.asarray(a).tolist() for a in arrays]
 
 
 def _layout(value, pad: str = "") -> str:
@@ -115,28 +116,14 @@ def _read_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {e}") from e
 
 
-def _stack_to_dicts(A: np.ndarray, b: np.ndarray, c: np.ndarray, numbers) -> list:
-    """One ``{A, b, c}`` object per row of a quadratic stack, its arrays
-    turned by ``numbers`` (``_lists`` or ``_number_texts``)."""
-    A, b = numbers(A, b)
+def _stack_to_dicts(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> list:
+    """One ``{A, b, c}`` object per row of a quadratic stack."""
+    A, b = _number_texts(A, b)
     return [{"A": Ak, "b": bk, "c": ck} for Ak, bk, ck in zip(A, b, c.tolist())]
 
 
 def _quad_from_dict(d: dict) -> QuadraticFn:
     return QuadraticFn(np.array(d["A"], dtype=float), np.array(d["b"], dtype=float), float(d["c"]))
-
-
-def _problem_doc(p: Qcqp, numbers) -> dict:
-    return {
-        "n": p.dim,
-        "mi": p.num_inequalities,
-        "me": p.num_equalities,
-        "quadratics": _stack_to_dicts(p.A, p.b, p.c, numbers),
-    }
-
-
-def problem_to_dict(p: Qcqp) -> dict:
-    return _problem_doc(p, _lists)
 
 
 def _count(d: dict, key: str) -> int:
@@ -160,26 +147,16 @@ def problem_from_dict(d: dict) -> Qcqp:
 
 
 def write_problem(path: str, p: Qcqp) -> None:
-    _write_json(path, _problem_doc(p, _number_texts))
+    _write_json(path, {
+        "n": p.dim,
+        "mi": p.num_inequalities,
+        "me": p.num_equalities,
+        "quadratics": _stack_to_dicts(p.A, p.b, p.c),
+    })
 
 
 def read_problem(path: str) -> Qcqp:
     return problem_from_dict(_read_json(path))
-
-
-def _certificate_doc(target: EpigraphPoint, comb: ConvexCombination, tol: float, numbers) -> dict:
-    x, weights, xs = numbers(target.x, comb.weights, np.array([pt.x for pt in comb.points]))
-    return {
-        "point": {"x": x, "t": target.t},
-        "weights": weights,
-        "points": [{"x": xk, "t": pt.t} for xk, pt in zip(xs, comb.points)],
-        "trace": list(comb.trace),
-        "tol": tol,
-    }
-
-
-def certificate_to_dict(target: EpigraphPoint, comb: ConvexCombination, tol: float) -> dict:
-    return _certificate_doc(target, comb, tol, _lists)
 
 
 def certificate_from_dict(d: dict):
@@ -200,25 +177,23 @@ def certificate_from_dict(d: dict):
 
 
 def write_certificate(path: str, target: EpigraphPoint, comb: ConvexCombination, tol: float) -> None:
-    _write_json(path, _certificate_doc(target, comb, tol, _number_texts))
+    x, weights, xs = _number_texts(target.x, comb.weights, np.array([pt.x for pt in comb.points]))
+    _write_json(path, {
+        "point": {"x": x, "t": target.t},
+        "weights": weights,
+        "points": [{"x": xk, "t": pt.t} for xk, pt in zip(xs, comb.points)],
+        "trace": list(comb.trace),
+        "tol": tol,
+    })
 
 
 def read_certificate(path: str):
     return certificate_from_dict(_read_json(path))
 
 
-def _soc_doc(d: SocDescription, numbers) -> dict:
-    rows = _stack_to_dicts(d.A, d.b, d.c, numbers)
-    ne = len(d.epigraph)
-    return {"n": d.dim, "epigraph": rows[:ne], "homogeneous": rows[ne:]}
-
-
-def soc_to_dict(d: SocDescription) -> dict:
-    return _soc_doc(d, _lists)
-
-
 def write_soc(path: str, d: SocDescription) -> None:
-    _write_json(path, _soc_doc(d, _number_texts))
+    rows, ne = _stack_to_dicts(d.A, d.b, d.c), d.num_epigraph
+    _write_json(path, {"n": d.dim, "epigraph": rows[:ne], "homogeneous": rows[ne:]})
 
 
 def plot_csv_text(x1, x2, tmin_d, tmin_hull) -> str:

@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import Qcqp, aggregate, lagrangian
+from .core import Qcqp, _lagrangian_weights, aggregate
 from .errors import NotSimultaneouslyDiagonalizable
 
 PSD_TOL = 1e-9
@@ -77,9 +77,9 @@ def sym_eig(M) -> Spectrum:
 
 
 def _aggregate_spectrum(p: Qcqp, gamma):
-    """``lagrangian(p, gamma).A`` and its ``sym_eig`` spectrum, for a float
-    multiplier of length m, without building the quadratic."""
-    A = aggregate(p, np.concatenate([[1.0], gamma]))[0]
+    """``lagrangian(p, gamma).A`` and its ``sym_eig`` spectrum, without
+    building the quadratic; gamma is checked by ``_lagrangian_weights``."""
+    A = aggregate(p, _lagrangian_weights(p, gamma))[0]
     A = 0.5 * (A + A.T)
     return A, Spectrum(*_eig(A))
 
@@ -130,9 +130,8 @@ def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
     NotSimultaneouslyDiagonalizable when some form's residual is above
     OFFDIAG_TOL * max(1, its largest entry).
     """
-    agg = lagrangian(p, gamma_star)
-    spec = sym_eig(agg.A)
-    if not is_definite(agg.A, spec.eigenvalues[0]):
+    A, spec = _aggregate_spectrum(p, gamma_star)
+    if not is_definite(A, spec.eigenvalues[0]):
         raise ValueError("aggregated Hessian at gamma_star is not positive definite")
     return _whiten(p, spec)
 

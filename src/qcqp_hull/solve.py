@@ -65,15 +65,18 @@ def minimize_soc(
 ) -> SolveResult:
     """Minimize 2t subject to the hull description inside the box.
 
-    Raises InfeasibleRegion when the homogeneous constraints are proved
-    infeasible inside the box."""
+    ``tol``, the gap relative to the rows' scale that certifies the value,
+    must be a positive finite number.  Raises InfeasibleRegion when the
+    homogeneous constraints are proved infeasible inside the box."""
     from scipy.optimize import minimize  # loads with the first solve, not the package
 
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     if not d.epigraph:
         raise ValueError("hull description has no epigraph constraints")
     n = d.dim
     box = _as_box(box, n)
-    ne, K = len(d.epigraph), len(d.c)  # stack rows: epigraph, then homogeneous
+    ne, K = d.num_epigraph, len(d.c)  # stack rows: epigraph, then homogeneous
     a_max = np.abs(d.A[:ne]).max(axis=(1, 2))
     scale = max(1.0, float(np.max(a_max + np.abs(d.b[:ne]).max(axis=1) + np.abs(d.c[:ne]))))
     feas_tol = 1e-9 * scale
@@ -111,7 +114,7 @@ def minimize_soc(
     if np.any(vals[ne:] > feas_tol):
         # Phase I, min s subject to h_r(x) <= s in the box: a certified
         # bound above feas_tol proves that no x of the box meets the rows.
-        phase1 = minimize_soc(SocDescription(d.homogeneous, ()), box, tol, max_iter)
+        phase1 = minimize_soc(SocDescription(d.A[ne:], d.b[ne:], d.c[ne:], K - ne), box, tol, max_iter)
         if phase1.lower_bound > feas_tol:
             raise InfeasibleRegion("homogeneous hull constraints are infeasible inside the box")
         value, lb, status = np.inf, -np.inf, "iteration_limit"
@@ -140,7 +143,7 @@ def _dual_bound(d, box, w, scale) -> float:
     every feasible (x, tau) of the box has tau >= sum_k w_k q_k(x) +
     w_lo'(lo - x) + w_hi'(x - hi), so tau >= its minimum over x.  -inf when
     that is unbounded below or the epigraph weights are all 0."""
-    n, K, ne = d.dim, len(d.c), len(d.epigraph)
+    n, K, ne = d.dim, len(d.c), d.num_epigraph
     weight = w[:ne].sum()
     if weight <= 0.0:
         return -np.inf
@@ -162,7 +165,7 @@ def _extreme_point(d, box, x, level, athr):
     constant, to the nearest root of an inactive row.  Each step adds the
     hit row, so the kernel shrinks, and at most N steps end where only
     u = 0 is left."""
-    n, ne, K = len(x), len(d.epigraph), len(d.c)
+    n, ne, K = len(x), d.num_epigraph, len(d.c)
     I = np.eye(n)
     row_scale = np.maximum(np.abs(d.A).max(axis=(1, 2)), np.abs(d.b).max(axis=1))
     for _ in range(n):

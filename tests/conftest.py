@@ -51,6 +51,20 @@ TINY_DISTINCT = Qcqp(
 )
 
 
+# min x'x subject to x'x <= 4 and the linear equality x1 + x2 = 1, which
+# gives the multiplier set a lineality line: the hull description holds
+# h <= 0 and -h <= 0 for h = x1 + x2 - 1.
+LINEAR_EQUALITY = Qcqp(
+    objective=QuadraticFn(np.eye(2), np.zeros(2), 0.0),
+    constraints=(
+        QuadraticFn(np.eye(2), np.zeros(2), -4.0),
+        QuadraticFn(np.zeros((2, 2)), np.array([0.5, 0.5]), -1.0),
+    ),
+    num_inequalities=1,
+    num_equalities=1,
+)
+
+
 @pytest.fixture(scope="session")
 def ex1():
     return example1()

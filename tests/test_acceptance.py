@@ -67,10 +67,10 @@ def test_criterion_2_hull_description(ex1, ex1_gd):
     for A, b, c in expected:
         hits = [
             i
-            for i, g in enumerate(remaining)
-            if np.max(np.abs(g.A - A)) <= 1e-12
-            and np.max(np.abs(g.b - b)) <= 1e-12
-            and abs(g.c - c) <= 1e-12
+            for i, k in enumerate(remaining)
+            if np.max(np.abs(soc.A[k] - A)) <= 1e-12
+            and np.max(np.abs(soc.b[k] - b)) <= 1e-12
+            and abs(soc.c[k] - c) <= 1e-12
         ]
         assert len(hits) == 1
         remaining.pop(hits[0])
@@ -158,10 +158,7 @@ def _oracle_instances():
         seed += 1
         gd = build_gamma_data(p)
         soc = soc_description(gd.v, p)
-        coef = max(
-            max(np.max(np.abs(g.A)), np.max(np.abs(g.b)), abs(g.c))
-            for g in soc.epigraph + soc.homogeneous
-        )
+        coef = max(np.max(np.abs(soc.A)), np.max(np.abs(soc.b)), np.max(np.abs(soc.c)))
         if coef > 30.0:
             continue
         count += 1

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import stat
@@ -14,7 +15,7 @@ from conftest import SMALL_INSTANCES, load_pipebench
 from qcqp_hull import _kernels, io
 from qcqp_hull.cli import plot2d, run
 from qcqp_hull.core import EpigraphPoint, Qcqp, QuadraticFn, objective_and_violations
-from qcqp_hull.errors import ParseError
+from qcqp_hull.errors import ParseError, QcqpHullError
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import FamilySpec, generate
 from qcqp_hull.hull import ConvexCombination, SocDescription, decompose, soc_description, verify_certificate
@@ -66,7 +67,7 @@ class TestProblemIo:
         # Counts must be JSON integers: no float, string or bool, even one
         # that int() would turn into the right count.
         for key, value in [("n", 2.9), ("n", 2.0), ("n", "2"), ("mi", 2.0), ("me", False), ("me", "0")]:
-            doc = io.problem_to_dict(ex1)
+            doc = io_oracle.problem_to_dict(ex1)
             doc[key] = value
             bad.write_text(json.dumps(doc))
             with pytest.raises(ParseError, match=f"'{key}' must be an integer"):
@@ -102,6 +103,14 @@ class TestAtomicWrite:
         assert stat.S_IMODE(old.stat().st_mode) == mode
         assert old.read_bytes() == new.read_bytes() == Path(ex1_file).read_bytes()
         assert sorted(f.name for f in tmp_path.iterdir()) == ["ex1.json", "new.json", "old.json"]
+
+    def test_failed_write_is_a_package_error_naming_the_path(self, tmp_path, ex1):
+        # As a failed read is a ParseError naming its path.
+        for out, errno_ in ((tmp_path / "missing" / "x.json", errno.ENOENT), (tmp_path, errno.EISDIR)):
+            with pytest.raises(QcqpHullError, match=f"^cannot write {out}: {os.strerror(errno_)}$") as info:
+                io.write_problem(str(out), ex1)
+            assert isinstance(info.value.__cause__, OSError)
+        assert list(tmp_path.iterdir()) == []
 
     def test_fdopen_failure_closes_and_removes_temp_file(self, tmp_path, monkeypatch):
         opened = []
@@ -203,7 +212,7 @@ class TestJsonLayout:
         path = str(tmp_path / "p.json")
         io.write_problem(path, p)
         text = open(path, encoding="utf-8").read()
-        _assert_layout(text, io.problem_to_dict(p))
+        _assert_layout(text, io_oracle.problem_to_dict(p))
         q = io.read_problem(path)
         for name in "Abc":
             assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
@@ -214,7 +223,7 @@ class TestJsonLayout:
         path = str(tmp_path / "h.json")
         io.write_soc(path, soc)
         text = open(path, encoding="utf-8").read()
-        _assert_layout(text, io.soc_to_dict(soc))
+        _assert_layout(text, io_oracle.soc_to_dict(soc))
         doc = json.loads(text)
         assert doc["n"] == soc.dim
         assert len(doc["epigraph"]) == len(soc.epigraph)
@@ -230,7 +239,7 @@ class TestJsonLayout:
         path = str(tmp_path / "c.json")
         io.write_certificate(path, pt, comb, 1e-8)
         text = open(path, encoding="utf-8").read()
-        _assert_layout(text, io.certificate_to_dict(pt, comb, 1e-8))
+        _assert_layout(text, io_oracle.certificate_to_dict(pt, comb, 1e-8))
         target, back, tol = io.read_certificate(path)
         assert target.x.tobytes() == pt.x.tobytes() and target.t == pt.t and tol == 1e-8
         assert np.asarray(back.weights).tobytes() == np.asarray(comb.weights).tobytes()
@@ -305,11 +314,23 @@ class TestJsonLayout:
         p = Qcqp(quads[0], tuple(quads[1:]), len(quads) - 1, 0)
         # Every stack once whole, once split at its first row, and its first
         # row alone: an empty list, and a stack of one row.
-        socs = [SocDescription(tuple(quads), ()), SocDescription(tuple(quads[:1]), tuple(quads[1:]))]
-        socs.append(SocDescription(tuple(quads[:1]), ()))
+        socs = [SocDescription(p.A, p.b, p.c, len(quads)), SocDescription(p.A, p.b, p.c, 1)]
+        socs.append(SocDescription(p.A[:1], p.b[:1], p.c[:1], 1))
         trace = ({"depth": 0, "v": p.b[0].tolist(), "s": float(p.c[-1]), "child_aff_dims": []},)
         comb = ConvexCombination(points=tuple(map(EpigraphPoint, p.b, p.c)), weights=p.c, trace=trace)
         _assert_files_match_oracle(tmp_path, case, p, socs, [(EpigraphPoint(p.b[-1], p.c[0]), comb)])
+
+
+_ENTRY = "from qcqp_hull.cli import main; main()"
+
+
+def _cli_env(buffered: bool) -> dict:
+    """The environment of a console-script run of this checkout, its
+    stdout block-buffered (Python's default off a terminal) or not."""
+    src = str(Path(qcqp_hull.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
 
 
 class TestCliFlows:
@@ -431,18 +452,60 @@ class TestCliFlows:
         # is still printing when the reader hangs up after one line.
         f = str(tmp_path / "sc20.json")
         io.write_problem(f, generate(FamilySpec(family="swisscheese", n=20, m1=4, m2=3, m3=3)))
-        src = str(Path(qcqp_hull.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        entry = "from qcqp_hull.cli import main; main()"
-        proc = subprocess.Popen(
-            [sys.executable, "-c", entry, "analyze", f],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
-        )
-        assert proc.stdout.readline().startswith(b"assumption1")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
-        assert err == b""
+        for buffered in (True, False):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _ENTRY, "analyze", f],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=_cli_env(buffered),
+            )
+            assert proc.stdout.readline().startswith(b"assumption1")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141, buffered
+            assert err == b"", buffered
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    # argparse drops a failed write of its own, so --help is checked
+    # block-buffered only: its text then fails at main's flush.
+    @pytest.mark.parametrize("command,buffered", [
+        ("generate", True), ("generate", False), ("analyze", True), ("analyze", False), ("help", True),
+    ])
+    def test_full_stdout_is_one_error_line(self, tmp_path, ex1_file, command, buffered):
+        # Block-buffered stdout (the default when it is not a terminal)
+        # fails at the flush, unbuffered stdout at the print: one line each.
+        args = {
+            "generate": ["generate", "example1", "--out", str(tmp_path / "e.json")],
+            "analyze": ["analyze", ex1_file],
+            "help": ["--help"],
+        }[command]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", _ENTRY, *args],
+                stdout=full, stderr=subprocess.PIPE, env=_cli_env(buffered), timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("command", ["hull", "analyze", "decompose", "generate", "plot"])
+    @pytest.mark.parametrize("target", ["missing-dir", "is-dir"])
+    def test_failed_write_is_one_error_line(self, tmp_path, ex1_file, capsys, command, target):
+        # One line naming the path asked for, exit 1, and no temp file left.
+        args = {
+            "hull": ["hull", ex1_file],
+            "analyze": ["analyze", ex1_file],
+            "decompose": ["decompose", ex1_file, "--point", "4,2,33.5"],
+            "generate": ["generate", "example1"],
+            "plot": ["plot", ex1_file, "--resolution", "5"],
+        }[command]
+        if target == "missing-dir":
+            out, reason = tmp_path / "missing" / "x.json", os.strerror(errno.ENOENT)
+        else:
+            out, reason = tmp_path / "out", os.strerror(errno.EISDIR)
+            out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_plot_invariants(self, tmp_path, ex1_file):
         out = str(tmp_path / "p.csv")

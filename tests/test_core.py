@@ -234,9 +234,9 @@ def test_ray_constraints_aggregate_the_constraints(family):
             kept.append((A, b, c))
     assert len(soc.homogeneous) == len(kept)
     for h, (A, b, c) in zip(soc.homogeneous, kept):
-        assert np.allclose(h.A, A, rtol=1e-12, atol=1e-12)
-        assert np.allclose(h.b, b, rtol=1e-12, atol=1e-12)
-        assert h.c == pytest.approx(c, rel=1e-12, abs=1e-12)
+        assert np.allclose(soc.A[h], A, rtol=1e-12, atol=1e-12)
+        assert np.allclose(soc.b[h], b, rtol=1e-12, atol=1e-12)
+        assert soc.c[h] == pytest.approx(c, rel=1e-12, abs=1e-12)
     # The description's own stack: epigraph rows, then homogeneous rows.
-    for k, q in enumerate(soc.epigraph + soc.homogeneous):
-        assert np.array_equal(soc.A[k], q.A) and np.array_equal(soc.b[k], q.b) and soc.c[k] == q.c
+    assert list(soc.epigraph) + list(soc.homogeneous) == list(range(len(soc.c)))
+    assert np.array_equal(soc.A, np.swapaxes(soc.A, 1, 2))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import LINEAR_EQUALITY, SMALL_INSTANCES
 from oracle2d import oracle_agreement
 from test_core import STACKED
 from qcqp_hull import io
@@ -14,6 +15,7 @@ from qcqp_hull.core import (
     aggregate,
     check_feasible,
     lagrangian,
+    stack_quadratics,
 )
 from qcqp_hull.errors import NotInDsdp, QcqpHullError
 from qcqp_hull.gamma import PolyhedronV, build_gamma_data, optimal_face
@@ -21,6 +23,7 @@ from qcqp_hull.generators import example1, gtrs, quadratic_matrix_program, swiss
 from qcqp_hull.hull import (
     DROP_TOL,
     ConvexCombination,
+    SocDescription,
     decompose,
     dsdp_membership,
     soc_description,
@@ -55,11 +58,11 @@ class TestSocDescription:
         unmatched = list(ex1_soc.epigraph)
         for A, b, c in expected:
             hit = [
-                g
-                for g in unmatched
-                if np.max(np.abs(g.A - A)) <= 1e-12
-                and np.max(np.abs(g.b - b)) <= 1e-12
-                and abs(g.c - c) <= 1e-12
+                k
+                for k in unmatched
+                if np.max(np.abs(ex1_soc.A[k] - A)) <= 1e-12
+                and np.max(np.abs(ex1_soc.b[k] - b)) <= 1e-12
+                and abs(ex1_soc.c[k] - c) <= 1e-12
             ]
             assert len(hit) == 1, f"constraint with constant {c} not matched within 1e-12"
             unmatched.remove(hit[0])
@@ -86,8 +89,7 @@ class TestSocDescription:
         v = PolyhedronV(vertices=np.zeros((1, 1)), rays=np.zeros((0, 1)))
         soc = soc_description(v, p)
         assert len(soc.epigraph) == 1 and len(soc.homogeneous) == 0
-        g = soc.epigraph[0]
-        assert np.allclose(g.A, p.objective.A) and g.c == p.objective.c
+        assert np.allclose(soc.A[0], p.objective.A) and soc.c[0] == p.objective.c
 
     def test_interval_two_epigraph_constraints(self):
         p = Qcqp(
@@ -99,7 +101,7 @@ class TestSocDescription:
         gd = build_gamma_data(p)
         soc = soc_description(gd.v, p)
         assert len(soc.epigraph) == 2 and len(soc.homogeneous) == 0
-        consts = sorted(g.c for g in soc.epigraph)
+        consts = sorted(soc.c[soc.epigraph])
         assert consts == [pytest.approx(-2.0), pytest.approx(0.0)]
 
     def test_ray_constraint_kept_when_nonconstant(self):
@@ -114,7 +116,7 @@ class TestSocDescription:
         soc = soc_description(gd.v, p)
         assert len(soc.homogeneous) == 1
         h = soc.homogeneous[0]
-        assert np.allclose(h.A, np.eye(2)) and h.c == pytest.approx(-1.0)
+        assert np.allclose(soc.A[h], np.eye(2)) and soc.c[h] == pytest.approx(-1.0)
 
     @pytest.mark.parametrize(
         "vertex,rays,label",
@@ -141,10 +143,67 @@ class TestSocDescription:
             if max(np.max(np.abs(h.A)), np.max(np.abs(h.b)), h.c) > DROP_TOL:
                 want.append(h)
         assert (len(soc.epigraph), len(soc.homogeneous)) == (len(v.vertices), len(want) - len(v.vertices))
-        for got, q in zip(soc.epigraph + soc.homogeneous, want):
+        assert len(soc.c) == len(want)
+        for k, q in enumerate(want):
             scale = max(1.0, np.max(np.abs(q.A)), np.max(np.abs(q.b)), abs(q.c))
-            err = max(np.max(np.abs(got.A - q.A)), np.max(np.abs(got.b - q.b)), abs(got.c - q.c))
+            err = max(np.max(np.abs(soc.A[k] - q.A)), np.max(np.abs(soc.b[k] - q.b)), abs(soc.c[k] - q.c))
             assert err <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", [*sorted(SMALL_INSTANCES), "linear-equality"])
+    def test_stacks_match_per_row_quadratics(self, name):
+        # The description as it was once built: one QuadraticFn per kept
+        # generator row, restacked.  The stacks must match byte for byte.
+        p = LINEAR_EQUALITY if name == "linear-equality" else SMALL_INSTANCES[name]()
+        v = build_gamma_data(p).v
+        A, b, c = aggregate(p, v.generators)
+        nv = len(v.vertices)
+        kept = [k for k in range(len(c)) if k < nv or max(np.abs(A[k]).max(), np.abs(b[k]).max(), c[k]) > DROP_TOL]
+        want = stack_quadratics([QuadraticFn(A[k], b[k], c[k]) for k in kept])
+        soc = soc_description(v, p)
+        assert soc.num_epigraph == nv
+        for got, w in zip((soc.A, soc.b, soc.c), want):
+            assert got.tobytes() == w.tobytes()
+        if name == "example1":  # its ray row is the constant -55/sqrt(2)
+            assert (len(c), len(kept)) == (4, 3)
+        if name == "linear-equality":  # the lineality pair h <= 0, -h <= 0
+            assert len(soc.homogeneous) == 3
+            assert np.array_equal(soc.b[1], -soc.b[2]) and soc.c[1] == -soc.c[2]
+
+    def test_stack_is_a_symmetrized_read_only_copy(self):
+        A, b, c = np.array([[[1.0, 2.0], [0.0, 1.0]]]), np.zeros((1, 2)), np.zeros(1)
+        soc = SocDescription(A, b, c, 1)
+        assert soc.A.tolist() == [[[1.0, 1.0], [1.0, 1.0]]]
+        assert not any(getattr(soc, name).flags.writeable for name in "Abc")
+        assert A.flags.writeable and b.flags.writeable and c.flags.writeable
+        assert (soc.epigraph, soc.homogeneous, soc.dim) == (range(0, 1), range(1, 1), 2)
+
+    @pytest.mark.parametrize("name", ["A", "b", "c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_stack_refuses_nonfinite_entries(self, ex1_soc, name, value):
+        stacks = {key: np.array(getattr(ex1_soc, key)) for key in "Abc"}
+        stacks[name].flat[-1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            SocDescription(**stacks, num_epigraph=ex1_soc.num_epigraph)
+
+    def test_stack_refuses_mismatched_shapes(self):
+        A, b, c = np.zeros((2, 3, 3)), np.zeros((2, 3)), np.zeros(2)
+        for args in [
+            (A[:, :, :2], b, c),  # A[k] not square
+            (A[0], b, c),  # no stack axis
+            (A, b[:, :2], c),
+            (A, b[:1], c),
+            (A, b, c[:1]),
+            (A, b, c[:, None]),
+        ]:
+            with pytest.raises(ValueError, match="stack shapes"):
+                SocDescription(*args, num_epigraph=1)
+        for ne in (-1, 3):
+            with pytest.raises(ValueError, match="num_epigraph"):
+                SocDescription(A, b, c, ne)
+        for ne in (1.5, 1.0, "1"):  # a row count is an integer
+            with pytest.raises(TypeError):
+                SocDescription(A, b, c, ne)
+        assert SocDescription(A, b, c, np.int64(1)).homogeneous == range(1, 2)
 
 
 class TestMembership:

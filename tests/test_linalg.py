@@ -266,8 +266,16 @@ class TestWhitenSimdiag:
             num_inequalities=1,
             num_equalities=0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not positive definite"):
             whiten_simdiag(p, np.zeros(1))
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_refuses_wrong_gamma_length(self, ex1, length):
+        # whiten_simdiag and lagrangian share the one rule and its message.
+        want = f"^gamma has length {length}, expected 2$"
+        for f in (whiten_simdiag, lagrangian, _aggregate_spectrum):
+            with pytest.raises(ValueError, match=want):
+                f(ex1, np.zeros(length))
 
 
 def _rescaled(p, s) -> Qcqp:

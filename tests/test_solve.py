@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcqp_hull.core import Qcqp, QuadraticFn, stack_values
+from qcqp_hull.core import Qcqp, QuadraticFn, stack_quadratics, stack_values
 from qcqp_hull.errors import InfeasibleRegion, NoFeasiblePoint
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import (
@@ -19,8 +19,13 @@ from qcqp_hull.hull import SocDescription, soc_description
 from qcqp_hull.solve import _as_box, _extreme_point, brute_force, minimize_soc
 
 
+def stacked(epigraph, homogeneous=()):
+    """The description whose rows are these quadratics, epigraph rows first."""
+    return SocDescription(*stack_quadratics(epigraph + homogeneous), len(epigraph))
+
+
 def single_epigraph(q):
-    return SocDescription(epigraph=(q,), homogeneous=())
+    return stacked((q,))
 
 
 class TestMinimizeSoc:
@@ -33,11 +38,10 @@ class TestMinimizeSoc:
         assert res.gap <= 1e-4
         # result invariants: the epigraph max is attained at the minimizer
         # and every homogeneous constraint holds there
-        from qcqp_hull.core import eval_quadratic
-
-        fx = max(eval_quadratic(g, res.minimizer) for g in ex1_soc.epigraph)
+        vals = stack_values(ex1_soc, res.minimizer)
+        fx = max(vals[ex1_soc.epigraph])
         assert abs(fx - res.value) <= 1e-6
-        assert all(eval_quadratic(h, res.minimizer) <= 1e-6 for h in ex1_soc.homogeneous)
+        assert all(vals[ex1_soc.homogeneous] <= 1e-6)
 
     def test_optimal_value_invariant_under_reparametrization(self, ex1):
         # the relaxed optimum is unchanged by an invertible change of variables
@@ -122,6 +126,12 @@ class TestMinimizeSoc:
         with pytest.raises(ValueError, match="finite"):
             minimize_soc(ex1_soc, box)
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_tol_must_be_positive_finite(self, ex1_soc, tol):
+        # NaN would certify any gap, -1 none, inf every one.
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            minimize_soc(ex1_soc, (-10.0, 10.0), tol=tol)
+
     @pytest.mark.parametrize("seed", [None, *range(5)])
     def test_linear_equality_polished_as_one_equality_row(self, seed):
         # A linear equality gives the multiplier set a lineality line, so
@@ -150,7 +160,7 @@ class TestMinimizeSoc:
     def test_infeasible_homogeneous(self):
         g = QuadraticFn(np.eye(1), np.zeros(1), 0.0)
         h = QuadraticFn(np.eye(1), np.zeros(1), 1.0)  # x^2 + 1 <= 0
-        d = SocDescription(epigraph=(g,), homogeneous=(h,))
+        d = stacked((g,), (h,))
         with pytest.raises(InfeasibleRegion):
             minimize_soc(d, (-1.0, 1.0))
 
@@ -182,7 +192,7 @@ class TestMinimizeSoc:
         # min 2 x1 subject to |x|^2 <= 1: -2 at (-1, 0).
         g = QuadraticFn(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
         h = QuadraticFn(np.eye(2), np.zeros(2), -1.0)
-        res = minimize_soc(SocDescription((g,), (h,)), (-10.0, 10.0), max_iter=200)
+        res = minimize_soc(stacked((g,), (h,)), (-10.0, 10.0), max_iter=200)
         assert res.status == "converged"
         assert res.value == pytest.approx(-2.0, abs=1e-9)
         assert np.allclose(res.minimizer, [-1.0, 0.0], atol=1e-6)
