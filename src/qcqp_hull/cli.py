@@ -85,13 +85,13 @@ def plot2d(p: Qcqp, d, box, resolution: int = 201, tol: float = 1e-8):
     return x1, x2, tmin_d.ravel(), tmin_hull.ravel()
 
 
-def _say(text: str | None = None) -> None:
+def _say(text: str | None = None, end: str = "\n") -> None:
     """Print ``text`` (if any) and flush stdout.  If that fails, point stdout
     at devnull, so its unwritten text cannot fail again at exit, and exit:
     141 if the reader went away (``| head``), else 1 with one error line."""
     try:
         if text is not None:
-            print(text)
+            print(text, end=end)
         sys.stdout.flush()
     except OSError as e:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -150,7 +150,7 @@ def _cmd_solve(args) -> int:
     res = minimize_soc(soc, box, tol=args.tol)
     _say(f"relaxed optimum (2t units): {res.value:.10g}")
     _say(f"minimizer: {np.array2string(res.minimizer, precision=8)}")
-    _say(f"status: {res.status}  iterations: {res.iterations}  gap: {res.gap:.3g}")
+    _say(f"status: {res.status}  iterations: {res.iterations} ({res.path})  gap: {res.gap:.3g}")
     if p.dim <= 3:
         val, x = brute_force(p, box)
         _say(f"brute-force optimum: {val:.10g} at {np.array2string(x, precision=8)}")
@@ -191,8 +191,19 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops a failed write of its own text; its help text goes
+    through _say instead, so that a failed write is one error line."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _say(message, end="")
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcqp-hull",
         description="Hull-exactness certificates and SOC hull descriptions for QCQP relaxations",
     )

@@ -1,15 +1,33 @@
 """Minimize the relaxed objective over the SOC hull description, plus an
 independent brute-force grid oracle on the original problem at N <= 3.
 
-The hull solver is one SLSQP solve (Kraft 1988, scipy.optimize.minimize)
-of min tau subject to g_e(x) <= tau, h_r(x) <= 0 and the user box, whose
-bounds enter as constraint rows so that they get multipliers too.  The
-multipliers give the weak-duality bound that certifies the value (and a
-phase-I solve's bound proves the homogeneous rows infeasible), so SLSQP's
-own exit status decides nothing.  A walk then moves the minimizer to an
-extreme point of the optimal set, which under the convex hull result is a
-point of the QCQP epigraph.  The rows are assumed convex, as the hull
-description's are.
+The hull solver first works on the Lagrangian dual of the description
+over its row weights w (epigraph weights on the simplex, ray weights >= 0):
+
+    phi(w) = min_x sum_k w_k q_k(x) = c(w) - b(w)'A(w)^-1 b(w),
+    d phi / d w_k = q_k(x(w)),  x(w) = -A(w)^-1 b(w),
+
+a smooth concave program in K weights (Ben-Tal & Teboulle 1996; Ben-Tal &
+den Hertog 2014).  From the best of a few weightings where phi is
+finite, Newton steps on the KKT system of the weighted rows refine
+(x(w), w): an active-set method that adds the most violated row before
+each step and drops the rows whose weight turns negative.  A walk then
+moves x to an extreme point of the optimal set, which under the convex
+hull result is a point of the QCQP epigraph.  phi(w) is a weak-duality
+bound without box terms, so it certifies the value for every box; the
+dual result stands only when x lies in the box, meets the homogeneous
+rows within feas_tol and the bound is within rounding (DUAL_GAP) of the
+value.  A certified x outside the box is the optimum without the box, so
+there a box bound binds.
+
+Otherwise the primal runs, warm-started from x(w) clipped to the box: one
+SLSQP solve (Kraft 1988, scipy.optimize.minimize) of min tau subject to
+g_e(x) <= tau, h_r(x) <= 0 and the user box, whose bounds enter as
+constraint rows so that they get multipliers too.  Its multipliers give
+the weak-duality bound that certifies the value (and a phase-I solve's
+bound proves the homogeneous rows infeasible), so SLSQP's own exit status
+decides nothing.  The rows are assumed convex, as the hull description's
+are.
 """
 
 from __future__ import annotations
@@ -32,12 +50,20 @@ BRUTE_REFINE_POINTS = 81
 BRUTE_FEAS_TOL = 1e-9
 BRUTE_SLAB_POINTS = 400**2
 
+# The dual path: the gap, relative to the rows' scale, at which its value
+# is as accurate as the primal's, and the most Newton steps of its
+# refinement (those here certify within 6).
+DUAL_GAP = 1e-12
+DUAL_NEWTON_STEPS = 8
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     value: float  # min 2t over the hull description
     minimizer: np.ndarray
-    iterations: int  # SLSQP iterations
+    # SLSQP iterations of the primal solve over (x, tau); 0 on the dual
+    # path, which takes Newton steps only.
+    iterations: int
     # "converged" | "iteration_limit" | "unbounded".  "iteration_limit":
     # no certified gap, with value inf when the solve ended outside the
     # homogeneous constraints; that is no proof of infeasibility, which
@@ -49,6 +75,9 @@ class SolveResult:
     # value: the weak-duality bound of the solve's multipliers.
     lower_bound: float
     gap: float  # value - lower_bound
+    # "dual" when the dual's row weights certified the value, else
+    # "primal": the primal solve ran and decided the status.
+    path: str = "primal"
 
 
 def _as_box(box, n: int) -> np.ndarray:
@@ -66,19 +95,174 @@ def minimize_soc(
     """Minimize 2t subject to the hull description inside the box.
 
     ``tol``, the gap relative to the rows' scale that certifies the value,
-    must be a positive finite number.  Raises InfeasibleRegion when the
-    homogeneous constraints are proved infeasible inside the box."""
-    from scipy.optimize import minimize  # loads with the first solve, not the package
-
+    must be a positive finite number.  The dual over the row weights runs
+    first; the primal, with at most ``max_iter`` SLSQP iterations, only
+    when the dual's result does not stand.
+    Raises InfeasibleRegion when the homogeneous constraints are proved
+    infeasible inside the box."""
     if not 0.0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     if not d.epigraph:
         raise ValueError("hull description has no epigraph constraints")
-    n = d.dim
-    box = _as_box(box, n)
-    ne, K = d.num_epigraph, len(d.c)  # stack rows: epigraph, then homogeneous
+    box = _as_box(box, d.dim)
+    scale = _scale(d)
+    dual = _minimize_dual(d, box, min(tol, DUAL_GAP) * scale, scale)
+    if isinstance(dual, SolveResult):
+        return dual
+    return _minimize_primal(d, box, tol, max_iter, scale, x0=dual)
+
+
+def _scale(d) -> float:
+    """The epigraph rows' largest coefficient sum, at least 1: the unit of
+    every gap and feasibility tolerance."""
+    ne = d.num_epigraph
     a_max = np.abs(d.A[:ne]).max(axis=(1, 2))
-    scale = max(1.0, float(np.max(a_max + np.abs(d.b[:ne]).max(axis=1) + np.abs(d.c[:ne]))))
+    return max(1.0, float(np.max(a_max + np.abs(d.b[:ne]).max(axis=1) + np.abs(d.c[:ne]))))
+
+
+def _lagrangian_min(A, b, c, scale):
+    """(phi, x): the minimum of x'Ax + 2b'x + c and a minimizer, from a
+    Cholesky factor of A, else the least-squares stationary point as in
+    _dual_bound; None when the quadratic is unbounded below."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    L, info = dpotrf(A, lower=1, clean=0)
+    if info == 0:
+        x = -dpotrs(L, b, lower=1)[0]
+    elif (x := _stationary_point(A, b, scale)) is None:
+        return None
+    return float(c + b @ x), x
+
+
+def _stationary_point(A, b, scale):
+    """The least-squares solution y of A y = -b, or None when its residual
+    is above 1e-9 * scale: then x'Ax + 2b'x is unbounded below.  An A
+    whose entries are all at rounding level of the scale is 0: lstsq's
+    relative cutoff would invert its noise."""
+    if np.abs(A).max() <= 1e-15 * scale:
+        A = np.zeros_like(A)
+    y = np.linalg.lstsq(A, -b, rcond=None)[0]
+    return None if np.max(np.abs(A @ y + b)) > 1e-9 * scale else y
+
+
+def _dual_start(d, scale):
+    """Row weights where phi is finite, with their (phi, x(w)): the best
+    of the epigraph barycentre, the barycentre plus unit ray weights and
+    each single epigraph row, each a weak-duality bound on its own; None
+    when phi is -inf at all of these."""
+    ne, K = d.num_epigraph, len(d.c)
+    W = np.zeros((ne + 2, K))
+    W[:2, :ne] = 1.0 / ne
+    W[1, ne:] = 1.0
+    W[2:, :ne] = np.eye(ne)
+    found = [(w, r) for w, *abc in zip(W, *aggregate(d, W)) if (r := _lagrangian_min(*abc, scale))]
+    return max(found, key=lambda f: f[1][0], default=None)
+
+
+def _minimize_dual(d, box, gap_tol, scale):
+    """Maximize phi over the row weights by Newton steps from the start
+    (see the module docstring): a "dual" SolveResult when x lies in the
+    box, meets the homogeneous rows within feas_tol and the bound without
+    box terms is within ``gap_tol`` of the value; otherwise the point the
+    primal starts from, or None for the box centre."""
+    start = _dual_start(d, scale)
+    if start is None:
+        return None
+    n, ne = d.dim, d.num_epigraph
+    w, (_, x) = start
+    x, w, g = _refine(d, x, w, gap_tol, scale)
+    # Certified without the box, x is optimal without it: outside the box,
+    # a box bound binds and only the primal's box multipliers can tell.
+    if g > gap_tol or np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
+        return np.clip(x, box[:, 0], box[:, 1])
+    x = _extreme_point(d, box, x, float(np.max(stack_values(d, x)[:ne])), 1e-9 * scale)
+    value = float(np.max(stack_values(d, x)[:ne]))
+    lb = _dual_bound(d, box, np.concatenate([w, np.zeros(2 * n)]), scale)
+    if not abs(value - lb) <= gap_tol:
+        return x
+    lb = min(value, lb)
+    return SolveResult(
+        value=value, minimizer=x, iterations=0, status="converged",
+        lower_bound=lb, gap=value - lb, path="dual",
+    )
+
+
+def _refine(d, x, w, gap_tol, scale):
+    """Newton steps on the KKT system from (x, w), an active-set method:
+    before each step the row most violated at x joins the rows with
+    positive weight, and after it the rows whose weight went negative
+    leave.  Returns (x, w, gap) of the iterate with the smallest gap
+    |value - phi(w)|, inf where x misses a homogeneous row by more than
+    feas_tol.  It stops once the gap is within gap_tol, or after two steps
+    that end feasible without lowering it."""
+    ne = d.num_epigraph
+    feas_tol = 1e-9 * scale
+
+    def gap(x, w):
+        v = stack_values(d, x)
+        r = _lagrangian_min(*aggregate(d, w), scale)
+        if r is None or np.any(v[ne:] > feas_tol):
+            return v, np.inf
+        return v, abs(float(np.max(v[:ne])) - r[0])
+
+    v, g = gap(x, w)
+    best, stalls = (x, w, g), 0
+    for _ in range(DUAL_NEWTON_STEPS):
+        active = w > 0.0
+        if best[2] <= gap_tol or stalls == 2 or not active[:ne].any():
+            break
+        tau = float(np.max(v[:ne][active[:ne]]))
+        violation = np.concatenate([v[:ne] - tau, v[ne:]])
+        violation[active] = -np.inf
+        k = int(np.argmax(violation))
+        active[k] |= violation[k] > feas_tol
+        x, w = _kkt_step(d, x, w, np.flatnonzero(active), v, tau)
+        v, g = gap(x, w)
+        if g < best[2]:
+            best = x, w, g
+        else:
+            stalls += g < np.inf
+    return best
+
+
+def _kkt_step(d, x, w, S, v, tau):
+    """One Newton step on the KKT system of the rows S in (x, tau, w_S),
+    from row values v = q(x) and level tau: A(w) x + b(w) = 0, q_k(x) =
+    tau on the epigraph rows of S and 0 on its rays, and the epigraph
+    weights summing to 1.  Least squares (pivoted QR), since a flat optimal
+    face or a row active without weight makes it singular.  Returns the
+    new (x, w), with the weights the step drives below 0 set to 0 and the
+    rest rescaled so the epigraph weights sum to 1 again: phi(w) is then
+    the bound _dual_bound certifies."""
+    from scipy.linalg.lapack import dgelsy, dgelsy_lwork
+
+    n, ne, m = d.dim, d.num_epigraph, len(S)
+    epi = (S < ne).astype(float)
+    A, b, _ = aggregate(d, w)
+    G = d.A[S] @ x + d.b[S]  # half-gradients of the rows of S
+    J = np.zeros((n + m + 1, n + 1 + m))
+    J[:n, :n] = A
+    J[:n, n + 1 :] = G.T
+    J[n : n + m, :n] = 2.0 * G
+    J[n : n + m, n] = -epi
+    J[n + m, n + 1 :] = epi
+    F = np.concatenate([A @ x + b, v[S] - tau * epi, [epi @ w[S] - 1.0]])
+    # scipy.linalg.lstsq's gelsy path, without its wrapper's overhead
+    eps = np.finfo(float).eps
+    step = dgelsy(J, -F, np.zeros(len(F), dtype=np.int32), eps, int(dgelsy_lwork(*J.shape, 1, eps)[0]))[1]
+    w = w.copy()
+    w[S] = np.maximum(w[S] + step[n + 1 :], 0.0)
+    weight = w[:ne].sum()
+    return x + step[:n], (w / weight if weight > 0.0 else w)
+
+
+def _minimize_primal(d, box, tol, max_iter, scale, x0=None) -> SolveResult:
+    """The primal SLSQP solve over (x, tau) from x0 (default the box
+    centre), certified by its multipliers (see the module docstring)."""
+    from scipy.optimize import minimize  # loads with the first SLSQP solve, not the package
+
+    n = d.dim
+    ne, K = d.num_epigraph, len(d.c)  # stack rows: epigraph, then homogeneous
     feas_tol = 1e-9 * scale
 
     # Rows r(z) >= 0 in z = (x, tau): tau - g_e(x), -h_r(x), x - lo, hi - x.
@@ -95,7 +279,8 @@ def minimize_soc(
         jac[:K, :n] = -2.0 * (d.A @ z[:n] + d.b)
         return jac
 
-    x0 = box.mean(axis=1)
+    if x0 is None:
+        x0 = box.mean(axis=1)
     e_tau = np.eye(n + 1)[n]
     res = minimize(
         lambda z: z[n],
@@ -114,8 +299,8 @@ def minimize_soc(
     if np.any(vals[ne:] > feas_tol):
         # Phase I, min s subject to h_r(x) <= s in the box: a certified
         # bound above feas_tol proves that no x of the box meets the rows.
-        phase1 = minimize_soc(SocDescription(d.A[ne:], d.b[ne:], d.c[ne:], K - ne), box, tol, max_iter)
-        if phase1.lower_bound > feas_tol:
+        phase1 = SocDescription(d.A[ne:], d.b[ne:], d.c[ne:], K - ne)
+        if _minimize_primal(phase1, box, tol, max_iter, _scale(phase1)).lower_bound > feas_tol:
             raise InfeasibleRegion("homogeneous hull constraints are infeasible inside the box")
         value, lb, status = np.inf, -np.inf, "iteration_limit"
     else:
@@ -150,8 +335,8 @@ def _dual_bound(d, box, w, scale) -> float:
     A, b, c = aggregate(d, w[:K] / weight)
     lo, hi = w[K : K + n] / weight, w[K + n :] / weight
     b = b + 0.5 * (hi - lo)
-    y = np.linalg.lstsq(A, -b, rcond=None)[0]
-    if np.max(np.abs(A @ y + b)) > 1e-9 * scale:
+    y = _stationary_point(A, b, scale)
+    if y is None:
         return -np.inf
     return float(c + lo @ box[:, 0] - hi @ box[:, 1] + b @ y)
 

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -367,6 +368,13 @@ class TestCliFlows:
         assert "-17.5" in text
         assert "brute-force" in text
 
+    @pytest.mark.parametrize("box,status,path", [("-10,10", "converged", "dual"), ("-2,2", "unbounded", "primal")])
+    def test_solve_names_the_solve_that_certified(self, ex1_file, capsys, box, status, path):
+        # On [-2, 2]^2 the optimum lies outside the box, so the primal decides.
+        assert run(["solve", ex1_file, f"--box={box}"]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert re.fullmatch(rf"status: {status}  iterations: \d+ \({path}\)  gap: \S+", line)
+
     def test_solve_difference_label_claims_no_order(self, tmp_path, capsys):
         # The grid relaxes x1 + x2 = 1 by a band, so its value falls below
         # the exact 0.5 and the difference comes out negative.
@@ -464,10 +472,9 @@ class TestCliFlows:
             assert err == b"", buffered
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    # argparse drops a failed write of its own, so --help is checked
-    # block-buffered only: its text then fails at main's flush.
     @pytest.mark.parametrize("command,buffered", [
-        ("generate", True), ("generate", False), ("analyze", True), ("analyze", False), ("help", True),
+        ("generate", True), ("generate", False), ("analyze", True), ("analyze", False),
+        ("help", True), ("help", False),
     ])
     def test_full_stdout_is_one_error_line(self, tmp_path, ex1_file, command, buffered):
         # Block-buffered stdout (the default when it is not a terminal)

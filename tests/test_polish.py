@@ -1,4 +1,4 @@
-"""Differential tests of the SLSQP hull solver against Kelley's cutting
+"""Differential tests of the hull solver against Kelley's cutting
 planes and their Newton polish, kept as the oracle ``kelley_oracle``:
 whole solves on every pool below, and the oracle's polish calls set
 against the new solve's certified interval and minimizer."""

@@ -180,6 +180,20 @@ class TestMinimizeSoc:
         assert abs(res.minimizer[0]) <= 1e-9
         assert minimize_soc(soc, (-10.0, 10.0), max_iter=200).value < res.value - 1.0
 
+    def test_rounding_level_hessian_certifies_nothing(self):
+        # Epigraph rows 1 and 2 of this instance are linear up to rounding
+        # (|A| < 4e-16).  Least squares inverted that noise into a bound of
+        # 4.7e16 on row 2 alone, which certified the corner (3, 3) of
+        # [3, 10]^2 as if no box bound bound there.
+        soc = _soc(quadratic_matrix_program(1, 2, 2, 6))
+        assert np.abs(soc.A[1:3]).max() < 4e-16
+        res = minimize_soc(soc, (3.0, 10.0), max_iter=200)
+        assert res.status == "unbounded"
+        assert minimize_soc(soc, (-10.0, 10.0), max_iter=200).value < res.value - 1.0
+        w = np.zeros(len(soc.c) + 4)
+        w[2] = 1.0
+        assert solve._dual_bound(soc, _as_box((3.0, 10.0), 2), w, solve._scale(soc)) == -np.inf
+
     def test_spent_budget_is_no_infeasibility_verdict(self):
         # The objective is the constant -1 and x = 0 meets every homogeneous
         # row, so the whole feasible set is optimal.
@@ -219,16 +233,11 @@ def _soc(p):
 
 
 # barvinok_random(2, 1) seeds whose ray row x'Ax + c <= 0 (A > 0, 0 < c <
-# 1e-16) leaves only x = 0, a corner of these one-sided boxes.  SLSQP's
-# linearized rows are inconsistent there and its multipliers put no weight
-# on the epigraph rows, so the solve ends at iteration_limit with lower
-# bound -inf and a value of about 1e-16.  Seed 15 converges when BLAS runs
-# one thread and stalls on two, so its mark is not strict.
-CORNER_OPTIMA = [
-    pytest.param(15, (0.0, 10.0), marks=pytest.mark.xfail(strict=False, reason="stalls with two BLAS threads")),
-    pytest.param(38, (0.0, 10.0), marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="stalls")),
-    pytest.param(28, (-10.0, 0.0), marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="stalls")),
-]
+# 1e-16) leaves only x = 0, a corner of these one-sided boxes.  The primal
+# SLSQP's linearized rows are inconsistent there, so it ends at
+# iteration_limit; the dual over the row weights is not linearized, and
+# its bound certifies the value at x = 0.
+CORNER_OPTIMA = [(15, (0.0, 10.0)), (38, (0.0, 10.0)), (28, (-10.0, 0.0))]
 
 
 @pytest.mark.parametrize("seed, box", CORNER_OPTIMA)
