@@ -16,7 +16,6 @@ from .core import (
     affine_transform,
     check_feasible,
     eval_quadratic,
-    lagrangian,
 )
 from .certify import ConditionReport, analyze_problem, check_conditions, report_text
 from .gamma import (
@@ -38,7 +37,7 @@ from .hull import (
     soc_description,
     verify_certificate,
 )
-from .linalg import Spectrum, solve_homogeneous, sym_eig, whiten_simdiag
+from .linalg import solve_homogeneous
 from .solve import SolveResult, brute_force, minimize_soc
 
 __version__ = "0.1.0"

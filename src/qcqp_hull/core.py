@@ -176,20 +176,6 @@ def stack_values(s, x) -> np.ndarray:
     return _kernels.eval_quadratics(s.A, s.b, s.c, x)[:, 0]
 
 
-def _lagrangian_weights(p: Qcqp, gamma) -> np.ndarray:
-    """(1, gamma), the weights of p's stack in q_0 + sum_i gamma_i q_i;
-    ValueError unless gamma has one entry per constraint."""
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    if gamma.shape[0] != p.num_constraints:
-        raise ValueError(f"gamma has length {gamma.shape[0]}, expected {p.num_constraints}")
-    return np.concatenate([[1.0], gamma])
-
-
-def lagrangian(p: Qcqp, gamma) -> QuadraticFn:
-    """Aggregate q_0 + sum_i gamma_i q_i into a single quadratic."""
-    return QuadraticFn(*aggregate(p, _lagrangian_weights(p, gamma)))
-
-
 def violations_in_place(p: Qcqp, vals):
     """The violation rule on a (1 + m, ...) stack of p's values: overwrites
     the constraint rows with the positive part of q_i for inequalities and

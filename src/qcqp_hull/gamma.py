@@ -31,7 +31,7 @@ FACE_GUARD = 20
 DD_TOL = 1e-9
 FACE_TOL = 1e-8
 RANK_TOL = 1e-9
-# find_definite_multiplier: stopping gap, iteration budget, multiplier box
+# _definite_multiplier: stopping gap, iteration budget, multiplier box
 DEFINITE_TOL = 1e-9
 DEFINITE_MAX_ITER = 300
 MULTIPLIER_BOUND = 1e4
@@ -443,30 +443,24 @@ def b_aff_dim(face: Face, p: Qcqp) -> int:
 # Interior multiplier search
 
 
-def find_definite_multiplier(p: Qcqp):
-    """A multiplier gamma (signs respected) with A(gamma) positive definite.
+def _definite_multiplier(p: Qcqp):
+    """A multiplier gamma (signs respected) with A(gamma) positive
+    definite, and the ``_eig`` pair of A(gamma) that decided it.
 
     Tries gamma = 0, then maximizes the smallest eigenvalue of A(gamma),
     capped at the largest Hessian entry (at least 1), by a cutting-plane
     scheme on mu <= v' A(gamma) v; a multiplier past the cap is pulled
     back toward 0 until the cap is just guaranteed.  Returns None when
-    the best multiplier fails ``is_definite``, the rule whitening applies
-    (no definite aggregation exists in the box).
+    the best multiplier fails ``is_definite``, the rule ``_whiten``
+    requires (no definite aggregation exists in the box).
     """
-    found = _definite_multiplier(p)
-    return None if found is None else found[0]
-
-
-def _definite_multiplier(p: Qcqp):
-    """``find_definite_multiplier``'s gamma with the spectrum of A(gamma)
-    that decided it, or None."""
     m = p.num_constraints
     scale = max(1.0, float(np.max(np.abs(p.A))))
 
-    A, spec = _aggregate_spectrum(p, np.zeros(m))
-    lam0 = spec.eigenvalues[0]
+    A, (w, V) = _aggregate_spectrum(p, np.zeros(m))
+    lam0 = w[0]
     if lam0 > 1e-8 * scale:
-        return np.zeros(m), spec
+        return np.zeros(m), (w, V)
 
     # Columns (gamma, mu) in the multiplier box, gamma >= 0 on inequalities,
     # mu <= scale; maximize mu.
@@ -477,35 +471,35 @@ def _definite_multiplier(p: Qcqp):
     c = np.zeros(m + 1)
     c[m] = -1.0
     lp = CuttingPlaneLP(c, lower, upper)
-    best_gamma, best_lam, best = np.zeros(m), lam0, (A, spec)
+    best_gamma, best_lam, best = np.zeros(m), lam0, (A, (w, V))
 
     def add_cut(v):
         # mu - sum_i gamma_i (v'A_i v) <= v'A_0 v
         vAv = (p.A @ v) @ v
         lp.add_rows(np.r_[-vAv[1:], 1.0], vAv[:1])
 
-    add_cut(spec.eigenvectors[:, 0])
+    add_cut(V[:, 0])
     for _ in range(DEFINITE_MAX_ITER):
         lp_status, z = lp.solve()
         if lp_status != "optimal":
             break
         gamma_k = z[:m]
         mu_k = z[m]
-        A, spec = _aggregate_spectrum(p, gamma_k)
-        lam = spec.eigenvalues[0]
+        A, (w, V) = _aggregate_spectrum(p, gamma_k)
+        lam = w[0]
         if lam > best_lam:
-            best_lam, best_gamma, best = lam, gamma_k.copy(), (A, spec)
+            best_lam, best_gamma, best = lam, gamma_k.copy(), (A, (w, V))
         if mu_k - best_lam <= DEFINITE_TOL * scale:
             break
-        add_cut(spec.eigenvectors[:, 0])
+        add_cut(V[:, 0])
     if best_lam > scale:
         # The capped LP optimum is a whole face, and its vertex can lie far
         # out.  lambda_min(A(t gamma)) is concave in t, so it is still >=
         # scale at this t, where the chord from (0, lam0) reaches scale.
         best_gamma *= (scale - lam0) / (best_lam - lam0)
         best = _aggregate_spectrum(p, best_gamma)
-    A, spec = best
-    return (best_gamma, spec) if is_definite(A, spec.eigenvalues[0]) else None
+    A, (w, V) = best
+    return (best_gamma, (w, V)) if is_definite(A, w[0]) else None
 
 
 def build_gamma_data(p: Qcqp) -> GammaData:

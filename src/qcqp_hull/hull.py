@@ -117,14 +117,14 @@ def verify_certificate(
 ) -> bool:
     """Independent re-check of a certificate: finite positive weights
     summing to one, exact reconstruction of the target, and every point
-    feasible for the original problem.  Uses no decomposition state.
-    Each test is written so that a NaN fails it."""
+    feasible for the original problem.  Uses no decomposition state.  A
+    NaN or a wrong shape (2-D weights, an x not of length N) fails a test."""
     w = np.asarray(c.weights, dtype=float)
-    if w.size == 0 or not np.all(w > 0.0):
+    if w.ndim != 1 or w.size == 0 or not np.all(w > 0.0):
         return False
     if not abs(float(np.sum(w)) - 1.0) <= WEIGHT_SUM_TOL:
         return False
-    if len(c.points) != w.size:
+    if len(c.points) != w.size or any(len(pt.x) != p.dim for pt in (target, *c.points)):
         return False
     xs = np.array([pt.x for pt in c.points])
     ts = np.array([pt.t for pt in c.points])

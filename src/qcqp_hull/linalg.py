@@ -1,9 +1,8 @@
 """Dense symmetric linear algebra used by the hull machinery.
 
-Every eigenproblem goes through one rule, a thin wrapper over LAPACK's
+Every eigenproblem goes through ``_eig``, one thin wrapper over LAPACK's
 symmetric eigensolver (``np.linalg.eigh``) that fixes the order and sign
-of the eigenvectors so results are deterministic: ``sym_eig`` checks its
-argument, and the package's own calls use ``_eig``, which does not.
+of the eigenvectors so results are deterministic.
 """
 
 from __future__ import annotations
@@ -13,20 +12,12 @@ from math import gcd
 
 import numpy as np
 
-from .core import Qcqp, _lagrangian_weights, aggregate
+from .core import Qcqp, aggregate
 from .errors import NotSimultaneouslyDiagonalizable
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-9
 OFFDIAG_TOL = 1e-7
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues sorted ascending; eigenvectors[:, j] pairs with eigenvalues[j]."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,30 +49,20 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 
 
 def _eig(M: np.ndarray):
-    """``sym_eig`` without its checks, on a square float matrix or an
-    (S, n, n) stack of them: (eigenvalues, eigenvectors) of 0.5 (M + M')."""
+    """(eigenvalues, eigenvectors) of 0.5 (M + M') for a square float
+    matrix or an (S, n, n) stack of them.  Eigenvalues come back ascending;
+    in each eigenvector the entry of largest magnitude is >= 0, and the
+    zero matrix yields the identity."""
     w, V = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
     return w, _fix_signs(V)
 
 
-def sym_eig(M) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
-
-    Eigenvalues come back ascending.  In each eigenvector the entry of
-    largest magnitude is >= 0, and the zero matrix yields the identity.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return Spectrum(*_eig(M))
-
-
 def _aggregate_spectrum(p: Qcqp, gamma):
-    """``lagrangian(p, gamma).A`` and its ``sym_eig`` spectrum, without
-    building the quadratic; gamma is checked by ``_lagrangian_weights``."""
-    A = aggregate(p, _lagrangian_weights(p, gamma))[0]
+    """A(gamma) = A_0 + sum_i gamma_i A_i, symmetrized, and its ``_eig``
+    pair, for a multiplier gamma with one entry per constraint."""
+    A = aggregate(p, np.concatenate(([1.0], gamma)))[0]
     A = 0.5 * (A + A.T)
-    return A, Spectrum(*_eig(A))
+    return A, _eig(A)
 
 
 def is_definite(M, lam_min: float) -> bool:
@@ -117,28 +98,21 @@ def solve_homogeneous(E) -> np.ndarray | None:
     return u / nu
 
 
-def whiten_simdiag(p: Qcqp, gamma_star) -> SimultaneousDiagonalization:
+def _whiten(p: Qcqp, spec) -> SimultaneousDiagonalization:
     """Whiten by A(gamma*)^(-1/2) and jointly diagonalize all quadratic forms.
 
-    Requires A(gamma*) positive definite by ``is_definite``.  After
-    whitening, the family is simultaneously diagonalizable by an
-    orthogonal basis exactly when it commutes.  Every coordinate of a
-    joint eigenspace gets the same tuple: each form's trace on that
-    eigenspace divided by its dimension.  The one certificate is the
-    residual of that diagonal, the off-diagonal entries plus the spread of
-    the diagonal inside each eigenspace: it raises
-    NotSimultaneouslyDiagonalizable when some form's residual is above
-    OFFDIAG_TOL * max(1, its largest entry).
+    ``spec`` is the ``_eig`` pair of A(gamma*), which must be positive
+    definite by ``is_definite``.  After whitening, the family is
+    simultaneously diagonalizable by an orthogonal basis exactly when it
+    commutes.  Every coordinate of a joint eigenspace gets the same tuple:
+    each form's trace on that eigenspace divided by its dimension.  The
+    one certificate is the residual of that diagonal, the off-diagonal
+    entries plus the spread of the diagonal inside each eigenspace: it
+    raises NotSimultaneouslyDiagonalizable when some form's residual is
+    above OFFDIAG_TOL * max(1, its largest entry).
     """
-    A, spec = _aggregate_spectrum(p, gamma_star)
-    if not is_definite(A, spec.eigenvalues[0]):
-        raise ValueError("aggregated Hessian at gamma_star is not positive definite")
-    return _whiten(p, spec)
-
-
-def _whiten(p: Qcqp, spec: Spectrum) -> SimultaneousDiagonalization:
-    """``whiten_simdiag`` from the spectrum of a definite A(gamma*)."""
-    W = spec.eigenvectors @ np.diag(1.0 / np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.T
+    w, V = spec
+    W = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
     Q, space = _common_eigenbasis(W @ p.A @ W)
     P = W @ Q

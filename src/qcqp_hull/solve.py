@@ -33,6 +33,7 @@ are.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +96,15 @@ def minimize_soc(
     """Minimize 2t subject to the hull description inside the box.
 
     ``tol``, the gap relative to the rows' scale that certifies the value,
-    must be a positive finite number.  The dual over the row weights runs
-    first; the primal, with at most ``max_iter`` SLSQP iterations, only
-    when the dual's result does not stand.
+    must be a positive finite number, and ``max_iter`` an integer >= 1.
+    The dual over the row weights runs first; the primal, with at most
+    ``max_iter`` SLSQP iterations, only when the dual's result does not stand.
     Raises InfeasibleRegion when the homogeneous constraints are proved
     infeasible inside the box."""
     if not 0.0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be a positive finite number, got {tol}")
+    if operator.index(max_iter) < 1:  # "abc" and 2.0 are a TypeError
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
     if not d.epigraph:
         raise ValueError("hull description has no epigraph constraints")
     box = _as_box(box, d.dim)
@@ -327,7 +330,8 @@ def _dual_bound(d, box, w, scale) -> float:
     the lower and upper box rows, scaled so the epigraph weights sum to 1:
     every feasible (x, tau) of the box has tau >= sum_k w_k q_k(x) +
     w_lo'(lo - x) + w_hi'(x - hi), so tau >= its minimum over x.  -inf when
-    that is unbounded below or the epigraph weights are all 0."""
+    the epigraph weights are all 0 or that is unbounded below: A(w) has an
+    eigenvalue below -1e-12 max(scale, max|A(w)|), or no stationary point."""
     n, K, ne = d.dim, len(d.c), d.num_epigraph
     weight = w[:ne].sum()
     if weight <= 0.0:
@@ -335,6 +339,8 @@ def _dual_bound(d, box, w, scale) -> float:
     A, b, c = aggregate(d, w[:K] / weight)
     lo, hi = w[K : K + n] / weight, w[K + n :] / weight
     b = b + 0.5 * (hi - lo)
+    if np.linalg.eigvalsh(A)[0] < -1e-12 * max(scale, np.abs(A).max()):
+        return -np.inf
     y = _stationary_point(A, b, scale)
     if y is None:
         return -np.inf

@@ -9,6 +9,7 @@ from qcqp_hull.core import Qcqp, QuadraticFn
 from qcqp_hull.gamma import build_gamma_data
 from qcqp_hull.generators import barvinok_random, example1, gtrs, quadratic_matrix_program, swiss_cheese
 from qcqp_hull.hull import soc_description
+from qcqp_hull.linalg import _aggregate_spectrum, _whiten
 
 BENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
@@ -114,3 +115,9 @@ def conditioned_map(rng, n, cond):
     Q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
     Q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return Q1 @ np.diag(np.logspace(0.0, np.log10(cond), n)) @ Q2
+
+
+def whiten_at(p, gamma):
+    """The joint basis whitened at a definite A(gamma): ``_whiten`` on the
+    ``_aggregate_spectrum`` pair, as ``build_gamma_data`` whitens."""
+    return _whiten(p, _aggregate_spectrum(p, gamma)[1])

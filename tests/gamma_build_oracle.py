@@ -14,12 +14,13 @@ output.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from qcqp_hull._lp import CuttingPlaneLP
-from qcqp_hull.core import Qcqp, lagrangian
+from qcqp_hull.core import Qcqp, QuadraticFn, aggregate
 from qcqp_hull.errors import GuardExceeded, NoInteriorPoint, NotSimultaneouslyDiagonalizable
 from qcqp_hull.gamma import (
     DD_GUARD,
@@ -32,11 +33,27 @@ from qcqp_hull.gamma import (
     PolyhedronH,
     PolyhedronV,
 )
-from qcqp_hull.linalg import OFFDIAG_TOL, SimultaneousDiagonalization, Spectrum, is_definite
+from qcqp_hull.linalg import OFFDIAG_TOL, SimultaneousDiagonalization, is_definite
 
 
 # ---------------------------------------------------------------------------
-# linalg
+# core and linalg
+
+
+def lagrangian(p: Qcqp, gamma) -> QuadraticFn:
+    """Aggregate q_0 + sum_i gamma_i q_i into a single quadratic."""
+    gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    if gamma.shape[0] != p.num_constraints:
+        raise ValueError(f"gamma has length {gamma.shape[0]}, expected {p.num_constraints}")
+    return QuadraticFn(*aggregate(p, np.concatenate([[1.0], gamma])))
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigenvalues sorted ascending; eigenvectors[:, j] pairs with eigenvalues[j]."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
 
 def _check_symmetric(M) -> np.ndarray:

@@ -7,7 +7,7 @@ from conftest import SMALL_INSTANCES, TINY_DISTINCT, conditioned_map
 from qcqp_hull import certify, gamma
 from qcqp_hull.core import Qcqp, QuadraticFn, affine_transform
 from qcqp_hull.certify import analyze_problem, check_conditions, report_text
-from qcqp_hull.gamma import build_gamma_data, find_definite_multiplier
+from qcqp_hull.gamma import _definite_multiplier, build_gamma_data
 from qcqp_hull.generators import (
     barvinok_random,
     example1,
@@ -126,8 +126,8 @@ def test_barvinok_noncommuting_reports_unknown_polyhedrality():
 
 def test_non_sd_branch_finds_the_multiplier_once(monkeypatch):
     # build_gamma_data finds a definite multiplier before whitening can
-    # fail, so the report must not search for one again.  Every search,
-    # find_definite_multiplier's too, runs through _definite_multiplier.
+    # fail, so the report must not search for one again.  Every search
+    # runs through _definite_multiplier.
     calls = []
     original = gamma._definite_multiplier
 
@@ -184,7 +184,7 @@ def barely_definite_problem(eps):
 def test_barely_definite_multiplier_reported(eps):
     # the search's best multiplier fails whitening's definiteness rule
     p = barely_definite_problem(eps)
-    assert find_definite_multiplier(p) is None
+    assert _definite_multiplier(p) is None
     report, gd = analyze_problem(p)
     assert gd is None
     assert not report.assumption1

@@ -7,8 +7,8 @@ from qcqp_hull.core import (
     QuadraticFn,
     affine_transform,
     check_feasible,
+    aggregate,
     eval_quadratic,
-    lagrangian,
     objective_and_violations,
     stack_values,
 )
@@ -25,6 +25,11 @@ STACKED = {
     "swisscheese": lambda: swiss_cheese(5, 1, 1, 1, seed=3),
     "barvinok": lambda: barvinok([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])]),
 }
+
+
+def lagrangian(p, gamma) -> QuadraticFn:
+    """q_0 + sum_i gamma_i q_i as one quadratic, by ``aggregate``."""
+    return QuadraticFn(*aggregate(p, np.r_[1.0, gamma]))
 
 
 def test_symmetrized_on_construction():

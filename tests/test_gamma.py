@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import dd_oracle
-from conftest import SMALL_INSTANCES
+from conftest import SMALL_INSTANCES, whiten_at
 from qcqp_hull.certify import check_conditions
 from qcqp_hull.core import Qcqp, QuadraticFn, eval_quadratic, stack_values
 from qcqp_hull.errors import GuardExceeded, NoInteriorPoint
@@ -23,8 +23,8 @@ from qcqp_hull.gamma import (
     b_aff_dim,
     build_gamma,
     build_gamma_data,
+    _definite_multiplier,
     dd_vrep,
-    find_definite_multiplier,
     optimal_face,
     semidefinite_faces,
 )
@@ -35,7 +35,7 @@ from qcqp_hull.generators import (
     quadratic_matrix_program,
     swiss_cheese,
 )
-from qcqp_hull.linalg import PSD_TOL, sym_eig, whiten_simdiag
+from qcqp_hull.linalg import PSD_TOL, _eig
 
 
 def poly(*rows):
@@ -246,7 +246,7 @@ class TestBuildGamma:
 
     def test_trivial_rows_for_zero_constraint_hessians(self):
         p = diag_problem([1.0, 2.0], [[0.0, 0.0]], num_ineq=0)
-        sd = whiten_simdiag(p, np.zeros(1))
+        sd = whiten_at(p, np.zeros(1))
         h = build_gamma(p, sd)
         v = dd_vrep(h)
         # Gamma is the whole line: one representative vertex, both directions.
@@ -256,7 +256,7 @@ class TestBuildGamma:
 
     def test_interval_single_constraint(self):
         p = diag_problem([1.0, 1.0], [[1.0, -1.0]], num_ineq=1)
-        sd = whiten_simdiag(p, np.zeros(1))
+        sd = whiten_at(p, np.zeros(1))
         h = build_gamma(p, sd)
         v = dd_vrep(h)
         assert np.allclose(sorted(v.vertices[:, 0]), [0.0, 1.0], atol=1e-12)
@@ -592,7 +592,7 @@ class TestClassifyFace:
                 # classify A_bar by its smallest eigenvalue against
                 # PSD_TOL * max(1, max|A_bar|)
                 zero_tol = PSD_TOL * max(1.0, np.max(np.abs(A_bar)))
-                eigs = sym_eig(A_bar).eigenvalues
+                eigs = _eig(A_bar)[0]
                 if f.definite:
                     assert eigs[0] > zero_tol
                 else:
@@ -669,7 +669,7 @@ class TestEnumerateFaces:
 
 class TestDefiniteMultiplier:
     def test_zero_works_when_objective_definite(self, ex1):
-        assert np.allclose(find_definite_multiplier(ex1), [0.0, 0.0])
+        assert np.allclose(_definite_multiplier(ex1)[0], [0.0, 0.0])
 
     def test_search_finds_ball_multiplier(self):
         # objective -|x|^2 needs the ball multiplier to reach definiteness
@@ -680,8 +680,8 @@ class TestDefiniteMultiplier:
             1,
             0,
         )
-        gamma = find_definite_multiplier(p)
-        assert gamma is not None and gamma[0] > 1.0
+        gamma, _ = _definite_multiplier(p)
+        assert gamma[0] > 1.0
 
     def test_impossible_family(self):
         # A_0 indefinite, nothing can fix coordinate 2
@@ -691,7 +691,7 @@ class TestDefiniteMultiplier:
             1,
             0,
         )
-        assert find_definite_multiplier(p) is None
+        assert _definite_multiplier(p) is None
 
     def test_margin_capped_at_hessian_scale(self):
         # A_0 negative definite and a ball constraint, so any large gamma_1
@@ -707,7 +707,7 @@ class TestDefiniteMultiplier:
             ball = QuadraticFn(np.eye(4), np.zeros(4), -1.0)
             problems.append(Qcqp(q0, (ball, QuadraticFn(T, rng.normal(size=4), -1.0)), 1, 1))
         for p in problems:
-            gamma = find_definite_multiplier(p)
+            gamma, _ = _definite_multiplier(p)
             scale = max(1.0, float(np.max(np.abs(p.A))))
             lam = np.linalg.eigvalsh(p.A[0] + np.tensordot(gamma, p.A[1:], 1))[0]
             assert 0.0 < lam <= 2.0 * scale

@@ -17,9 +17,8 @@ from conftest import SMALL_INSTANCES, conditioned_map
 from qcqp_hull import cli, gamma, io
 from qcqp_hull.core import affine_transform
 from qcqp_hull.errors import NotSimultaneouslyDiagonalizable, QcqpHullError
-from qcqp_hull.gamma import _dd_cone, _initial_basis_rows, build_gamma_data, find_definite_multiplier
+from qcqp_hull.gamma import _dd_cone, _initial_basis_rows, build_gamma_data
 from qcqp_hull.generators import barvinok_random, example1, gtrs, quadratic_matrix_program, swiss_cheese
-from qcqp_hull.linalg import whiten_simdiag
 
 
 def _swiss(n, m, seed):
@@ -114,15 +113,10 @@ def test_build_matches_oracle_byte_for_byte(case):
         return
     assert got.sd.multiplicity == want.sd.multiplicity
     assert_same_bytes(got, want, FIELDS)
-    # The public entry points agree with the build they no longer drive.
-    assert find_definite_multiplier(p).tobytes() == want.gamma_star.tobytes()
-    sd = whiten_simdiag(p, want.gamma_star)
-    assert sd.multiplicity == want.sd.multiplicity
-    assert_same_bytes(sd, want.sd, ("basis", "diagonals"))
 
 
 def _searches(p) -> bool:
-    """Whether find_definite_multiplier gets past gamma = 0."""
+    """Whether the definite-multiplier search gets past gamma = 0."""
     return np.linalg.eigvalsh(p.A[0])[0] <= 1e-8 * max(1.0, float(np.max(np.abs(p.A))))
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import LINEAR_EQUALITY, SMALL_INSTANCES
 from oracle2d import oracle_agreement
-from test_core import STACKED
+from test_core import STACKED, lagrangian
 from qcqp_hull import io
 from qcqp_hull.core import (
     EpigraphPoint,
@@ -14,7 +15,6 @@ from qcqp_hull.core import (
     affine_transform,
     aggregate,
     check_feasible,
-    lagrangian,
     stack_quadratics,
 )
 from qcqp_hull.errors import NotInDsdp, QcqpHullError
@@ -328,6 +328,28 @@ class TestVerifyCertificate:
         io.write_certificate(path, target, bad, 1e-8)
         target, comb, tol = io.read_certificate(path)
         assert not verify_certificate(ex1, comb, target, tol)
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda doc: doc.update(weights=[[w] for w in doc["weights"]]),
+            lambda doc: doc.update(weights=[doc["weights"]]),
+            lambda doc: doc["point"].update(x=[*doc["point"]["x"], 0.0]),
+            lambda doc: doc["points"][0].update(x=[*doc["points"][0]["x"], 0.0]),
+            lambda doc: [pt.update(x=[*pt["x"], 0.0]) for pt in doc["points"]],
+        ],
+        ids=["weights-column", "weights-row", "target-x", "one-point-x", "every-point-x"],
+    )
+    def test_malformed_certificate_fails(self, tmp_path, ex1, ex1_gd, malform):
+        # The certificate reader accepts any nesting of weights and any
+        # length of x; verification answers False instead of raising.
+        target = EpigraphPoint([4.0, 2.0], 33.5)
+        path = tmp_path / "cert.json"
+        io.write_certificate(str(path), target, decompose(ex1, ex1_gd, target), 1e-8)
+        doc = json.loads(path.read_text())
+        malform(doc)
+        target, comb, tol = io.certificate_from_dict(doc)
+        assert verify_certificate(ex1, comb, target, tol) is False
 
 
 def test_hull_oracle_example1(ex1, ex1_soc):

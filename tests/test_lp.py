@@ -103,7 +103,7 @@ def test_row_out_of_reach_of_the_box_is_infeasible():
 @pytest.mark.parametrize("seed", range(4))
 def test_definite_multiplier_shape_maximization(seed):
     # max mu over signed gamma and mu in [-bound, bound] with cuts
-    # mu - sum_i gamma_i v'A_i v <= v'A_0 v: the LP find_definite_multiplier grows.
+    # mu - sum_i gamma_i v'A_i v <= v'A_0 v: the LP _definite_multiplier grows.
     rng = np.random.default_rng(200 + seed)
     n, m, n_ineq, bound = 3, 3, 2, 1e4
     A = rng.normal(size=(m + 1, n, n))

@@ -132,6 +132,28 @@ class TestMinimizeSoc:
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             minimize_soc(ex1_soc, (-10.0, 10.0), tol=tol)
 
+    @pytest.mark.parametrize("box", [(-10.0, 10.0), (-2.0, 2.0)])
+    @pytest.mark.parametrize(
+        "max_iter, error", [("abc", TypeError), (2.0, TypeError), (0, ValueError), (-1, ValueError)]
+    )
+    def test_max_iter_must_be_a_positive_integer(self, ex1_soc, box, max_iter, error):
+        # Checked before either path runs: the dual certifies [-10, 10]
+        # without reading max_iter, and [-2, 2] takes the primal, which does.
+        with pytest.raises(error, match="max_iter must be an integer >= 1" if error is ValueError else None):
+            minimize_soc(ex1_soc, box, max_iter=max_iter)
+
+    @pytest.mark.parametrize("curvature, box", [(-1.0, (-1.0, 1.0)), (-5e-9, (-10.0, 10.0))])
+    def test_indefinite_row_certifies_nothing(self, curvature, box):
+        # min of x1^2 + curvature x2^2 over the box is at a corner of x2,
+        # below 0; the stationary point x = 0 is a saddle, and its value 0
+        # is no bound.  -5e-9 passes soc_description's -1e-8 PSD test.
+        d = SocDescription([np.diag([1.0, curvature])], [[0.0, 0.0]], [0.0], 1)
+        res = minimize_soc(d, box)
+        assert res.status == "iteration_limit"
+        assert res.lower_bound == -np.inf
+        w = np.r_[1.0, np.zeros(4)]
+        assert solve._dual_bound(d, _as_box(box, 2), w, solve._scale(d)) == -np.inf
+
     @pytest.mark.parametrize("seed", [None, *range(5)])
     def test_linear_equality_polished_as_one_equality_row(self, seed):
         # A linear equality gives the multiplier set a lineality line, so
