@@ -29,6 +29,10 @@ from .linalg import SimultaneousDiagonalization, _aggregate_spectrum, _whiten, i
 DD_GUARD = 12
 FACE_GUARD = 20
 DD_TOL = 1e-9
+# _dd_cone: entries of one block of _combined_rays' products, and the most
+# pos/neg pairs of a row that are tested one by one
+DD_BLOCK = 1 << 18
+DD_LOOP_PAIRS = 3
 FACE_TOL = 1e-8
 RANK_TOL = 1e-9
 # _definite_multiplier: stopping gap, iteration budget, multiplier box
@@ -225,13 +229,47 @@ def _violated_row(rays: np.ndarray, B: np.ndarray, start: int):
     return None
 
 
+def _combined_rays(rays: np.ndarray, vals: np.ndarray, act: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """The normalized rays vals[i] * rays[j] - vals[j] * rays[i] of the
+    adjacent pairs (i, j) of ``pos`` x ``neg``, in ``itertools.product``
+    order, given the (rays, processed rows) activity mask ``act``.
+
+    A pair is a candidate when its rays share at least dim - 2 active rows
+    (one product of the pos and neg activity rows), and adjacent when only
+    its two rays are active on all its common rows (one product of the
+    candidates' common rows against the rays' inactive rows).  Each
+    product is taken in blocks of at most ``DD_BLOCK`` entries."""
+    A = act.astype(float)
+    inactive = 1.0 - A.T
+    rows = max(1, DD_BLOCK // len(neg))
+    i, j = [pos[:0]], [neg[:0]]
+    for s in range(0, len(pos), rows):
+        pi, nj = np.nonzero(A[pos[s : s + rows]] @ A[neg].T >= rays.shape[1] - 2)
+        i.append(pos[s + pi])
+        j.append(neg[nj])
+    i, j = np.concatenate(i), np.concatenate(j)
+    step = max(1, DD_BLOCK // len(A))
+    covers = [np.zeros(0, dtype=int)]
+    for s in range(0, len(i), step):
+        covers.append(np.count_nonzero(A[i[s : s + step]] * A[j[s : s + step]] @ inactive == 0, axis=1))
+    adjacent = np.concatenate(covers) == 2
+    i, j = i[adjacent], j[adjacent]
+    new = vals[i, None] * rays[j] - vals[j, None] * rays[i]
+    # each row's norm as np.linalg.norm takes it, sqrt(r.dot(r))
+    nrm = np.sqrt(new[:, None, :] @ new[:, :, None])[:, 0]
+    keep = nrm[:, 0] > DD_TOL
+    return new[keep] / nrm[keep]
+
+
 def _dd_cone(B: np.ndarray) -> np.ndarray:
     """Extreme rays of the pointed cone {x : Bx >= 0} (B full column rank).
 
     The rows are reordered basis-first, so the rows processed before row
     k are the prefix B[:k]; rows that no ray violates are skipped.  Two
     rays are adjacent when they are the only rays active on every
-    processed row that both are active on.  Raises QcqpHullError when the
+    processed row that both are active on (``_combined_rays``; a row with
+    at most ``DD_LOOP_PAIRS`` pos/neg pairs tests them one by one, which
+    costs less than the arrays' set-up).  Raises QcqpHullError when the
     rows do not span."""
     dim = B.shape[1]
     first = _initial_basis_rows(B, dim)
@@ -248,16 +286,17 @@ def _dd_cone(B: np.ndarray) -> np.ndarray:
         k, vals, neg = hit
         pos = np.flatnonzero(vals > DD_TOL)
         act = np.abs(rays @ B[:k].T) <= DD_TOL
-        new_rays = []
-        for i, j in itertools.product(pos, neg):
-            common = act[i] & act[j]
-            if np.count_nonzero(common) < dim - 2:
-                continue
-            if np.count_nonzero(act[:, common].all(axis=1)) == 2:
-                r = vals[i] * rays[j] - vals[j] * rays[i]
-                nrm = np.linalg.norm(r)
-                if nrm > DD_TOL:
-                    new_rays.append(r / nrm)
+        if len(pos) * len(neg) > DD_LOOP_PAIRS:
+            new_rays = [_combined_rays(rays, vals, act, pos, neg)]
+        else:
+            new_rays = []
+            for i, j in itertools.product(pos, neg):
+                common = act[i] & act[j]
+                if np.count_nonzero(common) >= dim - 2 and np.count_nonzero(act[:, common].all(axis=1)) == 2:
+                    r = vals[i] * rays[j] - vals[j] * rays[i]
+                    nrm = np.linalg.norm(r)
+                    if nrm > DD_TOL:
+                        new_rays.append(r / nrm)
         rays = np.vstack([rays[pos], rays[np.abs(vals) <= DD_TOL], *new_rays])
     return rays
 
@@ -366,15 +405,18 @@ def _closed_faces(h: PolyhedronH, v: PolyhedronV) -> list:
     """Every nonempty face, each once, as stacks by generator count: one
     (ids, active) pair per count, ``ids`` the (F, G) array of the faces'
     ascending generator ids and ``active`` the (F, R) mask of the rows
-    active at all of a face's generators.
+    active at all of a face's generators.  A stack's faces come in no set
+    order.
 
     Every face is the polyhedron cut by some set of rows, so the faces are
-    the polyhedron itself closed under intersection with one cut at a
-    time.  A cut is a distinct set of generators that some row is active
-    at; rows active at no vertex cut out nothing and are dropped, so the
-    guard counts the cuts the closure really runs over.  Faces are
-    identified by the ambient generators they contain; a candidate without
-    a vertex is empty.
+    the polyhedron itself closed under intersection with the cuts.  A cut
+    is a distinct set of generators that some row is active at; rows
+    active at no vertex cut out nothing and are dropped, so the guard
+    counts the cuts the closure really runs over.  Each cut in turn meets
+    every face found so far, so after the last one every set of cuts has
+    met the polyhedron.  Faces are identified by the ambient generators
+    they contain; a candidate without a vertex is empty, and so is every
+    further cut of it.
     """
     if v.is_empty:
         return []
@@ -386,19 +428,10 @@ def _closed_faces(h: PolyhedronH, v: PolyhedronV) -> list:
     # Generator-id sets as bitmasks, bit k for generator k (vertices first).
     cuts = [sum(1 << k for k in np.flatnonzero(c).tolist()) for c in cols.T]
     has_vertex = (1 << nv) - 1
-    full = (1 << num_gen) - 1
-    seen = {full}
-    frontier = [full]
-    while frontier:
-        fresh = []
-        for ids in frontier:
-            for cut in cuts:
-                key = ids & cut
-                if key & has_vertex and key not in seen:
-                    seen.add(key)
-                    fresh.append(key)
-        frontier = fresh
-    member = _unpack_bitmasks(seen, num_gen)
+    faces = {(1 << num_gen) - 1}
+    for cut in cuts:
+        faces |= {k for f in faces if (k := f & cut) & has_vertex}
+    member = _unpack_bitmasks(faces, num_gen)
     sizes = member.sum(axis=1)
     stacks = []
     for size in np.unique(sizes).tolist():

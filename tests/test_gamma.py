@@ -5,7 +5,9 @@ import pytest
 from scipy.optimize import linprog
 
 import dd_oracle
+import face_closure_oracle
 from conftest import SMALL_INSTANCES, whiten_at
+from qcqp_hull import gamma
 from qcqp_hull.certify import check_conditions
 from qcqp_hull.core import Qcqp, QuadraticFn, eval_quadratic, stack_values
 from qcqp_hull.errors import GuardExceeded, NoInteriorPoint
@@ -18,6 +20,7 @@ from qcqp_hull.gamma import (
     _closed_faces,
     _dedup_rows,
     _directions,
+    _incidence,
     _initial_basis_rows,
     _ranks,
     b_aff_dim,
@@ -52,6 +55,16 @@ def random_poly(rng, m):
         a /= np.linalg.norm(a)
         rows.append((a, abs(rng.normal()) + 0.1))
     return poly(*rows)
+
+
+def lattice_poly(seed):
+    """Rows with entries in {-1, 0, 1} and b in {0, 1, 2}, and x >= 0: many
+    rows meet at each vertex, so the double description meets ray pairs
+    that share dim - 2 active rows and still are not adjacent."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-1, 2, size=(10, 4)).astype(float)
+    a = np.vstack([a[np.abs(a).sum(axis=1) > 0], np.eye(4)])
+    return PolyhedronH(a=a, b=rng.integers(0, 3, size=len(a)).astype(float), num_eigen=len(a))
 
 
 def with_variant(h, variant):
@@ -387,8 +400,9 @@ class TestDdVrep:
 
 
 # The multiplier sets of the small instances and the gamma* problems, the
-# lifted polyhedra of the gamma* oracle, the random roundtrip polyhedra, and
-# rows that leave the whole plane or nothing.
+# lifted polyhedra of the gamma* oracle, the random roundtrip polyhedra,
+# lattice polyhedra whose adjacency needs the cover test, and rows that
+# leave the whole plane or nothing.
 DD_CASES = {
     "whole-plane": lambda: poly(([0.0, 0.0], 1.0), ([0.0, 0.0], 0.0)),
     "empty": lambda: poly(([0.0, 0.0], -1.0), ([1.0, 0.0], 0.0)),
@@ -401,23 +415,62 @@ DD_CASES = {
         )
         for m, seed, variant in ROUNDTRIP_CASES
     },
+    **{f"lattice-{seed}": (lambda seed=seed: lattice_poly(seed)) for seed in (1, 18, 26, 47)},
 }
 
 
+def assert_same_vrep(new, old):
+    """Byte-identical vertices and rays, no two of a kind within 1e-9."""
+    for got, want in ((new.vertices, old.vertices), (new.rays, old.rays)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        gaps = np.abs(got[:, None] - got[None]).max(axis=2, initial=0.0)
+        assert np.all(gaps[np.triu_indices(len(got), 1)] > 1e-9)
+
+
+@pytest.fixture(scope="module")
+def qmp_6_2_12():
+    """The multiplier set of qmp(6, 2, 12) seed 0, at the DD guard, and its
+    ``dd_oracle`` V-representation: 533 vertices and 722 rays."""
+    h = build_gamma_data(quadratic_matrix_program(6, 2, 12, seed=0)).h
+    return h, dd_oracle.dd_vrep(h)
+
+
 class TestDdBookkeeping:
-    """``dd_vrep``'s one rounding key, without a point-dedup pass, against
-    the loops of ``dd_oracle``."""
+    """``dd_vrep``'s one rounding key, without a point-dedup pass, and its
+    batched adjacency test, against the loops of ``dd_oracle``."""
 
     @pytest.mark.parametrize("case", list(DD_CASES))
     def test_vrep_matches_loop_oracle_byte_for_byte(self, case):
         h = DD_CASES[case]()
-        new, old = dd_vrep(h), dd_oracle.dd_vrep(h)
-        for got, want in ((new.vertices, old.vertices), (new.rays, old.rays)):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            # no two generators of a kind within 1e-9 of each other
-            gaps = np.abs(got[:, None] - got[None]).max(axis=2, initial=0.0)
-            assert np.all(gaps[np.triu_indices(len(got), 1)] > 1e-9)
+        assert_same_vrep(dd_vrep(h), dd_oracle.dd_vrep(h))
+
+    def test_vrep_matches_loop_oracle_at_the_guard(self, qmp_6_2_12):
+        h, want = qmp_6_2_12
+        assert (len(want.vertices), len(want.rays)) == (533, 722)
+        assert_same_vrep(dd_vrep(h), want)
+
+    def test_vrep_matches_loop_oracle_past_the_guard(self, monkeypatch):
+        # m = 30 > DD_GUARD: 11 vertices and 120 rays with the guard raised
+        monkeypatch.setattr(gamma, "DD_GUARD", 30)
+        h = build_gamma_data(swiss_cheese(100, 10, 10, 10, 0)).h
+        want = dd_oracle.dd_vrep(h, guard=30)
+        assert (len(want.vertices), len(want.rays)) == (11, 120)
+        assert_same_vrep(dd_vrep(h), want)
+
+    @pytest.mark.parametrize("block", [1, gamma.DD_BLOCK])
+    @pytest.mark.parametrize("case", [*DD_CASES, "qmp-6-2-12"])
+    def test_every_row_through_the_blocked_products(self, case, block, monkeypatch, qmp_6_2_12):
+        # Every row takes the batched adjacency test, in products of one
+        # pair per block or of the shipped block size.
+        monkeypatch.setattr(gamma, "DD_LOOP_PAIRS", 0)
+        monkeypatch.setattr(gamma, "DD_BLOCK", block)
+        if case == "qmp-6-2-12":
+            h, want = qmp_6_2_12
+        else:
+            h = DD_CASES[case]()
+            want = dd_oracle.dd_vrep(h)
+        assert_same_vrep(dd_vrep(h), want)
 
     def test_order_treats_negative_zero_as_zero_and_is_stable(self):
         # Rows 0-2 share one key ([0, 1]: -0.0 equals 0.0 and 1e-12 rounds
@@ -654,6 +707,32 @@ class TestEnumerateFaces:
         h, v = ORACLE_CASES[case]()
         want = [(vertex_ids, ray_ids, active) for _, vertex_ids, ray_ids, active in row_subset_faces(h, v)]
         assert sorted(closed_faces(h, v)) == sorted(want)
+
+    @pytest.mark.parametrize(
+        "m, seed, cuts, num_faces",
+        [(9, 0, 10, 960), (9, 1, 10, 960), (10, 0, 11, 1920), (10, 1, 11, 1920), (12, 0, 13, 7936), (13, 0, 14, 15872)],
+    )
+    def test_matches_frontier_oracle(self, m, seed, cuts, num_faces, monkeypatch):
+        """The closure one cut at a time gives the frontier closure's faces,
+        stack by stack, and the same semidefinite-face records, on lattice
+        sets past what ``row_subset_faces`` can visit (m = 13 with the DD
+        guard raised)."""
+        monkeypatch.setattr(gamma, "DD_GUARD", 13)
+        p = _lattice(m, seed)
+        h, v = _problem_hv(p)
+        act = _incidence(h, v.generators)
+        assert np.unique(act[:, act[: len(v.vertices)].any(axis=0)], axis=1).shape[1] == cuts
+        got, want = _closed_faces(h, v), face_closure_oracle._closed_faces(h, v)
+        assert [ids.shape for ids, _ in got] == [ids.shape for ids, _ in want]
+        assert sum(len(ids) for ids, _ in got) == num_faces
+        for (ids, active), (want_ids, want_active) in zip(got, want):
+            # a stack lists its faces in no set order
+            order, want_order = np.lexsort(ids.T[::-1]), np.lexsort(want_ids.T[::-1])
+            assert ids[order].tobytes() == want_ids[want_order].tobytes()
+            assert active[order].tobytes() == want_active[want_order].tobytes()
+        records = semidefinite_faces(h, v, p)
+        monkeypatch.setattr(gamma, "_closed_faces", face_closure_oracle._closed_faces)
+        assert semidefinite_faces(h, v, p) == records
 
     def test_guard(self):
         # 21 rows tangent to the unit circle: 21 facets, so 21 cuts
