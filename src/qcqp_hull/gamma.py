@@ -48,7 +48,10 @@ class PolyhedronH:
 
     ``A``/``beta`` are the same rows as read-only arrays scaled to
     ||a|| = 1 where a != 0 (``nontrivial``).  Constant rows (a = 0) are
-    left unscaled and are never active."""
+    left unscaled and are never active.  ``homogenized`` is the read-only
+    (dim + 1, rows) array whose column k is [beta[k], A[k]], so a
+    homogenized generator times it gives its value on every normalized
+    row."""
 
     a: np.ndarray
     b: np.ndarray
@@ -56,6 +59,7 @@ class PolyhedronH:
     A: np.ndarray = field(init=False, repr=False)
     beta: np.ndarray = field(init=False, repr=False)
     nontrivial: np.ndarray = field(init=False, repr=False)
+    homogenized: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -63,8 +67,9 @@ class PolyhedronH:
         norms = np.linalg.norm(a, axis=1)
         nontrivial = norms > 1e-12
         scale = np.where(nontrivial, norms, 1.0)
-        normalized = (("A", a / scale[:, None]), ("beta", b / scale), ("nontrivial", nontrivial))
-        for name, arr in (("a", a), ("b", b), *normalized):
+        A, beta = a / scale[:, None], b / scale
+        normalized = (("A", A), ("beta", beta), ("nontrivial", nontrivial))
+        for name, arr in (("a", a), ("b", b), *normalized, ("homogenized", np.vstack([beta, A.T]))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -138,12 +143,37 @@ class Face:
 
 @dataclass(frozen=True, eq=False)
 class GammaData:
-    """Pipeline bundle: diagonalization, H- and V-representations, witness."""
+    """Pipeline bundle: diagonalization, H- and V-representations, witness.
+
+    Two private memos let ``hull.decompose`` build each face it visits
+    once per bundle.  ``_faces`` maps the maximizer ids of an optimal face
+    (``ids.tobytes()``) to its ``Face``, which depends on ``h`` and ``v``
+    alone (``_optimal_face``).  ``_splits`` maps (problem, generator ids)
+    to the split data ``hull`` derives from a face and that problem's
+    b and A; a ``Qcqp`` hashes by identity, so a bundle shared by two
+    problems never gives one the other's data.  Both only grow, by one
+    entry per distinct face (and problem) visited, and a memoized result
+    is bit for bit the one a fresh computation gives."""
 
     sd: SimultaneousDiagonalization
     h: PolyhedronH
     v: PolyhedronV
     gamma_star: np.ndarray
+    _faces: dict = field(default_factory=dict, init=False, repr=False)
+    _splits: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _optimal_face(self, p: Qcqp, x):
+        """``optimal_face(self.v, p, x, self.h)``, its face read from
+        ``_faces`` and built only the first time."""
+        found = _maximizers(self.v, p, x)
+        if found is None:
+            return None
+        sup, ids = found
+        key = ids.tobytes()
+        face = self._faces.get(key)
+        if face is None:
+            face = self._faces[key] = _face(self.h, self.v, ids)
+        return sup, face
 
 
 def _ranks(M, tol: float = RANK_TOL) -> np.ndarray:
@@ -168,7 +198,7 @@ def _directions(generators: np.ndarray) -> np.ndarray:
 def _incidence(h: PolyhedronH, generators: np.ndarray) -> np.ndarray:
     """Activity of each given homogenized generator on each normalized
     row of ``h``."""
-    return (np.abs(generators @ np.vstack([h.beta, h.A.T])) <= FACE_TOL) & h.nontrivial
+    return (np.abs(generators @ h.homogenized) <= FACE_TOL) & h.nontrivial
 
 
 def build_gamma(p: Qcqp, sd: SimultaneousDiagonalization) -> PolyhedronH:
@@ -379,12 +409,10 @@ def _unpack_bitmasks(keys, width: int) -> np.ndarray:
     return bits[:, :width].astype(bool)
 
 
-def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
-    """Maximize gamma -> q_0(x) + sum gamma_i q_i(x) over the polyhedron.
-
-    Returns (sup_value, face of maximizers) or None when a ray makes the
-    functional unbounded above.
-    """
+def _maximizers(v: PolyhedronV, p: Qcqp, x):
+    """(sup, ids) of gamma -> q_0(x) + sum gamma_i q_i(x) over the
+    polyhedron: its supremum and the ascending ids of the generators of
+    the face of maximizers, or None when a ray makes it unbounded above."""
     if v.is_empty:
         raise ValueError("polyhedron is empty")
     vals = v.generators @ stack_values(p, x)  # functional at vertices, slope along rays
@@ -394,11 +422,29 @@ def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
     if np.any(vals[nv:] > tol_abs):
         return None
     # The maximizers: vertices at the sup, rays along which it is flat.
-    ids = np.flatnonzero(np.abs(vals - sup * v.generators[:, 0]) <= tol_abs)
+    return sup, np.flatnonzero(np.abs(vals - sup * v.generators[:, 0]) <= tol_abs)
+
+
+def _face(h: PolyhedronH, v: PolyhedronV, ids: np.ndarray) -> Face:
+    """The face of the generators ``ids`` (ascending) of ``v``."""
     generators = v.generators[ids]
     active = tuple(np.flatnonzero(_incidence(h, generators).all(axis=0)).tolist())
     dead = active[: bisect.bisect_left(active, h.num_eigen)]
-    return sup, Face(tuple(ids.tolist()), generators, active, int(_ranks(_directions(generators))), dead)
+    return Face(tuple(ids.tolist()), generators, active, int(_ranks(_directions(generators))), dead)
+
+
+def optimal_face(v: PolyhedronV, p: Qcqp, x, h: PolyhedronH):
+    """Maximize gamma -> q_0(x) + sum gamma_i q_i(x) over the polyhedron.
+
+    Returns (sup_value, face of maximizers) or None when a ray makes the
+    functional unbounded above.  The face is built on every call;
+    ``GammaData._optimal_face`` gives the same result from its memo.
+    """
+    found = _maximizers(v, p, x)
+    if found is None:
+        return None
+    sup, ids = found
+    return sup, _face(h, v, ids)
 
 
 def _closed_faces(h: PolyhedronH, v: PolyhedronV) -> list:
@@ -431,11 +477,13 @@ def _closed_faces(h: PolyhedronH, v: PolyhedronV) -> list:
     faces = {(1 << num_gen) - 1}
     for cut in cuts:
         faces |= {k for f in faces if (k := f & cut) & has_vertex}
-    member = _unpack_bitmasks(faces, num_gen)
-    sizes = member.sum(axis=1)
+    # One generator count at a time, so only that stack is ever unpacked.
+    by_size = {}
+    for f in faces:
+        by_size.setdefault(f.bit_count(), []).append(f)
     stacks = []
-    for size in np.unique(sizes).tolist():
-        ids = np.nonzero(member[sizes == size])[1].reshape(-1, size)
+    for size in sorted(by_size):
+        ids = np.nonzero(_unpack_bitmasks(by_size[size], num_gen))[1].reshape(-1, size)
         stacks.append((ids, act[ids].all(axis=1)))
     return stacks
 

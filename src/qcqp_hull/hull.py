@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import EpigraphPoint, Qcqp, aggregate, check_feasible, stack_values
 from .errors import NoDescentDirection, NotInDsdp, QcqpHullError
-from .gamma import GammaData, b_aff_dim, optimal_face
+from .gamma import GammaData, b_aff_dim
 from .linalg import solve_homogeneous
 
 MEMBERSHIP_TOL = 1e-8
@@ -156,6 +156,12 @@ def decompose(
     all face functionals flat, and stepping to the nearest roots of the
     remaining convex quadratics splits the point into two with strictly
     larger optimal faces.
+
+    Each optimal face, and the split data of a semidefinite one (v, s,
+    the b(gamma) rank the trace records, and the step's per-face
+    coefficients), is built once per ``gd`` and then read from its memos
+    (see ``GammaData``); the split data is keyed by ``p`` as well.  The
+    certificate is the same, bit for bit, as with a fresh ``gd``.
     """
     if soc is None:
         soc = soc_description(gd.v, p)
@@ -164,7 +170,7 @@ def decompose(
         raise NotInDsdp(f"point violates the hull description by {worst:.3e}")
 
     x = np.asarray(pt.x, dtype=float)
-    res = optimal_face(gd.v, p, x, gd.h)
+    res = gd._optimal_face(p, x)
     if res is None:
         raise NotInDsdp("supremum over the multiplier set is unbounded at this x")
     surplus = max(0.0, pt.t - res[0] / 2.0)
@@ -177,7 +183,7 @@ def decompose(
 
 def _split(p, gd, x, res, depth, tol, trace):
     """Returns ([(x_j, t_j)], [w_j]) decomposing (x, sup(x)/2), where
-    ``res = optimal_face(gd.v, p, x, gd.h)``."""
+    ``res = gd._optimal_face(p, x)``."""
     if res is None:
         raise NotInDsdp("supremum became unbounded during decomposition")
     sup, face = res
@@ -189,15 +195,18 @@ def _split(p, gd, x, res, depth, tol, trace):
             f"recursion exceeded the face-dimension bound (depth {depth}, m {p.num_constraints})"
         )
 
-    v, s = _flat_direction(face, gd.sd, p)
-    b_dim = b_aff_dim(face, p)
-    if v is None:
+    key = (p, face.generator_ids)
+    split = gd._splits.get(key)
+    if split is None:
+        split = gd._splits[key] = _face_split(p, gd, face)
+    if split.v is None:
         raise NoDescentDirection(
             "the direction system on the optimal face has only the zero solution "
-            f"(active rows {face.active_rows}, dim V = {face.dim_v}, b-affine-dim = {b_dim})"
+            f"(active rows {face.active_rows}, dim V = {face.dim_v}, b-affine-dim = {split.b_aff_dim})"
         )
 
-    alpha_plus, alpha_minus = _step_lengths(p, gd, face, x, t0, v, s, tol)
+    v = split.v
+    alpha_plus, alpha_minus = _step_lengths(p, split, x, t0, tol)
     lam = -alpha_minus / (alpha_plus - alpha_minus)
     trace.append(
         {
@@ -205,9 +214,9 @@ def _split(p, gd, x, res, depth, tol, trace):
             "active_rows": [int(i) for i in face.active_rows],
             "aff_dim": int(face.aff_dim),
             "dim_v": face.dim_v,
-            "b_aff_dim": b_dim,
+            "b_aff_dim": split.b_aff_dim,
             "v": [float(t) for t in v],
-            "s": float(s),
+            "s": float(split.s),
             "alpha_plus": float(alpha_plus),
             "alpha_minus": float(alpha_minus),
             "child_aff_dims": [],
@@ -217,12 +226,39 @@ def _split(p, gd, x, res, depth, tol, trace):
     out_pts, out_ws = [], []
     for alpha, w in ((alpha_plus, lam), (alpha_minus, 1.0 - lam)):
         child_x = x + alpha * v
-        child_res = optimal_face(gd.v, p, child_x, gd.h)
+        child_res = gd._optimal_face(p, child_x)
         rec["child_aff_dims"].append(int(child_res[1].aff_dim) if child_res else -1)
         pts, ws = _split(p, gd, child_x, child_res, depth + 1, tol, trace)
         out_pts.extend(pts)
         out_ws.extend(w * wi for wi in ws)
     return out_pts, out_ws
+
+
+@dataclass(frozen=True, eq=False)
+class _FaceSplit:
+    """What a split at a semidefinite face needs of the face alone: the
+    direction v and scalar s (None when only v = 0 works), the affine
+    dimension of b(gamma) over the face, and for ``_step_lengths`` the
+    generator rows W off the face, A v, b v and the curvatures
+    W (v'A_i v) of the off-face quadratics along v."""
+
+    v: np.ndarray | None
+    s: float | None
+    b_aff_dim: int
+    W: np.ndarray | None = None
+    Av: np.ndarray | None = None
+    bv: np.ndarray | None = None
+    curvature: np.ndarray | None = None
+
+
+def _face_split(p, gd, face) -> _FaceSplit:
+    v, s = _flat_direction(face, gd.sd, p)
+    b_dim = b_aff_dim(face, p)
+    if v is None:
+        return _FaceSplit(None, None, b_dim)
+    W = np.delete(gd.v.generators, face.generator_ids, axis=0)  # W[:, 0] = 1 on vertices
+    Av = p.A @ v
+    return _FaceSplit(v, s, b_dim, W, Av, p.b @ v, W @ (Av @ v))
 
 
 def _flat_direction(face, sd, p):
@@ -249,17 +285,16 @@ def _flat_direction(face, sd, p):
     return v, s
 
 
-def _step_lengths(p, gd, face, x, t0, v, s, tol):
+def _step_lengths(p, split, x, t0, tol):
     """Nearest positive and negative roots over the convex quadratics
     alpha -> q(gamma_e, x + alpha v) - 2(t0 + alpha s) and
-    alpha -> sum (gamma_r)_i q_i(x + alpha v) of the generators off the
-    optimal face; those on it are identically zero along v."""
-    W = np.delete(gd.v.generators, face.generator_ids, axis=0)  # W[:, 0] = 1 on vertices
-    Av = p.A @ v
+    alpha -> sum (gamma_r)_i q_i(x + alpha v) of the generators W off the
+    optimal face (``split``); those on it are identically zero along v."""
+    W = split.W
     coeffs = np.column_stack(
         [
-            W @ (Av @ v),
-            2.0 * (W @ (Av @ x + p.b @ v)) - 2.0 * s * W[:, 0],
+            split.curvature,
+            2.0 * (W @ (split.Av @ x + split.bv)) - 2.0 * split.s * W[:, 0],
             W @ stack_values(p, x) - 2.0 * t0 * W[:, 0],
         ]
     )
