@@ -156,9 +156,14 @@ class FeasReport:
 def eval_quadratic(q: QuadraticFn, x) -> float:
     """Evaluate q(x) = x'Ax + 2b'x + c."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != q.dim:
-        raise ValueError(f"x has length {x.shape[0]}, expected {q.dim}")
+    _check_length(x, q.dim)
     return float(x @ q.A @ x + 2.0 * (q.b @ x) + q.c)
+
+
+def _check_length(x, n: int) -> None:
+    """Raise ValueError unless the point x has length n."""
+    if len(x) != n:
+        raise ValueError(f"x has length {len(x)}, expected {n}")
 
 
 def aggregate(s, w):
@@ -193,9 +198,11 @@ def objective_and_violations(p: Qcqp, X):
 
 
 def check_feasible(p: Qcqp, pt: EpigraphPoint, tol: float = FEASIBILITY_TOL) -> FeasReport:
-    """Report constraint violations of an epigraph point; never raises."""
+    """Report constraint violations of an epigraph point.  Raises
+    ValueError when tol is not positive or x is not of length N."""
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
+    _check_length(pt.x, p.dim)
     obj, viol = objective_and_violations(p, pt.x.reshape(1, -1))
     viol = viol[:, 0]
     gap = float(obj[0]) - 2.0 * pt.t

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpigraphPoint, Qcqp, aggregate, check_feasible, stack_values
+from .core import EpigraphPoint, Qcqp, _check_length, aggregate, check_feasible, stack_values
 from .errors import NoDescentDirection, NotInDsdp, QcqpHullError
 from .gamma import GammaData, b_aff_dim
 from .linalg import solve_homogeneous
@@ -104,8 +104,10 @@ def dsdp_membership(d: SocDescription, pt: EpigraphPoint, tol: float = MEMBERSHI
     """(inside, worst violation) of a point against the hull description.
 
     The worst violation is the largest constraint residual; it is
-    negative strictly inside and ~0 on the boundary.
+    negative strictly inside and ~0 on the boundary.  Raises ValueError
+    when x is not of length N.
     """
+    _check_length(pt.x, d.dim)
     residuals = stack_values(d, pt.x)
     residuals[: d.num_epigraph] -= 2.0 * pt.t
     worst = float(np.max(residuals))

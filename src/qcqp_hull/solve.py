@@ -18,7 +18,10 @@ bound without box terms, so it certifies the value for every box; the
 dual result stands only when x lies in the box, meets the homogeneous
 rows within feas_tol and the bound is within rounding (DUAL_GAP) of the
 value.  A certified x outside the box is the optimum without the box, so
-there a box bound binds.
+there a box bound binds.  phi(w), x(w) and every certifying bound, the
+primal's too, come from one rule, _lagrangian_min: an eigenvalue of A(w)
+within tau = 1e-12 max(scale, max|A(w)|) of 0 is a null direction, and
+one below -tau makes phi -inf.
 
 Otherwise the primal runs, warm-started from x(w) clipped to the box: one
 SLSQP solve (Kraft 1988, scipy.optimize.minimize) of min tau subject to
@@ -124,35 +127,35 @@ def _scale(d) -> float:
 
 
 def _lagrangian_min(A, b, c, scale):
-    """(phi, x): the minimum of x'Ax + 2b'x + c and a minimizer, from a
-    Cholesky factor of A, else the least-squares stationary point as in
-    _dual_bound; None when the quadratic is unbounded below."""
+    """(phi, x): the minimum of x'Ax + 2b'x + c and a minimizer, or None
+    when it is unbounded below.  One threshold tau = 1e-12 max(scale,
+    max|A|) decides: when A - tau I has a Cholesky factor, x comes from
+    one of A; otherwise from an eigendecomposition of A, where an
+    eigenvalue below -tau is unbounded, one within tau is a null direction
+    along which b must vanish (residual at most 1e-9 scale), and the rest
+    are inverted."""
     from scipy.linalg.lapack import dpotrf, dpotrs
 
-    L, info = dpotrf(A, lower=1, clean=0)
-    if info == 0:
-        x = -dpotrs(L, b, lower=1)[0]
-    elif (x := _stationary_point(A, b, scale)) is None:
-        return None
+    tau = 1e-12 * max(scale, np.abs(A).max())
+    if dpotrf(A - tau * np.eye(len(A)), lower=1, clean=0)[1] == 0:
+        x = -dpotrs(dpotrf(A, lower=1, clean=0)[0], b, lower=1)[0]
+    else:
+        lam, V = np.linalg.eigh(A)
+        if lam[0] < -tau:
+            return None
+        keep = lam > tau
+        x = -V[:, keep] @ ((V[:, keep].T @ b) / lam[keep])
+        if np.max(np.abs(A @ x + b)) > 1e-9 * scale:
+            return None
     return float(c + b @ x), x
-
-
-def _stationary_point(A, b, scale):
-    """The least-squares solution y of A y = -b, or None when its residual
-    is above 1e-9 * scale: then x'Ax + 2b'x is unbounded below.  An A
-    whose entries are all at rounding level of the scale is 0: lstsq's
-    relative cutoff would invert its noise."""
-    if np.abs(A).max() <= 1e-15 * scale:
-        A = np.zeros_like(A)
-    y = np.linalg.lstsq(A, -b, rcond=None)[0]
-    return None if np.max(np.abs(A @ y + b)) > 1e-9 * scale else y
 
 
 def _dual_start(d, scale):
     """Row weights where phi is finite, with their (phi, x(w)): the best
     of the epigraph barycentre, the barycentre plus unit ray weights and
-    each single epigraph row, each a weak-duality bound on its own; None
-    when phi is -inf at all of these."""
+    each single epigraph row.  Each phi is a true weak-duality bound on its
+    own, since _lagrangian_min, which _dual_bound calls too, refuses the
+    weightings where phi is -inf; None when it refuses all of these."""
     ne, K = d.num_epigraph, len(d.c)
     W = np.zeros((ne + 2, K))
     W[:2, :ne] = 1.0 / ne
@@ -329,22 +332,17 @@ def _dual_bound(d, box, w, scale) -> float:
     """The weak-duality bound of multipliers w >= 0 on the stack rows, then
     the lower and upper box rows, scaled so the epigraph weights sum to 1:
     every feasible (x, tau) of the box has tau >= sum_k w_k q_k(x) +
-    w_lo'(lo - x) + w_hi'(x - hi), so tau >= its minimum over x.  -inf when
-    the epigraph weights are all 0 or that is unbounded below: A(w) has an
-    eigenvalue below -1e-12 max(scale, max|A(w)|), or no stationary point."""
+    w_lo'(lo - x) + w_hi'(x - hi), so tau >= its minimum over x, which
+    _lagrangian_min gives.  -inf when the epigraph weights are all 0 or
+    that minimum is unbounded below."""
     n, K, ne = d.dim, len(d.c), d.num_epigraph
     weight = w[:ne].sum()
     if weight <= 0.0:
         return -np.inf
     A, b, c = aggregate(d, w[:K] / weight)
     lo, hi = w[K : K + n] / weight, w[K + n :] / weight
-    b = b + 0.5 * (hi - lo)
-    if np.linalg.eigvalsh(A)[0] < -1e-12 * max(scale, np.abs(A).max()):
-        return -np.inf
-    y = _stationary_point(A, b, scale)
-    if y is None:
-        return -np.inf
-    return float(c + lo @ box[:, 0] - hi @ box[:, 1] + b @ y)
+    r = _lagrangian_min(A, b + 0.5 * (hi - lo), c + lo @ box[:, 0] - hi @ box[:, 1], scale)
+    return -np.inf if r is None else r[0]
 
 
 def _extreme_point(d, box, x, level, athr):

@@ -37,11 +37,13 @@ def test_symmetrized_on_construction():
     assert np.allclose(q.A, [[1.0, 1.0], [1.0, 1.0]])
 
 
-def test_dimension_mismatch_rejected():
+def test_dimension_mismatch_rejected(ex1):
     with pytest.raises(ValueError):
         QuadraticFn(np.eye(2), np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x has length 3, expected 2"):
         eval_quadratic(QuadraticFn(np.eye(2), np.zeros(2), 0.0), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="x has length 3, expected 2"):
+        check_feasible(ex1, EpigraphPoint([1.0, 2.0, 3.0], 0.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

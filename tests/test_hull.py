@@ -215,6 +215,14 @@ class TestMembership:
         inside, worst = dsdp_membership(ex1_soc, EpigraphPoint([4.0, 2.0], 33.0))
         assert not inside and worst == pytest.approx(1.0, abs=1e-9)
 
+    def test_point_of_another_length_refused(self, ex1, ex1_gd, ex1_soc):
+        # decompose tests membership first, so it raises the same error.
+        pt = EpigraphPoint([1.0, 2.0, 3.0], 0.0)
+        with pytest.raises(ValueError, match="x has length 3, expected 2"):
+            dsdp_membership(ex1_soc, pt)
+        with pytest.raises(ValueError, match="x has length 3, expected 2"):
+            decompose(ex1, ex1_gd, pt)
+
 
 class TestDecompose:
     def test_singleton_at_definite_face(self, ex1, ex1_gd):

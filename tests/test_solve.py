@@ -154,6 +154,19 @@ class TestMinimizeSoc:
         w = np.r_[1.0, np.zeros(4)]
         assert solve._dual_bound(d, _as_box(box, 2), w, solve._scale(d)) == -np.inf
 
+    @pytest.mark.parametrize("curvature", [-1e-13, -1e-14, -1e-15])
+    def test_noise_level_negative_curvature_is_no_bound(self, curvature):
+        # min x1^2 + curvature x2^2 + 2 x2 over [-1, 1]^2 is about -2 at
+        # x2 = -1, on a box bound.  Least squares inverted the curvature,
+        # which passes soc_description's -1e-8 PSD test, into a bound of
+        # +1/|curvature| without box terms that certified "converged".
+        d = SocDescription([np.diag([1.0, curvature])], [[0.0, 1.0]], [0.0], 1)
+        res = minimize_soc(d, (-1.0, 1.0))
+        assert res.status == "unbounded"
+        assert res.lower_bound <= res.value
+        w = np.r_[1.0, np.zeros(4)]
+        assert solve._dual_bound(d, _as_box((-1.0, 1.0), 2), w, solve._scale(d)) == -np.inf
+
     @pytest.mark.parametrize("seed", [None, *range(5)])
     def test_linear_equality_polished_as_one_equality_row(self, seed):
         # A linear equality gives the multiplier set a lineality line, so
@@ -248,6 +261,83 @@ class TestMinimizeSoc:
         res = minimize_soc(_soc(make()), (-10.0, 10.0), max_iter=200)
         assert res.status == "converged"
         assert res.value == pytest.approx(value, rel=1e-7)
+
+
+class TestLagrangianMin:
+    """_lagrangian_min against an eigendecomposition oracle at scale 1: the
+    eigenvalues of A within tau = 1e-12 max(1, max|A|) of 0 are null
+    directions."""
+
+    @staticmethod
+    def _quadratic(n, seed, head):
+        """A = Q diag(head, rest) Q' for a seeded orthogonal Q and the rest
+        of the spectrum in [0.5, 2]; returns A, Q and the generator."""
+        rng = np.random.default_rng(seed)
+        spectrum = np.r_[head, rng.uniform(0.5, 2.0, size=n - len(head))]
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        return (Q * spectrum) @ Q.T, Q, rng
+
+    @staticmethod
+    def _tau(n, seed):
+        return 1e-12 * max(1.0, np.abs(TestLagrangianMin._quadratic(n, seed, [0.0])[0]).max())
+
+    @staticmethod
+    def _check_matches(A, b, c):
+        lam, V = np.linalg.eigh(A)
+        keep = lam > 1e-12 * max(1.0, np.abs(A).max())
+        terms = (V[:, keep].T @ b) ** 2 / lam[keep]
+        phi, x = solve._lagrangian_min(A, b, c, 1.0)
+        assert abs(phi - (c - terms.sum())) <= 1e-12 * (abs(c) + terms.sum())
+        assert np.max(np.abs(A @ x + b)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_positive_definite(self, n, seed):
+        A, _, rng = self._quadratic(n, seed, [])
+        self._check_matches(A, rng.normal(size=n), rng.normal())
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_singular_with_b_in_the_range(self, n, seed):
+        k = max(1, n // 3)  # null directions: all of A at n = 1
+        A, Q, rng = self._quadratic(n, seed, np.zeros(k))
+        self._check_matches(A, Q[:, k:] @ rng.normal(size=n - k), rng.normal())
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_b_along_a_null_direction_is_unbounded(self, n, seed):
+        k = max(1, n // 3)
+        A, Q, rng = self._quadratic(n, seed, np.zeros(k))
+        b = Q[:, k:] @ rng.normal(size=n - k) + 1e-6 * Q[:, 0]
+        assert solve._lagrangian_min(A, b, 0.0, 1.0) is None
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eigenvalue_below_minus_tau_is_unbounded(self, n, seed):
+        A, _, _ = self._quadratic(n, seed, [-10.0 * self._tau(n, seed)])
+        assert solve._lagrangian_min(A, np.zeros(n), 0.0, 1.0) is None
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eigenvalue_within_tau_is_a_null_direction(self, n, seed, sign):
+        # Inverted, +tau/2 would turn b's component 1e-6 along it into a
+        # term of 2e-12 / tau, of order 1; as a null direction that
+        # component is unbounded, and without it phi is the oracle's.
+        A, Q, rng = self._quadratic(n, seed, [sign * self._tau(n, seed) / 2.0])
+        b = Q[:, 1:] @ rng.normal(size=n - 1)
+        self._check_matches(A, b, rng.normal())
+        assert solve._lagrangian_min(A, b + 1e-6 * Q[:, 0], 0.0, 1.0) is None
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_noise_level_hessian_is_zero(self, n, scale):
+        # Entries at rounding level of the scale are no curvature: with
+        # b != 0 the minimum is unbounded, not -b'A^-1 b of the noise.
+        rng = np.random.default_rng(n)
+        N = rng.uniform(-1.0, 1.0, size=(n, n))
+        A = 1e-16 * scale * (N + N.T) / 2.0
+        assert solve._lagrangian_min(A, rng.normal(size=n), 0.0, scale) is None
 
 
 def _soc(p):
